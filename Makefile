@@ -8,7 +8,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 .PHONY: test bench-smoke bench-pipeline bench-record bench-check \
 	bench-restore-latency bench-server bench-volumes cli-smoke store-smoke \
 	restore-smoke append-smoke server-smoke volume-smoke hygiene golden \
-	lint typecheck
+	lint typecheck perfbench-selftest
 
 # Where bench-record writes its BENCH_*.json.  The default (repo root) is the
 # committed baseline; CI records into a scratch dir and compares against it.
@@ -153,6 +153,12 @@ volume-smoke:
 		--offset 3000 --length 1500; \
 	$(PYTHON) -c "want=(b'ULE volume smoke payload. '*300)[3000:4500]; \
 	got=open('.volume-smoke/slice.bin','rb').read(); assert got==want, 'slice mismatch'"
+
+## self-test of the paper-shaped benchmark (perfbench/) on the test geometry:
+## every workload verifies its outputs and the traced run covers each layer,
+## so an API change the benchmark depends on fails here rather than later
+perfbench-selftest:
+	$(PYTHON) perfbench/selftest.py
 
 ## quick pipeline benchmark used as a CI smoke check
 bench-smoke:

@@ -33,7 +33,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.api import ArchiveConfig, open_archive, open_restore
-from repro.core.restorer import RestoreEngine
 from repro.store import ArchiveSource, open_source
 
 #: Timed sections take the best of this many runs.  bench_volumes uses 3;
@@ -94,21 +93,22 @@ def bench_single_segment_decode(payload: bytes, parallelisms: list[int]) -> dict
     results: dict = {"frames": frames, "modes": {}}
     baseline = None
     for parallelism in parallelisms:
-        engine = RestoreEngine(
-            config.media_profile(),
-            executor=f"thread:{parallelism}" if parallelism > 1 else "serial",
-            decode_parallelism=parallelism,
-        )
         # Best-of-N, matching bench_volumes: a single cold run folds lazy
         # table construction and allocator warm-up into the one number the
         # regression gate pins.
         elapsed = None
-        for _ in range(_TIMING_RUNS):
-            start = time.perf_counter()
-            result = engine.restore(archive)
-            run = time.perf_counter() - start
-            assert result.payload == payload
-            elapsed = run if elapsed is None else min(elapsed, run)
+        with open_restore(
+            archive,
+            config,
+            executor=f"thread:{parallelism}" if parallelism > 1 else "serial",
+            decode_parallelism=parallelism,
+        ) as reader:
+            for _ in range(_TIMING_RUNS):
+                start = time.perf_counter()
+                result = reader.read()
+                run = time.perf_counter() - start
+                assert result.payload == payload
+                elapsed = run if elapsed is None else min(elapsed, run)
         baseline = baseline if baseline is not None else elapsed
         label = f"decode_parallelism={parallelism}"
         print(f"  {label:<24} {elapsed:6.2f} s  "

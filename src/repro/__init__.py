@@ -9,8 +9,9 @@ Public API highlights
 * :mod:`repro.api` — the unified facade: :class:`~repro.api.ArchiveConfig`
   (one JSON-round-trippable config naming every choice),
   :func:`~repro.api.open_archive` / :func:`~repro.api.open_restore`
-  (session-based streaming I/O), :func:`~repro.api.run_end_to_end` (all
-  seven Figure 2a steps in one call) and the ``python -m repro`` CLI.
+  (session-based streaming I/O — the one way to archive and the one way to
+  restore), :func:`~repro.api.run_end_to_end` (all seven Figure 2a steps
+  in one call) and the ``python -m repro`` CLI.
 * :mod:`repro.registry` — named, pluggable registries for codecs, media
   channels, executors, distortion profiles and storage backends.
 * :mod:`repro.store` — the on-media layout layer: versioned self-describing
@@ -49,7 +50,9 @@ _EXPORTS: dict[str, str] = {
     "ArchiveReader": "repro.api",
     "ArchiveWriter": "repro.api",
     "EndToEndResult": "repro.api",
+    "RestorationResult": "repro.api",
     "SegmentCacheLike": "repro.api",
+    "VerifyReport": "repro.api",
     "open_archive": "repro.api",
     "open_restore": "repro.api",
     "run_end_to_end": "repro.api",
@@ -58,12 +61,7 @@ _EXPORTS: dict[str, str] = {
     "store": "repro",
     "devtools": "repro",
     "server": "repro",
-    # repro.core — engines, manifests, profiles
-    "Archiver": "repro.core",
-    "Restorer": "repro.core",
-    "RestoreEngine": "repro.core",
-    "RestorationResult": "repro.core",
-    "VerifyReport": "repro.core",
+    # repro.core — manifests, archive artefacts, profiles
     "MicrOlonysArchive": "repro.core",
     "ArchiveManifest": "repro.core",
     "SegmentRecord": "repro.core",
@@ -131,7 +129,9 @@ if TYPE_CHECKING:  # static importers see the eager imports
         ArchiveReader,
         ArchiveWriter,
         EndToEndResult,
+        RestorationResult,
         SegmentCacheLike,
+        VerifyReport,
         open_archive,
         open_restore,
         run_end_to_end,
@@ -145,14 +145,9 @@ if TYPE_CHECKING:  # static importers see the eager imports
         PROFILES,
         TEST_PROFILE,
         ArchiveManifest,
-        Archiver,
         MediaProfile,
         MicrOlonysArchive,
-        RestorationResult,
-        RestoreEngine,
-        Restorer,
         SegmentRecord,
-        VerifyReport,
         get_profile,
     )
     from repro.dbcoder import DBCoder, Profile  # noqa: F401

@@ -8,24 +8,29 @@ This package is the canonical way in and out of the system:
 * :func:`open_archive` / :func:`open_restore` — session-based streaming I/O
   over the pipeline (context managers, chunked ``write``, progress
   callbacks), persisting to / reading from any :mod:`repro.store` backend
-  (``target=``/``store=``), with random-access
-  :meth:`~repro.api.session.ArchiveReader.read_range` /
-  :meth:`~repro.api.session.ArchiveReader.restore_segment` partial restore;
+  (``target=``/``store=``); :func:`open_archive` is the only way to archive
+  and :class:`ArchiveReader` the only way to restore — whole archives,
+  externally produced scans, random-access
+  :meth:`~repro.api.reader.ArchiveReader.read_range` /
+  :meth:`~repro.api.reader.ArchiveReader.restore_segment` partial restore,
+  and :meth:`~repro.api.reader.ArchiveReader.verify`;
 * :func:`run_end_to_end` — all seven steps of Figure 2a, including the
   channel ``record``/``scan`` hop, in a single call;
 * ``python -m repro`` (:mod:`repro.api.cli`) — ``archive`` / ``restore`` /
   ``inspect`` / ``profiles`` subcommands built on the same facade.
-
-The historical ``Archiver`` / ``Restorer`` classes remain importable as
-deprecation shims.
 """
 
 from repro.api.config import ArchiveConfig
-from repro.api.session import (
+from repro.api.reader import (
     ArchiveReader,
+    GenerationInfo,
+    RestorationResult,
+    SegmentCacheLike,
+    VerifyReport,
+)
+from repro.api.session import (
     ArchiveWriter,
     EndToEndResult,
-    SegmentCacheLike,
     open_archive,
     open_restore,
     run_end_to_end,
@@ -36,7 +41,10 @@ __all__ = [
     "ArchiveReader",
     "ArchiveWriter",
     "EndToEndResult",
+    "GenerationInfo",
+    "RestorationResult",
     "SegmentCacheLike",
+    "VerifyReport",
     "open_archive",
     "open_restore",
     "run_end_to_end",

@@ -18,7 +18,6 @@ from typing import Any
 
 from repro import registry
 from repro.core.profiles import MediaProfile
-from repro.core.restorer import DECODE_MODES
 from repro.dbcoder.formats import HEADER_SIZE as CONTAINER_HEADER_SIZE
 from repro.errors import ConfigError, UnknownNameError
 from repro.media.channel import MediaChannel
@@ -27,6 +26,10 @@ from repro.pipeline.executors import parse_executor_spec
 from repro.pipeline.segmenter import segment_count
 
 __all__ = ["ArchiveConfig"]
+
+#: Valid values for ``decode_mode``: the reference decoders, or the archived
+#: DBCoder decoder under the DynaRisc emulator or the nested VeRisc stack.
+DECODE_MODES = ("python", "dynarisc", "nested")
 
 #: Whether a media profile's channel applies raster distortion profiles,
 #: memoised per profile object so config validation doesn't rebuild a

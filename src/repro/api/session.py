@@ -5,15 +5,15 @@ that accepts payload chunks of any size via :meth:`~ArchiveWriter.write` and
 encodes them *while they arrive*: a background thread drives the streaming
 pipeline over a bounded queue, so segments encode (optionally in parallel)
 concurrently with the caller producing data, and per-segment progress
-callbacks fire as emblem batches complete.  :func:`open_restore` is the
-reading half, and :func:`run_end_to_end` runs all seven steps of Figure 2a —
-including step 7's channel ``record``/``scan``, which no previous entry
-point covered — in one call.
+callbacks fire as emblem batches complete.  :func:`open_restore` returns the
+reading half, an :class:`~repro.api.reader.ArchiveReader` running the six
+restoration steps of Figure 2b, and :func:`run_end_to_end` runs all seven
+steps of Figure 2a — including step 7's channel ``record``/``scan`` — plus
+the restore in one call.
 """
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import queue
 import threading
@@ -21,26 +21,23 @@ from types import TracebackType
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Protocol
+from typing import Callable, Iterator
 
 import numpy as np
 
 from repro.api.config import ArchiveConfig
+from repro.api.reader import ArchiveReader, RestorationResult, SegmentCacheLike
 from repro.core.archive import ArchiveManifest, MicrOlonysArchive, SegmentRecord
-from repro.core.restorer import RestorationResult, RestoreEngine, VerifyReport
-from repro.errors import ArchiveError, RestorationError, StoreError
+from repro.errors import ArchiveError, RestorationError
 from repro.pipeline.pipeline import (
     ArchivePipeline,
     EncodedSegment,
-    RestorePipeline,
     build_system_artifacts,
 )
 from repro.store import (
     BOOTSTRAP_NAME,
     ArchiveSource,
-    FramePrefetcher,
     TargetSpec,
-    load_archive,
     manifest_digest,
     open_append_sink,
     open_sink,
@@ -50,9 +47,7 @@ from repro.store import (
 
 __all__ = [
     "ArchiveWriter",
-    "ArchiveReader",
     "EndToEndResult",
-    "SegmentCacheLike",
     "open_archive",
     "open_restore",
     "run_end_to_end",
@@ -60,26 +55,6 @@ __all__ = [
 
 #: Sentinel closing the writer's chunk queue.
 _EOF = object()
-
-
-class SegmentCacheLike(Protocol):
-    """What :class:`ArchiveReader` needs from a shared decoded-segment cache.
-
-    Keys are the manifest-v3 per-segment SHA-256 hex digests — *content*
-    addresses, so an appended generation or a re-uploaded archive can never
-    serve stale bytes through a matching key: different payload bytes hash
-    to a different key.  Implementations must be safe for concurrent calls
-    from multiple threads (:class:`repro.server.SegmentCache`, shared across
-    request handlers, is the canonical one).
-    """
-
-    def get(self, key: str) -> bytes | None:
-        """The cached payload for ``key``, or ``None`` on a miss."""
-        ...  # pragma: no cover - protocol
-
-    def put(self, key: str, data: bytes) -> None:
-        """Admit ``data`` under ``key`` (the cache may decline or evict)."""
-        ...  # pragma: no cover - protocol
 
 
 class ArchiveWriter:
@@ -376,333 +351,6 @@ class ArchiveWriter:
             self.abort()
 
 
-class ArchiveReader:
-    """A restoration session (returned by :func:`open_restore`).
-
-    Wraps :class:`~repro.core.restorer.RestoreEngine` with the config-driven
-    profile/executor resolution of the facade; ``read()`` restores straight
-    from the archive artefact, ``read_via_channel()`` re-runs the simulated
-    record/scan cycle first.
-
-    When the session was opened over a :mod:`repro.store` target (a saved
-    directory, a container file, or a ``mem:`` key), the reader is
-    **random-access**: :meth:`restore_segment` and :meth:`read_range` use
-    the manifest to locate, fetch, decode and hash-verify only the segments
-    covering the request — no other frame is read from the medium, and
-    multi-segment requests decode in parallel through the configured
-    executor.  ``on_segment`` (if given) is called with each
-    :class:`~repro.core.archive.SegmentRecord` a partial restore decodes,
-    and :attr:`segments_decoded` / :attr:`frames_decoded` tally the work
-    done across the session's partial reads.
-    """
-
-    def __init__(
-        self,
-        archive: MicrOlonysArchive | None,
-        config: ArchiveConfig,
-        *,
-        source: ArchiveSource | None = None,
-        on_segment: Callable[[SegmentRecord], None] | None = None,
-        via_channel: bool = False,
-        segment_cache: SegmentCacheLike | None = None,
-    ):
-        if archive is None and source is None:
-            raise ArchiveError("an ArchiveReader needs an archive artefact or a store source")
-        self._archive = archive
-        self._source = source
-        self._manifest = archive.manifest if archive is not None else None
-        self.config = config
-        self.on_segment = on_segment
-        #: When true, :meth:`read` routes through the simulated record/scan
-        #: cycle (the streaming channel path) instead of reading the
-        #: artefact's pristine rasters directly.
-        self.via_channel = via_channel
-        #: Shared decoded-segment cache consulted by partial restores; keys
-        #: are per-segment SHA-256 digests, so it may be shared across
-        #: readers, archives and (server) request threads.
-        self.segment_cache = segment_cache
-        #: Partial-restore work counters (full ``read()`` reports its own
-        #: statistics through the returned :class:`RestorationResult`).
-        #: ``segments_cached`` counts covering segments served from
-        #: ``segment_cache`` without touching the medium; the ``on_segment``
-        #: hook fires only for segments actually decoded.
-        self.segments_decoded = 0
-        self.frames_decoded = 0
-        self.segments_cached = 0
-        self._profile = config.media_profile()
-        #: Lazily built, then reused across partial reads so repeated
-        #: ``read_range`` calls don't respawn an executor (pool) each time;
-        #: :meth:`close` releases them.
-        self._partial_executor = None
-        self._partial_pipeline: RestorePipeline | None = None
-        self._engine = RestoreEngine(
-            profile=self._profile,
-            decode_mode=config.decode_mode,
-            executor=config.executor,
-            decode_parallelism=config.decode_parallelism,
-        )
-
-    # ------------------------------------------------------------------ #
-    @property
-    def manifest(self) -> ArchiveManifest:
-        """The archive manifest (loaded without touching any frame)."""
-        if self._manifest is None:
-            self._manifest = self._source.manifest()
-        return self._manifest
-
-    @property
-    def archive(self) -> MicrOlonysArchive:
-        """The full archive artefact (materialises every frame on demand)."""
-        if self._archive is None:
-            self._archive = load_archive(self._source)
-            self._manifest = self._archive.manifest
-        return self._archive
-
-    def _frames(self, record: SegmentRecord) -> list[np.ndarray]:
-        """The data frames of one segment, from the source or the artefact."""
-        if self._archive is not None:
-            end = record.emblem_start + record.emblem_count
-            frames = self._archive.data_emblem_images[record.emblem_start:end]
-            if len(frames) != record.emblem_count:
-                raise StoreError(
-                    f"segment {record.index} expects {record.emblem_count} frames "
-                    f"at {record.emblem_start}; the artefact holds {len(frames)}"
-                )
-            return list(frames)
-        return self._source.get_frames("data", record.emblem_start, record.emblem_count)
-
-    # ------------------------------------------------------------------ #
-    def read(self) -> RestorationResult:
-        """Restore the whole payload from the archive artefact.
-
-        Sessions opened with ``via_channel=True`` re-run the simulated
-        record/scan cycle (the streaming per-batch channel path) first.
-        """
-        if self.via_channel:
-            return self.read_via_channel()
-        return self._engine.restore(self.archive)
-
-    def read_via_channel(
-        self, seed: int | None = None, streaming: bool = True
-    ) -> RestorationResult:
-        """Record on the configured medium, scan back, then restore.
-
-        The channel simulation *streams*: each segment's frames are
-        recorded, scanned (per-frame seeded) and decoded as one job through
-        the configured executor, so step 7 parallelises and overlaps with
-        decoding instead of staging a whole-archive record/scan pass.
-        ``streaming=False`` selects the deprecated whole-frame pass.
-        """
-        if seed is None:
-            seed = self.config.scan_seed
-        return self._engine.restore_via_channel(
-            self.archive,
-            seed=seed,
-            streaming=streaming,
-            distortion=self.config.distortion,
-        )
-
-    def read_from_scans(
-        self,
-        data_images: list[np.ndarray],
-        system_images: "list[np.ndarray] | None" = None,
-        bootstrap_text: str | None = None,
-        payload_kind: str = "sql",
-        manifest: ArchiveManifest | None = None,
-    ) -> RestorationResult:
-        """Restore from externally produced scans (engine pass-through)."""
-        return self._engine.restore_from_scans(
-            data_images,
-            system_images=system_images,
-            bootstrap_text=bootstrap_text,
-            payload_kind=payload_kind,
-            manifest=manifest,
-        )
-
-    def payload(self) -> bytes:
-        """Convenience: the restored payload bytes."""
-        return self.read().payload
-
-    # ------------------------------------------------------------------ #
-    # Random-access restore
-    # ------------------------------------------------------------------ #
-    def _decode_records(self, records: list[SegmentRecord]) -> list[bytes]:
-        """Decode exactly ``records`` (in order), verifying every hash.
-
-        With ``config.readahead`` > 0 and a store-backed session, up to that
-        many segments' frames are prefetched from the backend on background
-        threads while earlier segments decode — backend I/O overlaps MOCoder
-        decode instead of serialising in front of it.
-
-        With a :attr:`segment_cache`, segments whose SHA-256 digest is
-        cached are served straight from memory (their frames are never
-        fetched, their emblems never decoded); only the misses go through
-        the pipeline, and their decoded — hash-verified — payloads are
-        admitted to the cache on the way out.
-        """
-        cache = self.segment_cache
-        parts_by_position: "list[bytes | None]" = [None] * len(records)
-        misses: list[SegmentRecord] = []
-        miss_positions: list[int] = []
-        for position, record in enumerate(records):
-            cached = (
-                cache.get(record.sha256)
-                if cache is not None and record.sha256 is not None
-                else None
-            )
-            if cached is not None and len(cached) == record.length:
-                parts_by_position[position] = cached
-                self.segments_cached += 1
-            else:
-                misses.append(record)
-                miss_positions.append(position)
-        if misses:
-            for job, payload in enumerate(self._decode_uncached(misses)):
-                record = misses[job]
-                parts_by_position[miss_positions[job]] = payload
-                if cache is not None and record.sha256 is not None:
-                    cache.put(record.sha256, payload)
-        parts: list[bytes] = []
-        for position, part in enumerate(parts_by_position):
-            if part is None:  # a decode yielded short — never expected
-                raise RestorationError(
-                    f"segment {records[position].index} produced no payload"
-                )
-            parts.append(part)
-        return parts
-
-    def _decode_uncached(self, records: list[SegmentRecord]) -> Iterator[bytes]:
-        """Pipeline-decode ``records`` (cache misses), yielding payloads in order."""
-        if self._partial_pipeline is None:
-            from repro.pipeline.executors import get_executor
-            from repro.pipeline.pipeline import resolve_decode_executor
-
-            # Passing an executor *instance* keeps the pool alive across
-            # this session's partial reads (the pipeline only closes
-            # executors it resolved from a name itself).
-            self._partial_executor = get_executor(
-                resolve_decode_executor(
-                    self.config.executor, self.config.decode_parallelism
-                )
-            )
-            self._partial_pipeline = RestorePipeline(
-                self._profile,
-                executor=self._partial_executor,
-                decode_parallelism=self.config.decode_parallelism,
-            )
-        pipeline = self._partial_pipeline
-        prefetcher = None
-        frames_for = self._frames
-        if self.config.readahead > 0 and self._archive is None:
-            prefetcher = FramePrefetcher(self._frames, records, self.config.readahead)
-            frames_for = prefetcher.frames_for
-        try:
-            for decoded in pipeline.iter_decode_selected(self.manifest, records, frames_for):
-                self.segments_decoded += 1
-                self.frames_decoded += decoded.record.emblem_count
-                if self.on_segment is not None:
-                    self.on_segment(decoded.record)
-                yield decoded.payload
-        finally:
-            if prefetcher is not None:
-                prefetcher.close()
-
-    def restore_segment(self, index: int) -> bytes:
-        """Decode and verify segment ``index`` alone, returning its bytes.
-
-        Only that segment's frames are fetched and decoded; damage anywhere
-        else on the medium is irrelevant to this call.
-        """
-        segments = self.manifest.segments
-        if not segments:
-            # Pre-pipeline (v1 one-shot) manifest: the whole payload is the
-            # only addressable unit.
-            if index != 0:
-                raise ArchiveError(
-                    f"this archive has no segment records; only segment 0 "
-                    f"(the whole payload) exists, got {index}"
-                )
-            return self.read().payload
-        if not 0 <= index < len(segments):
-            raise ArchiveError(
-                f"segment index {index} out of range (archive has {len(segments)} segments)"
-            )
-        return self._decode_records([segments[index]])[0]
-
-    def read_range(self, offset: int, length: int) -> bytes:
-        """Restore exactly ``payload[offset:offset + length]``.
-
-        The manifest's logical byte ranges select the covering segments;
-        only their frames are fetched and decoded (in parallel, through the
-        configured executor), each verified against its archived CRC-32 and
-        SHA-256 before the requested slice is cut out.  Out-of-range
-        requests clamp exactly like Python byte slicing.
-        """
-        if offset < 0 or length < 0:
-            raise ValueError("read_range offset and length must be non-negative")
-        total = self.manifest.archive_bytes
-        end = min(offset + length, total)
-        if offset >= end:
-            return b""
-        segments = self.manifest.segments
-        if not segments:
-            return self.read().payload[offset:end]
-        # Segments are contiguous and sorted by offset: bisect for the first
-        # segment ending past `offset`, then take segments until `end`.
-        starts = [record.offset for record in segments]
-        first = bisect.bisect_right(starts, offset) - 1
-        covering: list[SegmentRecord] = []
-        for record in segments[max(first, 0):]:
-            if record.offset >= end:
-                break
-            if record.end > offset:
-                covering.append(record)
-        parts = self._decode_records(covering)
-        window = b"".join(parts)
-        base = covering[0].offset
-        return window[offset - base:end - base]
-
-    # ------------------------------------------------------------------ #
-    def verify(self, *, deep: bool = True) -> VerifyReport:
-        """Integrity-check the archive on its store target (fsck).
-
-        Walks every manifest generation (lineage, segment monotonicity),
-        checks that every frame the superseding manifest references is
-        present and parseable, reports superseded and orphaned records, and
-        with ``deep=True`` (the default) re-decodes each segment
-        independently to re-check its CRC-32/SHA-256 content hashes —
-        without ever assembling the full payload.  See
-        :meth:`~repro.core.restorer.RestoreEngine.verify`.
-        """
-        if self._source is None:
-            raise ArchiveError(
-                "verify needs a store-backed session (a saved directory, "
-                "a container file, or a mem: target)"
-            )
-        return self._engine.verify(self._source, deep=deep)
-
-    # ------------------------------------------------------------------ #
-    def close(self) -> None:
-        """Release the store source and any partial-decode executor (idempotent)."""
-        if self._partial_executor is not None:
-            self._partial_executor.close()
-            self._partial_executor = None
-            self._partial_pipeline = None
-        if self._source is not None:
-            self._source.close()
-
-    def __enter__(self) -> "ArchiveReader":
-        return self
-
-    def __exit__(
-        self,
-        exc_type: "type[BaseException] | None",
-        exc: "BaseException | None",
-        tb: "TracebackType | None",
-    ) -> None:
-        self.close()
-
-
 # --------------------------------------------------------------------------- #
 # Facade entry points
 # --------------------------------------------------------------------------- #
@@ -940,13 +588,13 @@ def run_end_to_end(
         writer.write(payload)
     archive = writer.archive
 
-    # Step 7 + restoration: the analog hop now *streams* — each segment's
-    # frames are recorded onto the configured medium, scanned back (with
+    # Step 7 + restoration: the analog hop *streams* — each segment's frames
+    # are recorded onto the configured medium, scanned back (with
     # batching-invariant per-frame seeding) and decoded as one job through
     # the configured executor, instead of staging whole-archive record and
     # scan passes.
-    reader = open_restore(archive, config)
-    restoration = reader.read_via_channel(seed=config.scan_seed)
+    with open_restore(archive, config) as reader:
+        restoration = reader.read_via_channel(seed=config.scan_seed)
     if restoration.payload != payload:
         raise RestorationError(
             "end-to-end restoration returned different bytes than were archived"

@@ -1,17 +1,16 @@
-"""Micr'Olonys: the end-to-end ULE archival system.
+"""Micr'Olonys: the media profiles and the archived artefact.
 
-This package ties the substrates together into the two flows of Figure 2:
+* :mod:`repro.core.profiles` — the media profiles (emblem geometry plus the
+  simulated channel) of paper, microfilm, cinema film, DNA and the small
+  test medium;
+* :mod:`repro.core.archive` — what goes onto the medium: the
+  :class:`ArchiveManifest` with its per-segment records, and the
+  :class:`MicrOlonysArchive` artefact of data emblems, system emblems and
+  Bootstrap text.
 
-* :class:`~repro.core.archiver.Archiver` — the seven archival steps: dump the
-  database, compress it with DBCoder, lay it out as data emblems with
-  MOCoder, archive the DBCoder decoder as system emblems, and render the
-  Bootstrap document holding the DynaRisc emulator and the MOCoder decoder as
-  letter pages.
-* :class:`~repro.core.restorer.Restorer` — the six restoration steps, up to
-  and including loading the recovered SQL archive into the miniature DBMS;
-  optionally the database-layout decoding runs inside the emulated DynaRisc
-  processor (or the full nested VeRisc stack), exactly as a future user
-  would run it.
+The two flows of Figure 2 run through :mod:`repro.api`:
+:func:`~repro.api.open_archive` archives and
+:class:`~repro.api.ArchiveReader` restores.
 """
 
 from repro.core.profiles import (
@@ -26,19 +25,8 @@ from repro.core.profiles import (
     PROFILES,
 )
 from repro.core.archive import ArchiveManifest, MicrOlonysArchive, SegmentRecord
-from repro.core.archiver import Archiver
-from repro.core.restorer import (
-    GenerationInfo,
-    RestorationResult,
-    RestoreEngine,
-    Restorer,
-    VerifyReport,
-)
 
 __all__ = [
-    "RestoreEngine",
-    "VerifyReport",
-    "GenerationInfo",
     "SegmentRecord",
     "MediaProfile",
     "PAPER_PROFILE",
@@ -51,7 +39,4 @@ __all__ = [
     "get_profile",
     "ArchiveManifest",
     "MicrOlonysArchive",
-    "Archiver",
-    "Restorer",
-    "RestorationResult",
 ]

@@ -2,21 +2,98 @@
 
 A :class:`MicrOlonysArchive` is exactly what gets written to the analog
 medium (step 7 of Figure 2a): the data emblems, the system emblems holding
-the DBCoder decoder, and the Bootstrap text.  It can be saved to a directory
-of PGM images plus plain-text files and loaded back, which is also how the
-examples hand artefacts to the restoration side.
+the DBCoder decoder, and the Bootstrap text.  :mod:`repro.store` persists
+it (``open_archive(target=...)``) and loads it back
+(:func:`repro.store.load_archive`).
+
+The :class:`ArchiveManifest` layout version and the upgrade of older
+layouts (:func:`upgrade_manifest_fields`) live here, next to the manifest
+they parse; :mod:`repro.store.manifest` owns the record names.
 """
 
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from repro.errors import ArchiveError
-from repro.media.image import read_pgm, write_pgm
+from repro.errors import StoreError
+
+#: Current on-media manifest layout version.
+MANIFEST_FORMAT_VERSION = 4
+
+#: Version the v1/v2 deprecation shim upgrades *to*.  Deliberately 3, not 4:
+#: the upgraded field set is exactly the v3 layout, and keeping the number
+#: stable keeps :func:`repro.store.manifest_digest` of shimmed manifests
+#: identical to what pre-v4 libraries computed, so cross-version append
+#: lineages still verify.
+_SHIM_TARGET_VERSION = 3
+
+#: Keys every manifest version must carry to be loadable at all.
+_REQUIRED_KEYS = (
+    "profile_name",
+    "dbcoder_profile",
+    "archive_bytes",
+    "archive_crc32",
+    "data_emblem_count",
+    "system_emblem_count",
+)
+
+
+def manifest_version(fields: dict[str, object]) -> int:
+    """The layout version of a parsed manifest object (v1 has no marker)."""
+    version = fields.get("format_version", 1)
+    if not isinstance(version, int) or version < 1:
+        raise StoreError(f"manifest carries a bad format_version: {version!r}")
+    return version
+
+
+def upgrade_manifest_fields(fields: dict[str, object]) -> dict[str, object]:
+    """Normalise a parsed manifest object to the current field set.
+
+    v1 and v2 objects upgrade in place behind a :class:`DeprecationWarning`:
+    ``format_version`` becomes 3, v1's ``config`` stays ``None`` and its
+    segment records keep ``sha256=None`` (their dataclass default, which
+    downgrades partial-restore verification to the CRC-32 check), and both
+    gain ``generation=0`` / ``parent=None`` — a pre-append archive is its
+    own generation 0.  v3 objects pass through silently (v4 only *adds* the
+    optional ``volumes`` shard map, whose dataclass default covers them).
+    Objects written by a *newer* layout raise
+    :class:`~repro.errors.StoreError` instead of being misread.
+
+    Raises
+    ------
+    StoreError
+        On a missing required key or an unsupported ``format_version``.
+    """
+    if not isinstance(fields, dict):
+        raise StoreError(f"manifest must be a JSON object, got {type(fields).__name__}")
+    missing = [key for key in _REQUIRED_KEYS if key not in fields]
+    if missing:
+        raise StoreError(f"manifest is missing required fields: {', '.join(missing)}")
+    version = manifest_version(fields)
+    if version > MANIFEST_FORMAT_VERSION:
+        raise StoreError(
+            f"manifest format_version {version} is newer than this library "
+            f"understands (max {MANIFEST_FORMAT_VERSION}); upgrade the library "
+            "to read this archive"
+        )
+    fields = dict(fields)
+    if version < _SHIM_TARGET_VERSION:
+        warnings.warn(
+            f"loading a v{version} archive manifest through the compatibility "
+            "shim; re-archive (or re-save) to upgrade it to the appendable "
+            "v3+ layout",
+            DeprecationWarning,
+            stacklevel=3,
+        )
+        fields["format_version"] = _SHIM_TARGET_VERSION
+        fields.setdefault("config", None)
+        fields.setdefault("generation", 0)
+        fields.setdefault("parent", None)
+    return fields
 
 
 @dataclass(frozen=True)
@@ -76,8 +153,9 @@ class ArchiveManifest:
     frames are striped across a K data + M parity volume set (see
     :mod:`repro.store.volumes`); single-volume archives omit it.  The v1
     layout (no ``format_version`` key, no hashes, no embedded config) and
-    v2 layout (no lineage) still load through a deprecation shim in
-    :mod:`repro.store.manifest`; v3 (no ``volumes``) loads silently.
+    v2 layout (no lineage) still load through the
+    :func:`upgrade_manifest_fields` deprecation shim; v3 (no ``volumes``)
+    loads silently.
     """
 
     profile_name: str
@@ -91,9 +169,9 @@ class ArchiveManifest:
     #: segment spanning the whole payload) archive.
     segment_size: int | None = None
     #: Per-segment metadata, in payload order.  Pre-pipeline manifests load
-    #: with an empty tuple and restore through the whole-stream path.
+    #: with an empty tuple and restore as one segment spanning the payload.
     segments: tuple[SegmentRecord, ...] = ()
-    #: On-media layout version; see :data:`repro.store.manifest.MANIFEST_FORMAT_VERSION`.
+    #: On-media layout version; see :data:`MANIFEST_FORMAT_VERSION`.
     format_version: int = 4
     #: The :meth:`repro.api.ArchiveConfig.to_dict` of the writing session,
     #: when the archive was written through the facade; ``None`` otherwise.
@@ -130,11 +208,9 @@ class ArchiveManifest:
         """Build a manifest from a parsed JSON object, any known version.
 
         v1 objects (no ``format_version``) upgrade through the
-        :func:`repro.store.manifest.upgrade_manifest_fields` deprecation
-        shim; objects from a *newer* format raise :class:`ArchiveError`.
+        :func:`upgrade_manifest_fields` deprecation shim; objects from a
+        *newer* format raise :class:`~repro.errors.StoreError`.
         """
-        from repro.store.manifest import upgrade_manifest_fields  # lazy: store builds on core
-
         fields = upgrade_manifest_fields(fields)
         segments = tuple(
             SegmentRecord.from_dict(segment) for segment in fields.pop("segments", [])
@@ -161,38 +237,3 @@ class MicrOlonysArchive:
     def total_emblem_count(self) -> int:
         """Total number of emblem frames on the medium."""
         return len(self.data_emblem_images) + len(self.system_emblem_images)
-
-    # ------------------------------------------------------------------ #
-    def save(self, directory: str | Path) -> Path:
-        """Write the archive to a directory of PGM images and text files."""
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        (directory / "manifest.json").write_text(self.manifest.to_json())
-        (directory / "bootstrap.txt").write_text(self.bootstrap_text)
-        for index, image in enumerate(self.data_emblem_images):
-            write_pgm(directory / f"data_emblem_{index:04d}.pgm", image)
-        for index, image in enumerate(self.system_emblem_images):
-            write_pgm(directory / f"system_emblem_{index:04d}.pgm", image)
-        return directory
-
-    @classmethod
-    def load(cls, directory: str | Path) -> "MicrOlonysArchive":
-        """Load an archive previously written by :meth:`save`."""
-        directory = Path(directory)
-        manifest_path = directory / "manifest.json"
-        if not manifest_path.exists():
-            raise ArchiveError(f"{directory} does not contain an archive manifest")
-        manifest = ArchiveManifest.from_json(manifest_path.read_text())
-        bootstrap_text = (directory / "bootstrap.txt").read_text()
-        data_images = [
-            read_pgm(path) for path in sorted(directory.glob("data_emblem_*.pgm"))
-        ]
-        system_images = [
-            read_pgm(path) for path in sorted(directory.glob("system_emblem_*.pgm"))
-        ]
-        return cls(
-            manifest=manifest,
-            data_emblem_images=data_images,
-            system_emblem_images=system_images,
-            bootstrap_text=bootstrap_text,
-        )

@@ -1,9 +1,9 @@
 """The streaming, chunked archival/restore pipeline.
 
-The one-shot flow of :mod:`repro.core.archiver` materialises the payload,
-the DBCoder container and every emblem raster at once; fine for the paper's
-1.2 MB SQL archive, hopeless for multi-gigabyte dumps.  This module splits
-the same seven-step flow (Figure 2a) at the payload layer:
+A one-shot flow that materialises the payload, the DBCoder container and
+every emblem raster at once is fine for the paper's 1.2 MB SQL archive and
+hopeless for multi-gigabyte dumps.  This module splits the seven-step flow
+(Figure 2a) at the payload layer:
 
 * the :mod:`~repro.pipeline.segmenter` slices the payload into fixed-size
   segments, reading file-like sources incrementally;
@@ -18,13 +18,13 @@ the same seven-step flow (Figure 2a) at the payload layer:
 Restoration mirrors the split: every :class:`~repro.core.archive.
 SegmentRecord` names the emblem frames of one segment, so segments decode
 independently (and in parallel), and damage in one segment never forces the
-others to be re-decoded.
+others to be re-decoded.  :class:`RestorePipeline` is the only code that
+turns scans into payload bytes; :class:`repro.api.ArchiveReader` drives it.
 """
 
 from __future__ import annotations
 
 import hashlib
-import zlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
@@ -33,20 +33,14 @@ import numpy as np
 if TYPE_CHECKING:
     from repro.media.channel import MediaChannel
 
-from repro.core.archive import ArchiveManifest, MicrOlonysArchive, SegmentRecord
+from repro.core.archive import ArchiveManifest, SegmentRecord
 from repro.core.profiles import MediaProfile, TEST_PROFILE
 from repro.bootstrap.document import build_bootstrap
 from repro.dbcoder.dbcoder import Profile
 from repro.dynarisc.programs import get_program
 from repro.errors import RestorationError
 from repro.mocoder.emblem import EmblemKind, EmblemSpec
-from repro.mocoder.mocoder import (
-    MIN_DECODE_CHUNK,
-    DecodeReport,
-    Emblem,
-    MOCoder,
-    chunk_bounds,
-)
+from repro.mocoder.mocoder import DecodeReport, Emblem, MOCoder
 from repro.nested import dynarisc_emulator_image
 from repro.pipeline.executors import SegmentExecutor, get_executor
 from repro.pipeline.segmenter import (
@@ -100,19 +94,15 @@ class ChannelSpec:
             channel.distortion = registry.get_distortion(self.distortion)
         return channel
 
-
-def _simulate_channel(
-    images: list[np.ndarray],
-    channel_spec: ChannelSpec,
-    frame_start: int,
-    lane: int = 0,
-) -> list[np.ndarray]:
-    """Record ``images`` onto the simulated medium and scan them back."""
-    channel = channel_spec.build_channel()
-    frames = channel.record(list(images))
-    return channel.scan_frames(
-        frames, seed=channel_spec.seed, start_index=frame_start, lane=lane
-    ).images
+    def simulate(
+        self, images: list[np.ndarray], frame_start: int, lane: int = 0
+    ) -> list[np.ndarray]:
+        """Record ``images`` onto the simulated medium and scan them back."""
+        channel = self.build_channel()
+        frames = channel.record(list(images))
+        return channel.scan_frames(
+            frames, seed=self.seed, start_index=frame_start, lane=lane
+        ).images
 
 
 def resolve_decode_executor(
@@ -183,23 +173,31 @@ def _encode_segment_job(job: _EncodeJob) -> _EncodeResult:
 
 @dataclass(frozen=True)
 class _DecodeJob:
+    """One segment's scans, or one contiguous chunk of them."""
+
     spec: EmblemSpec
     record: SegmentRecord
-    images: list[np.ndarray]
-    decode_payload: bool
     #: Codec registry name from the archive manifest (``"PORTABLE"`` and
-    #: friends resolve case-insensitively to the built-ins).
-    codec: str = "portable"
+    #: friends resolve case-insensitively to the built-ins); ``None`` stops
+    #: the decode at the DBCoder container.
+    codec: str | None
+    #: Index of ``images[0]`` within the segment's scans, and how many
+    #: chunks the segment was split into (1: this job finishes the segment).
+    chunk_start: int
+    chunk_count: int
+    images: list[np.ndarray]
     #: When set, the job records/scans its images through the simulated
     #: medium before decoding (streaming channel simulation).
     channel: ChannelSpec | None = None
 
 
 @dataclass(frozen=True)
-class _DecodeResult:
+class _DecodedChunk:
+    """One chunk's emblems, merged into its segment on the consuming thread."""
+
     record: SegmentRecord
-    payload: bytes | None
-    container: bytes
+    chunk_count: int
+    emblems: dict[int, Emblem]
     report: DecodeReport
 
 
@@ -221,68 +219,40 @@ def _verify_segment_payload(record: SegmentRecord, payload: bytes) -> None:
         )
 
 
-def _decode_segment_job(job: _DecodeJob) -> _DecodeResult:
-    """Step 5 for one segment: scanned rasters -> container (-> payload)."""
+def _finish_segment(
+    mocoder: MOCoder,
+    record: SegmentRecord,
+    emblems: dict[int, Emblem],
+    report: DecodeReport,
+    codec: str | None,
+) -> "DecodedSegment":
+    """Reassemble a segment's container; with a codec, decode and verify it."""
     from repro import registry  # deferred: registry imports this package
 
-    images = list(job.images)
-    if job.channel is not None:
-        images = _simulate_channel(images, job.channel, job.record.emblem_start)
-    mocoder = MOCoder(job.spec)
-    container, report = mocoder.decode(images)
+    container, report = mocoder.assemble(emblems, report)
     payload = None
-    if job.decode_payload:
-        payload = registry.get_codec(job.codec).decode(container)
-        _verify_segment_payload(job.record, payload)
-    return _DecodeResult(
-        record=job.record, payload=payload, container=container, report=report
-    )
+    if codec is not None:
+        payload = registry.get_codec(codec).decode(container)
+        _verify_segment_payload(record, payload)
+    return DecodedSegment(record=record, payload=payload, report=report, container=container)
 
 
-# --------------------------------------------------------------------------- #
-# Sub-segment decode jobs: one segment's scans split into contiguous chunks so
-# a single huge segment no longer serialises restore (decode_parallelism > 1).
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class _SegmentChunkJob:
-    spec: EmblemSpec
-    record: SegmentRecord
-    #: 0-based position of this chunk within its segment, and the total
-    #: chunk count — the consumer regroups on these (map_ordered keeps all
-    #: of one segment's chunks consecutive).
-    chunk_index: int
-    chunk_count: int
-    #: Index of ``images[0]`` within the segment's emblem run.
-    chunk_start: int
-    images: list[np.ndarray]
-    channel: ChannelSpec | None = None
+def _decode_job(job: _DecodeJob) -> "DecodedSegment | _DecodedChunk":
+    """Step 5 for one job: scanned rasters -> emblems.
 
-
-@dataclass(frozen=True)
-class _SegmentChunkResult:
-    record: SegmentRecord
-    chunk_index: int
-    chunk_count: int
-    emblems: list["Emblem"]
-    report: DecodeReport
-
-
-def _decode_segment_chunk_job(job: _SegmentChunkJob) -> _SegmentChunkResult:
-    """Channel-simulate (optionally) and emblem-decode one chunk of scans."""
+    A job holding a whole segment also finishes it (group reassembly, codec
+    decode, hash check) in the executor; a chunk's emblems go back to the
+    consumer, which finishes the segment once all of its chunks are in.
+    """
     images = list(job.images)
-    frame_start = job.record.emblem_start + job.chunk_start
     if job.channel is not None:
-        images = _simulate_channel(images, job.channel, frame_start)
+        images = job.channel.simulate(images, job.record.emblem_start + job.chunk_start)
     mocoder = MOCoder(job.spec)
     report = DecodeReport(emblems_seen=len(images))
-    decoded = mocoder.decode_images(images, report, image_offset=job.chunk_start)
-    return _SegmentChunkResult(
-        record=job.record,
-        chunk_index=job.chunk_index,
-        chunk_count=job.chunk_count,
-        emblems=list(decoded.values()),
-        report=report,
-    )
+    emblems = mocoder.decode_images(images, report, image_offset=job.chunk_start)
+    if job.chunk_count > 1:
+        return _DecodedChunk(job.record, job.chunk_count, emblems, report)
+    return _finish_segment(mocoder, job.record, emblems, report, job.codec)
 
 
 # --------------------------------------------------------------------------- #
@@ -298,11 +268,13 @@ class EncodedSegment:
 
 @dataclass
 class DecodedSegment:
-    """One segment restored back to payload bytes."""
+    """One segment restored back to its DBCoder container and payload bytes."""
 
     record: SegmentRecord
-    payload: bytes
+    #: The verified payload; ``None`` when decoding stopped at the container.
+    payload: bytes | None
     report: DecodeReport
+    container: bytes
 
 
 def merge_reports(reports: Iterable[DecodeReport]) -> DecodeReport:
@@ -321,7 +293,7 @@ def merge_reports(reports: Iterable[DecodeReport]) -> DecodeReport:
 def build_system_artifacts(
     profile: MediaProfile, outer_code: bool = True
 ) -> tuple[list[np.ndarray], str]:
-    """Steps 4-6, shared by the one-shot and streaming archivers.
+    """Steps 4-6 of the archival flow.
 
     Returns the system emblem images (the archived DBCoder decoder) and the
     rendered Bootstrap text; neither depends on the payload, so the pipeline
@@ -403,7 +375,6 @@ class ArchivePipeline:
         self,
         source: PayloadSource,
         kind: EmblemKind = EmblemKind.DATA,
-        _tally: "_CrcTally | None" = None,
     ) -> Iterator[EncodedSegment]:
         """Encode ``source`` segment by segment, yielding emblem batches.
 
@@ -415,8 +386,6 @@ class ArchivePipeline:
 
         def jobs() -> Iterator[_EncodeJob]:
             for segment in iter_segments(source, self.segment_size):
-                if _tally is not None:
-                    _tally.update(segment.data)
                 yield _EncodeJob(
                     spec=self.profile.spec,
                     codec=self.codec.name,
@@ -448,68 +417,6 @@ class ArchivePipeline:
             if self._owns_executor:
                 executor.close()
 
-    # ------------------------------------------------------------------ #
-    def archive_stream(
-        self, source: PayloadSource, payload_kind: str = "binary"
-    ) -> MicrOlonysArchive:
-        """Run the full archival flow over a streaming source.
-
-        This *collects* every emblem batch into a
-        :class:`~repro.core.archive.MicrOlonysArchive` artefact — callers
-        that must stay memory-bounded should consume :meth:`iter_encode`
-        directly and persist batches as they arrive.
-        """
-        records: list[SegmentRecord] = []
-        data_images: list[np.ndarray] = []
-        tally = _CrcTally()
-        for batch in self.iter_encode(source, _tally=tally):
-            records.append(batch.record)
-            data_images.extend(batch.images)
-        system_images, bootstrap_text = build_system_artifacts(
-            self.profile, outer_code=self.outer_code
-        )
-        manifest = ArchiveManifest(
-            profile_name=self.profile.name,
-            dbcoder_profile=self.codec.manifest_name,
-            archive_bytes=tally.length,
-            archive_crc32=tally.crc,
-            data_emblem_count=len(data_images),
-            system_emblem_count=len(system_images),
-            payload_kind=payload_kind,
-            segment_size=self.segment_size,
-            segments=tuple(records),
-        )
-        return MicrOlonysArchive(
-            manifest=manifest,
-            data_emblem_images=data_images,
-            system_emblem_images=system_images,
-            bootstrap_text=bootstrap_text,
-        )
-
-    def archive_bytes(
-        self, payload: bytes, payload_kind: str = "binary"
-    ) -> MicrOlonysArchive:
-        """Archive an in-memory byte payload (convenience wrapper)."""
-        return self.archive_stream(payload, payload_kind=payload_kind)
-
-
-class _CrcTally:
-    """Running CRC-32 / length over the payload, fed as segments are read.
-
-    Segments are generated strictly in payload order (the executors only
-    parallelise the *encoding*, never the reading), so chaining
-    ``zlib.crc32`` per segment yields exactly the CRC of the whole payload
-    without ever holding more than one segment in memory.
-    """
-
-    def __init__(self) -> None:
-        self.crc = 0
-        self.length = 0
-
-    def update(self, data: bytes) -> None:
-        self.crc = zlib.crc32(data, self.crc) & 0xFFFFFFFF
-        self.length += len(data)
-
 
 # --------------------------------------------------------------------------- #
 # Restoration
@@ -528,13 +435,13 @@ class RestorePipeline:
         Optional :class:`ChannelSpec`.  When set, every decode job *records*
         its emblem rasters onto the named medium and *scans* them back
         (per-frame seeded) before decoding — streaming channel simulation,
-        batch by batch through the executor, replacing the historical
-        whole-archive record/scan pass.
+        batch by batch through the executor.
     decode_parallelism:
         Sub-segment parallelism: when > 1, each segment's scans are split
         into up to that many contiguous chunks decoded as independent
         executor jobs (the serial group reassembly runs on the consuming
         thread), so one huge segment no longer bounds restore latency.
+        Chunks never shrink below :data:`MIN_DECODE_CHUNK` scans.
     """
 
     def __init__(
@@ -550,208 +457,99 @@ class RestorePipeline:
         self.channel = channel
         self._owns_executor = not isinstance(self.executor, SegmentExecutor)
 
-    # ------------------------------------------------------------------ #
-    def _frames_from_list(
-        self, data_images: list[np.ndarray]
-    ) -> "Callable[[SegmentRecord], list[np.ndarray]]":
-        """A frame provider slicing a fully materialised scan list."""
-
-        def frames_for(record: SegmentRecord) -> list[np.ndarray]:
-            end = record.emblem_start + record.emblem_count
-            if end > len(data_images):
-                raise RestorationError(
-                    f"segment {record.index} expects emblem frames "
-                    f"{record.emblem_start}..{end - 1} but only "
-                    f"{len(data_images)} scans were provided; segmented "
-                    "restore needs one scan per recorded frame (damaged "
-                    "frames may be blank, but not absent)"
-                )
-            return data_images[record.emblem_start:end]
-
-        return frames_for
-
-    def _iter_results(
+    def iter_decode(
         self,
         manifest: ArchiveManifest,
         records: Iterable[SegmentRecord],
         frames_for: "Callable[[SegmentRecord], list[np.ndarray]]",
-        decode_payload: bool,
-    ) -> Iterator[_DecodeResult]:
-        """Decode ``records`` in order through the executor.
+        decode_payload: bool = True,
+    ) -> Iterator[DecodedSegment]:
+        """Decode ``records`` in order, fetching each segment's frames on demand.
 
         ``frames_for`` is called lazily (inside the executor's bounded
         submission window) with one record at a time, so a storage-backed
         caller only ever pulls the frames of the segments actually being
-        decoded.
+        decoded.  Each segment is verified against its record's CRC-32 and
+        SHA-256; ``decode_payload=False`` stops at the DBCoder container
+        (the emulated modes run the database-layout decoder themselves).
+
+        ``map_ordered`` preserves submission order, so all chunks of one
+        segment arrive consecutively and the segment finishes as soon as its
+        last chunk lands, while later jobs keep decoding in the executor.
         """
-        codec = manifest.dbcoder_profile or "portable"
-        if self.decode_parallelism > 1:
-            yield from self._iter_results_chunked(codec, records, frames_for, decode_payload)
-            return
-        executor = get_executor(self.executor)
+        spec = self.profile.spec
+        mocoder = MOCoder(spec)
+        codec = (manifest.dbcoder_profile or "portable") if decode_payload else None
 
         def jobs() -> Iterator[_DecodeJob]:
             for record in records:
-                yield _DecodeJob(
-                    spec=self.profile.spec,
-                    record=record,
-                    images=frames_for(record),
-                    decode_payload=decode_payload,
-                    codec=codec,
-                    channel=self.channel,
+                images = frames_for(record)
+                # Floored chunks: a small segment is one vectorised decode
+                # call, so fanning it out would only add executor round-trips.
+                bounds = chunk_bounds(
+                    len(images), self.decode_parallelism, min_chunk=MIN_DECODE_CHUNK
                 )
+                for start, end in bounds:
+                    yield _DecodeJob(
+                        spec=spec,
+                        record=record,
+                        codec=codec,
+                        chunk_start=start,
+                        chunk_count=len(bounds),
+                        images=images[start:end],
+                        channel=self.channel,
+                    )
 
-        try:
-            yield from executor.map_ordered(_decode_segment_job, jobs())
-        finally:
-            if self._owns_executor:
-                executor.close()
-
-    # ------------------------------------------------------------------ #
-    # Sub-segment (chunked) decode
-    # ------------------------------------------------------------------ #
-    def _chunk_jobs(
-        self,
-        records: Iterable[SegmentRecord],
-        frames_for: "Callable[[SegmentRecord], list[np.ndarray]]",
-    ) -> Iterator[_SegmentChunkJob]:
-        for record in records:
-            images = frames_for(record)
-            # Floored chunks: a small segment is one vectorised decode call,
-            # so fanning it out would only add executor round-trips.
-            bounds = chunk_bounds(
-                len(images), self.decode_parallelism, min_chunk=MIN_DECODE_CHUNK
-            )
-            for chunk_index, (start, end) in enumerate(bounds):
-                yield _SegmentChunkJob(
-                    spec=self.profile.spec,
-                    record=record,
-                    chunk_index=chunk_index,
-                    chunk_count=len(bounds),
-                    chunk_start=start,
-                    images=images[start:end],
-                    channel=self.channel,
-                )
-
-    def _finish_chunked_segment(
-        self, chunks: list[_SegmentChunkResult], codec: str, decode_payload: bool
-    ) -> _DecodeResult:
-        """Serial tail of one segment's chunked decode: assemble and verify."""
-        from repro import registry  # deferred: registry imports this package
-
-        record = chunks[0].record
-        decoded: dict[int, Emblem] = {}
-        for chunk in chunks:
-            for emblem in chunk.emblems:
-                decoded[emblem.header.index] = emblem
-        report = merge_reports(chunk.report for chunk in chunks)
-        mocoder = MOCoder(self.profile.spec)
-        container, report = mocoder.assemble(decoded, report)
-        payload = None
-        if decode_payload:
-            payload = registry.get_codec(codec).decode(container)
-            _verify_segment_payload(record, payload)
-        return _DecodeResult(
-            record=record, payload=payload, container=container, report=report
-        )
-
-    def _iter_results_chunked(
-        self,
-        codec: str,
-        records: Iterable[SegmentRecord],
-        frames_for: "Callable[[SegmentRecord], list[np.ndarray]]",
-        decode_payload: bool,
-    ) -> Iterator[_DecodeResult]:
-        """Chunked decode: ``decode_parallelism`` jobs per segment.
-
-        ``map_ordered`` preserves submission order, so all chunks of one
-        segment arrive consecutively; each segment finishes (group
-        reassembly, codec decode, hash verification) on the consuming thread
-        as soon as its last chunk lands, while later chunks keep decoding in
-        the executor.
-        """
         executor = get_executor(self.executor)
-        pending: list[_SegmentChunkResult] = []
+        chunks: list[_DecodedChunk] = []
         try:
-            for chunk in executor.map_ordered(
-                _decode_segment_chunk_job, self._chunk_jobs(records, frames_for)
-            ):
-                pending.append(chunk)
-                if len(pending) == chunk.chunk_count:
-                    yield self._finish_chunked_segment(pending, codec, decode_payload)
-                    pending = []
+            for result in executor.map_ordered(_decode_job, jobs()):
+                if isinstance(result, DecodedSegment):
+                    yield result
+                    continue
+                chunks.append(result)
+                if len(chunks) == result.chunk_count:
+                    emblems: dict[int, Emblem] = {}
+                    for chunk in chunks:
+                        emblems.update(chunk.emblems)
+                    report = merge_reports(chunk.report for chunk in chunks)
+                    yield _finish_segment(mocoder, result.record, emblems, report, codec)
+                    chunks = []
         finally:
             if self._owns_executor:
                 executor.close()
 
-    # ------------------------------------------------------------------ #
-    def iter_decode(
-        self, manifest: ArchiveManifest, data_images: list[np.ndarray]
-    ) -> Iterator[DecodedSegment]:
-        """Decode each segment independently, in payload order."""
-        for result in self._iter_results(
-            manifest, manifest.segments, self._frames_from_list(data_images), True
-        ):
-            yield DecodedSegment(
-                record=result.record, payload=result.payload, report=result.report
-            )
 
-    def iter_decode_selected(
-        self,
-        manifest: ArchiveManifest,
-        records: Iterable[SegmentRecord],
-        frames_for: "Callable[[SegmentRecord], list[np.ndarray]]",
-    ) -> Iterator[DecodedSegment]:
-        """Decode only ``records``, fetching each segment's frames on demand.
+# --------------------------------------------------------------------------- #
+# Sub-segment chunking
+# --------------------------------------------------------------------------- #
+#: Floor on scans per decode chunk.  The batched decode path amortises its
+#: per-call numpy dispatch across a whole chunk, so splitting a small segment
+#: across executor workers costs more (job pickling, thread wake-ups, a GIL'd
+#: merge) than it saves — ``decode_parallelism=2`` measured *0.89x of serial*
+#: on the 287-frame bench smoke payload before this floor collapsed such
+#: segments to one chunk.
+MIN_DECODE_CHUNK = 160
 
-        This is the random-access path behind
-        :meth:`repro.api.ArchiveReader.read_range` /
-        :meth:`~repro.api.ArchiveReader.restore_segment`: ``frames_for`` is
-        called lazily (inside the executor's bounded submission window) with
-        one record at a time, so a storage-backed reader only ever pulls the
-        frames of the segments actually being decoded.
-        """
-        for result in self._iter_results(manifest, records, frames_for, True):
-            yield DecodedSegment(
-                record=result.record, payload=result.payload, report=result.report
-            )
 
-    def iter_decode_containers(
-        self, manifest: ArchiveManifest, data_images: list[np.ndarray]
-    ) -> Iterator[tuple[SegmentRecord, bytes, DecodeReport]]:
-        """Decode each segment only down to its DBCoder container.
+def chunk_bounds(count: int, parts: int, min_chunk: int = 1) -> list[tuple[int, int]]:
+    """Split ``count`` items into at most ``parts`` contiguous (start, end) runs.
 
-        Used by the emulated restoration modes, where the database-layout
-        decoding runs under DynaRisc/VeRisc in the caller's control.
-        """
-        for result in self._iter_results(
-            manifest, manifest.segments, self._frames_from_list(data_images), False
-        ):
-            yield result.record, result.container, result.report
-
-    # ------------------------------------------------------------------ #
-    def restore_payload(
-        self, manifest: ArchiveManifest, data_images: list[np.ndarray]
-    ) -> tuple[bytes, DecodeReport, list[SegmentRecord]]:
-        """Restore the whole payload via per-segment decoding.
-
-        Raises
-        ------
-        RestorationError
-            If any segment fails its integrity checks or the reassembled
-            payload does not match the manifest's archive CRC.
-        """
-        parts: list[bytes] = []
-        reports: list[DecodeReport] = []
-        records: list[SegmentRecord] = []
-        for decoded in self.iter_decode(manifest, data_images):
-            parts.append(decoded.payload)
-            reports.append(decoded.report)
-            records.append(decoded.record)
-        payload = b"".join(parts)
-        if len(payload) != manifest.archive_bytes or crc32_of(payload) != manifest.archive_crc32:
-            raise RestorationError(
-                "reassembled payload does not match the manifest's archive "
-                "length/CRC; the restoration is not bit-for-bit"
-            )
-        return payload, merge_reports(reports), records
+    Runs differ in length by at most one and never come back empty, so the
+    split is deterministic and every item lands in exactly one run.
+    ``min_chunk`` caps ``parts`` so no run is shorter than it (a single run
+    is always allowed): the restore pipeline passes :data:`MIN_DECODE_CHUNK`
+    so small segments stay one job instead of paying executor overhead per
+    near-empty chunk.
+    """
+    if min_chunk > 1:
+        parts = min(parts, count // min_chunk)
+    parts = max(1, min(parts, count)) if count else 1
+    base, extra = divmod(count, parts)
+    bounds: list[tuple[int, int]] = []
+    start = 0
+    for index in range(parts):
+        end = start + base + (1 if index < extra else 0)
+        bounds.append((start, end))
+        start = end
+    return bounds

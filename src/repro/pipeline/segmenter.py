@@ -1,11 +1,10 @@
 """Payload segmentation for the streaming archival pipeline.
 
-The one-shot :class:`~repro.core.archiver.Archiver` feeds the *whole* payload
-through DBCoder and MOCoder at once, so its peak memory scales with the
-payload.  The pipeline instead slices the payload into fixed-size segments;
-each segment flows through the coders independently, so peak memory is
-bounded by the segment size (times the number of in-flight segments) no
-matter how large the payload is.
+Feeding the *whole* payload through DBCoder and MOCoder at once makes peak
+memory scale with the payload.  The pipeline instead slices the payload into
+fixed-size segments; each segment flows through the coders independently,
+so peak memory is bounded by the segment size (times the number of
+in-flight segments) no matter how large the payload is.
 
 Sources may be ``bytes``, a binary file object, or any iterable of byte
 chunks; file objects and iterables are consumed incrementally — the full

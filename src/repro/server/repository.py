@@ -32,9 +32,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator
 
-from repro.api import ArchiveConfig, ArchiveReader, open_archive, open_restore
+from repro.api import ArchiveConfig, ArchiveReader, VerifyReport, open_archive, open_restore
 from repro.api.session import ArchiveWriter
-from repro.core.restorer import VerifyReport
 from repro.errors import (
     ArchiveBusyError,
     ArchiveNotFoundError,

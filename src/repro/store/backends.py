@@ -21,9 +21,8 @@ Three backends ship registered in :data:`repro.registry.stores`:
 
 ``directory``
     One PGM file per frame plus ``manifest.json`` / ``bootstrap.txt`` — the
-    historical :meth:`~repro.core.archive.MicrOlonysArchive.save` layout,
-    now written with a v3 manifest (appends add
-    ``manifest_gen_NNNN.json`` files next to it).
+    historical directory layout, v1 manifests included, now written with a
+    v3+ manifest (appends add ``manifest_gen_NNNN.json`` files next to it).
 ``container``
     A single appendable archive file: a magic header, a stream of
     self-describing length-prefixed records (frames as PGM bytes), and a

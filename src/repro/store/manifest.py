@@ -4,7 +4,7 @@ The paper's bootstrap layer insists that everything needed to restore an
 archive lives *on the medium*; this module applies the same discipline to the
 store layer.  A v4 manifest is a JSON object carrying:
 
-* ``format_version`` — the layout version (this module owns the number);
+* ``format_version`` — the layout version;
 * ``config`` — the writing session's :class:`~repro.api.ArchiveConfig` as
   plain data, so a cold reader can rebuild the exact decode stack by name;
 * per-segment records with logical byte ranges (``offset``/``length``),
@@ -32,13 +32,21 @@ fills the missing fields with their absent-value defaults.  **v3** (the
 pre-volume layout) is a strict subset of v4 — it loads silently and keeps
 its version number, so append lineages written by older libraries keep
 digesting identically.
+
+The version number and the upgrade live with
+:class:`~repro.core.archive.ArchiveManifest` in :mod:`repro.core.archive`
+and are re-exported here; this module owns the manifest record names.
 """
 
 from __future__ import annotations
 
 import re
-import warnings
 
+from repro.core.archive import (
+    MANIFEST_FORMAT_VERSION,
+    manifest_version,
+    upgrade_manifest_fields,
+)
 from repro.errors import StoreError
 
 __all__ = [
@@ -48,26 +56,6 @@ __all__ = [
     "manifest_generation_of",
     "upgrade_manifest_fields",
 ]
-
-#: Current on-media manifest layout version.
-MANIFEST_FORMAT_VERSION = 4
-
-#: Version the v1/v2 deprecation shim upgrades *to*.  Deliberately 3, not 4:
-#: the upgraded field set is exactly the v3 layout, and keeping the number
-#: stable keeps :func:`repro.store.manifest_digest` of shimmed manifests
-#: identical to what pre-v4 libraries computed, so cross-version append
-#: lineages still verify.
-_SHIM_TARGET_VERSION = 3
-
-#: Keys every manifest version must carry to be loadable at all.
-_REQUIRED_KEYS = (
-    "profile_name",
-    "dbcoder_profile",
-    "archive_bytes",
-    "archive_crc32",
-    "data_emblem_count",
-    "system_emblem_count",
-)
 
 #: Record/file name of a manifest: generation 0 keeps the historical
 #: ``manifest.json`` so v1/v2 readers and tools still find it; appended
@@ -91,57 +79,3 @@ def manifest_generation_of(name: str) -> int | None:
     if match is None:
         return None
     return int(match.group(1)) if match.group(1) else 0
-
-
-def manifest_version(fields: dict[str, object]) -> int:
-    """The layout version of a parsed manifest object (v1 has no marker)."""
-    version = fields.get("format_version", 1)
-    if not isinstance(version, int) or version < 1:
-        raise StoreError(f"manifest carries a bad format_version: {version!r}")
-    return version
-
-
-def upgrade_manifest_fields(fields: dict[str, object]) -> dict[str, object]:
-    """Normalise a parsed manifest object to the current field set.
-
-    v1 and v2 objects upgrade in place behind a :class:`DeprecationWarning`:
-    ``format_version`` becomes 3, v1's ``config`` stays ``None`` and its
-    segment records keep ``sha256=None`` (their dataclass default, which
-    downgrades partial-restore verification to the CRC-32 check), and both
-    gain ``generation=0`` / ``parent=None`` — a pre-append archive is its
-    own generation 0.  v3 objects pass through silently (v4 only *adds* the
-    optional ``volumes`` shard map, whose dataclass default covers them).
-    Objects written by a *newer* layout raise
-    :class:`~repro.errors.StoreError` instead of being misread.
-
-    Raises
-    ------
-    StoreError
-        On a missing required key or an unsupported ``format_version``.
-    """
-    if not isinstance(fields, dict):
-        raise StoreError(f"manifest must be a JSON object, got {type(fields).__name__}")
-    missing = [key for key in _REQUIRED_KEYS if key not in fields]
-    if missing:
-        raise StoreError(f"manifest is missing required fields: {', '.join(missing)}")
-    version = manifest_version(fields)
-    if version > MANIFEST_FORMAT_VERSION:
-        raise StoreError(
-            f"manifest format_version {version} is newer than this library "
-            f"understands (max {MANIFEST_FORMAT_VERSION}); upgrade the library "
-            "to read this archive"
-        )
-    fields = dict(fields)
-    if version < _SHIM_TARGET_VERSION:
-        warnings.warn(
-            f"loading a v{version} archive manifest through the compatibility "
-            "shim; re-archive (or re-save) to upgrade it to the appendable "
-            "v3+ layout",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        fields["format_version"] = _SHIM_TARGET_VERSION
-        fields.setdefault("config", None)
-        fields.setdefault("generation", 0)
-        fields.setdefault("parent", None)
-    return fields

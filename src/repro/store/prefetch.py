@@ -104,7 +104,7 @@ class FramePrefetcher(Generic[RecordT, FramesT]):
         """The frames of ``record`` — prefetched when consumed in order.
 
         This is shaped exactly like the provider it wraps, so it drops into
-        :meth:`repro.pipeline.RestorePipeline.iter_decode_selected` as the
+        :meth:`repro.pipeline.RestorePipeline.iter_decode` as the
         ``frames_for`` callback.
         """
         future: "Future[FramesT] | None" = None

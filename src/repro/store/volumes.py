@@ -38,7 +38,7 @@ Degraded reads are transparent: a missing (or hash-mismatching, i.e.
 corrupted) shard is rebuilt on the fly from the stripe's survivors, checked
 against the recorded SHA-256, and cached.  More than M unavailable volumes
 fail fast with a :class:`~repro.errors.StoreError` naming the missing
-members.  :meth:`repro.core.restorer.RestoreEngine.verify` calls
+members.  :meth:`repro.api.ArchiveReader.verify` calls
 :meth:`_VolumeSetSource.parity_audit` to fold missing-volume damage and a
 full cross-shard parity recomputation into its report.
 """
@@ -763,7 +763,7 @@ class _VolumeSetSource(ArchiveSource):
 
     # -------------------------------------------------------------- #
     def parity_audit(self, deep: bool = True) -> tuple[list[str], list[str]]:
-        """Cross-shard audit for :meth:`RestoreEngine.verify`.
+        """Cross-shard audit for :meth:`repro.api.ArchiveReader.verify`.
 
         Returns ``(errors, warnings)``.  Unavailable volumes are *errors*
         (the archive is damaged, even though reads still succeed degraded);

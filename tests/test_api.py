@@ -3,14 +3,15 @@
 Covers the ArchiveConfig JSON contract (round-trip + rejection of unknown
 names/keys), the registry register/duplicate/unregister/did-you-mean paths,
 session-based streaming I/O, the one-call end-to-end flow across media
-channels and codecs selected purely by name, the deprecation shims, and a
-``python -m repro`` CLI smoke test via subprocess.
+channels and codecs selected purely by name, that sessions join their
+worker threads, and a ``python -m repro`` CLI smoke test via subprocess.
 """
 
 import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +19,6 @@ import pytest
 
 from repro import (
     ArchiveConfig,
-    Archiver,
-    Restorer,
-    TEST_PROFILE,
     open_archive,
     open_restore,
     registry,
@@ -31,6 +29,7 @@ from repro.errors import (
     ConfigError,
     RegistryError,
     ReproError,
+    RestorationError,
     UnknownNameError,
 )
 
@@ -146,6 +145,9 @@ class TestRegistry:
             )
             assert result.payload == payload
             assert result.archive.manifest.dbcoder_profile == name
+            # The archived DynaRisc decoder only knows the built-in profiles.
+            with pytest.raises(RestorationError, match="user-registered"):
+                open_restore(result.archive, decode_mode="dynarisc").read()
         finally:
             registry.codecs.unregister(name)
 
@@ -226,23 +228,28 @@ class TestRunEndToEnd:
 
 
 # --------------------------------------------------------------------------- #
-# Deprecation shims
+# Sessions release their workers
 # --------------------------------------------------------------------------- #
-class TestDeprecatedShims:
-    def test_archiver_restorer_still_roundtrip_but_warn(self):
-        payload = b"shim payload " * 100
-        with pytest.warns(DeprecationWarning, match="open_archive"):
-            archiver = Archiver(TEST_PROFILE)
-        archive = archiver.archive_bytes(payload)
-        with pytest.warns(DeprecationWarning, match="open_restore"):
-            restorer = Restorer(TEST_PROFILE)
-        assert restorer.restore(archive).payload == payload
+class TestNoLeakedWorkers:
+    def test_run_end_to_end_joins_its_threads(self):
+        payload = random_payload(3_000, seed=5)
+        before = threading.active_count()
+        result = run_end_to_end(
+            ArchiveConfig(executor="thread:2", segment_size=512), payload
+        )
+        assert result.payload == payload
+        assert threading.active_count() == before
 
-    def test_shims_importable_from_the_package_root(self):
-        import repro
-
-        assert repro.Archiver is Archiver
-        assert repro.Restorer is Restorer
+    def test_reader_block_joins_its_threads(self, build_archive):
+        payload = random_payload(3_000, seed=6)
+        config = ArchiveConfig(segment_size=512)
+        archive = build_archive(config, payload)
+        before = threading.active_count()
+        with open_restore(archive, config, executor="thread:2") as reader:
+            assert reader.read().payload == payload
+            # The session's pool lives until the block closes the reader.
+            assert threading.active_count() > before
+        assert threading.active_count() == before
 
 
 # --------------------------------------------------------------------------- #

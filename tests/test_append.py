@@ -395,7 +395,7 @@ class TestScanDegenerateFiles:
 
 
 # --------------------------------------------------------------------------- #
-# fsck: RestoreEngine.verify via the reader session
+# fsck: ArchiveReader.verify
 # --------------------------------------------------------------------------- #
 class TestVerify:
     def test_clean_multi_generation_archive_verifies(self, tmp_path, make_payload,

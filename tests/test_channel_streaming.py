@@ -7,11 +7,12 @@ contract:
 
 * :meth:`~repro.media.channel.MediaChannel.scan_frames` is batching- and
   order-invariant (a hypothesis property over split points and seeds),
-* the streaming per-batch record/scan path restores bit-identically to the
-  deprecated whole-frame pass across media × executors,
+* the streaming per-batch record/scan path restores bit-identically to a
+  whole-frame ``MediaChannel.roundtrip`` of every frame across media ×
+  executors,
 * ``decode_parallelism`` > 1 restores bit-identically to the serial decode,
-  for segmented and one-shot (single huge segment) archives alike — for the
-  *system-emblem* stream too, which decodes through the same chunked path,
+  for segmented and one-shot (single huge segment) archives alike, with the
+  same ``DecodeReport`` counts when segments really split into chunks,
 * ``readahead`` prefetching returns the same bytes as lazy fetching.
 
 Archives are built through the shared ``make_payload`` / ``build_archive``
@@ -20,14 +21,12 @@ factory fixtures in ``conftest.py``.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import ArchiveConfig, open_archive, open_restore, run_end_to_end
-from repro.core.restorer import RestoreEngine
+from repro.core.archive import MicrOlonysArchive
 from repro.media.distortions import OFFICE_SCAN
 from repro.media.paper import PaperChannel
 from repro.store import FramePrefetcher, MemoryBackend
@@ -83,17 +82,22 @@ class TestStreamingChannelEquivalence:
     @pytest.mark.parametrize("executor", ["serial", "thread:2"])
     def test_streaming_matches_whole_frame(self, media: str, executor: str,
                                            make_payload, build_archive) -> None:
+        """Per-batch record/scan restores what a whole-frame pass over every
+        frame restores (the whole-frame scans fed to ``read_from_scans``)."""
         payload = make_payload(4000)
         config = ArchiveConfig(
             media=media, codec="portable", segment_size=1024,
             executor=executor, scan_seed=13,
         )
         archive = build_archive(config, payload)
-        engine = RestoreEngine(config.media_profile(), executor=executor)
-        streamed = engine.restore_via_channel(archive, seed=13)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            whole = engine.restore_via_channel(archive, seed=13, streaming=False)
+        channel = config.channel()
+        with open_restore(archive, config) as reader:
+            streamed = reader.read_via_channel(seed=13)
+            whole = reader.read_from_scans(
+                channel.roundtrip(archive.data_emblem_images, seed=13),
+                channel.roundtrip(archive.system_emblem_images, seed=13),
+                archive.bootstrap_text, "binary", archive.manifest,
+            )
         assert streamed.payload == whole.payload == payload
         assert any("per batch" in note for note in streamed.notes)
 
@@ -104,12 +108,9 @@ class TestStreamingChannelEquivalence:
         payload = make_payload(3000, seed=seed + 1)
         config = ArchiveConfig(media="test", segment_size=512, scan_seed=seed)
         archive = build_archive(config, payload)
-        results = [
-            RestoreEngine(config.media_profile(), executor=executor)
-            .restore_via_channel(archive, seed=seed)
-            for executor in ("serial", "thread:2", "process:2")
-        ]
-        assert all(result.payload == payload for result in results)
+        for executor in ("serial", "thread:2", "process:2"):
+            with open_restore(archive, config, executor=executor) as reader:
+                assert reader.read_via_channel(seed=seed).payload == payload
 
     def test_run_end_to_end_streams_the_channel(self, make_payload) -> None:
         payload = make_payload(2500)
@@ -142,22 +143,6 @@ class TestStreamingChannelEquivalence:
         assert result.payload == payload
         assert any("per batch" in note for note in result.notes)
 
-    def test_unnamed_channel_customisation_falls_back_whole_frame(
-            self, make_payload, build_archive) -> None:
-        """A profile whose channel can't be rebuilt by name must not stream
-        with the registry default — it degrades to the whole-frame pass."""
-        config = ArchiveConfig(media="test", segment_size=512, scan_seed=9)
-        overridden = config.replace(distortion="pristine").media_profile()
-        engine = RestoreEngine(overridden)
-        # The override is baked into the factory but not named to the engine:
-        assert engine._channel_spec(seed=9, distortion=None) is None
-        # Named, it streams; unregistered profiles also fall back.
-        assert engine._channel_spec(seed=9, distortion="pristine") is not None
-        payload = make_payload(1500)
-        archive = build_archive(config, payload)
-        result = engine.restore_via_channel(archive, seed=9)
-        assert result.payload == payload
-        assert not any("per batch" in note for note in result.notes)
 
 
 # --------------------------------------------------------------------------- #
@@ -172,10 +157,11 @@ class TestDecodeParallelism:
         config = ArchiveConfig(media="test", segment_size=None)
         archive = build_archive(config, payload)
         assert len(archive.manifest.segments) == 1
-        serial = RestoreEngine(config.media_profile()).restore(archive)
-        chunked = RestoreEngine(
-            config.media_profile(), executor=executor, decode_parallelism=3
-        ).restore(archive)
+        with open_restore(archive, config) as reader:
+            serial = reader.read()
+        with open_restore(archive, config, executor=executor,
+                          decode_parallelism=3) as reader:
+            chunked = reader.read()
         assert chunked.payload == serial.payload == payload
         assert chunked.data_report.emblems_decoded == serial.data_report.emblems_decoded
         assert chunked.data_report.emblems_seen == serial.data_report.emblems_seen
@@ -185,36 +171,61 @@ class TestDecodeParallelism:
         config = ArchiveConfig(media="test", segment_size=2048)
         archive = build_archive(config, payload)
         serial = open_restore(archive, config).read()
-        parallel = open_restore(
-            archive, config, executor="thread:2", decode_parallelism=2
-        ).read()
+        with open_restore(archive, config, executor="thread:2",
+                          decode_parallelism=2) as reader:
+            parallel = reader.read()
         assert parallel.payload == serial.payload == payload
 
-    def test_system_emblem_stream_chunked_matches_serial(self, make_payload,
-                                                         build_archive) -> None:
-        """The system-emblem stream decodes through the same chunked path.
+    @pytest.mark.parametrize("decode_mode", ["python", "dynarisc"])
+    def test_forced_chunks_match_serial(self, decode_mode: str, monkeypatch,
+                                        make_payload, build_archive) -> None:
+        """Segments really split into chunks restore what serial restores.
 
-        The ROADMAP follow-up: ``decode_parallelism`` now applies to step
-        4's system stream as well, so its RS-heavy per-image decoding maps
-        through the executor — and must stay byte-identical to the serial
-        decode, statistics included.  ``decode_mode="dynarisc"`` forces the
-        decoded system stream to actually *run* as the archived decoder, so
-        a corrupted chunked decode cannot slip through unnoticed.
+        Lowering the pipeline's chunk floor makes ``decode_parallelism=3``
+        split every segment into three jobs that finish on the consuming
+        thread; the bytes and every ``DecodeReport`` count (including the
+        failure of a blanked frame in a later chunk, numbered by its
+        position in the segment) must match the one-job-per-segment decode.
+        ``dynarisc`` runs the archived decoder over each reassembled
+        container, so a corrupted chunk merge cannot slip through.
         """
+        from repro.mocoder import MOCoder
+        from repro.pipeline import pipeline as pipeline_module
+
         payload = make_payload(3000)
-        config = ArchiveConfig(media="test", segment_size=1024)
+        config = ArchiveConfig(media="test", segment_size=1024, decode_mode=decode_mode)
         archive = build_archive(config, payload)
-        serial = RestoreEngine(config.media_profile(), decode_mode="dynarisc").restore(archive)
-        chunked = RestoreEngine(
-            config.media_profile(), decode_mode="dynarisc",
-            executor="thread:3", decode_parallelism=3,
-        ).restore(archive)
+        images = list(archive.data_emblem_images)
+        for record in archive.manifest.segments:
+            images[record.emblem_start + 4] = np.full_like(images[record.emblem_start], 255)
+        damaged = MicrOlonysArchive(
+            archive.manifest, images, archive.system_emblem_images, archive.bootstrap_text
+        )
+        with open_restore(damaged, config) as reader:
+            serial = reader.read()
+
+        monkeypatch.setattr(pipeline_module, "MIN_DECODE_CHUNK", 1)
+        chunk_sizes: list[int] = []
+        decode_images = MOCoder.decode_images
+
+        def counting(self, images, report, image_offset=0):
+            chunk_sizes.append(len(images))
+            return decode_images(self, images, report, image_offset)
+
+        monkeypatch.setattr(MOCoder, "decode_images", counting)
+        with open_restore(damaged, config, executor="thread:3",
+                          decode_parallelism=3) as reader:
+            chunked = reader.read()
+        segments = archive.manifest.segments
+        # Three chunks per segment, plus the one system-stream decode.
+        assert len(chunk_sizes) == 3 * len(segments) + 1
         assert chunked.payload == serial.payload == payload
-        assert serial.system_report is not None and chunked.system_report is not None
-        assert chunked.system_report.emblems_seen == serial.system_report.emblems_seen
-        assert chunked.system_report.emblems_decoded == serial.system_report.emblems_decoded
-        assert chunked.system_report.rs_corrections == serial.system_report.rs_corrections
-        assert chunked.emulator_steps == serial.emulator_steps > 0
+        assert chunked.data_report == serial.data_report
+        assert serial.data_report.emblems_failed == len(segments)
+        assert serial.data_report.groups_reconstructed == len(segments)
+        assert chunked.system_report == serial.system_report
+        assert chunked.emulator_steps == serial.emulator_steps
+        assert (serial.emulator_steps > 0) == (decode_mode == "dynarisc")
 
     def test_streaming_channel_with_decode_parallelism(self, make_payload,
                                                        build_archive) -> None:
@@ -242,8 +253,8 @@ class TestDecodeParallelism:
         payload = make_payload(5000)
         config = ArchiveConfig(media="test", segment_size=None)
         archive = build_archive(config, payload)
-        upgraded = RestoreEngine(config.media_profile(), decode_parallelism=3)
-        assert upgraded.restore(archive).payload == payload
+        with open_restore(archive, config, decode_parallelism=3) as reader:
+            assert reader.read().payload == payload
 
     def test_config_validates_parallelism(self) -> None:
         from repro.errors import ConfigError

@@ -1,8 +1,7 @@
 """End-to-end tests of the Micr'Olonys archival / restoration flows (Figure 2).
 
-Exercises the flows through the :mod:`repro.api` facade (the canonical entry
-point); the deprecated ``Archiver`` / ``Restorer`` shims have their own
-round-trip coverage in ``tests/test_api.py``.
+Exercises the flows through the :mod:`repro.api` facade, the one way to
+archive (``open_archive``) and to restore (``open_restore``).
 """
 
 import numpy as np
@@ -18,8 +17,8 @@ from repro import (
     open_restore,
 )
 from repro.core.profiles import PROFILES, get_profile
-from repro.core.restorer import restore_archive_directory
 from repro.errors import ConfigError, RestorationError, UnknownNameError
+from repro.store import load_archive
 
 
 @pytest.fixture(scope="module")
@@ -127,21 +126,29 @@ class TestRestoreSession:
 
 
 class TestArchivePersistence:
+    @staticmethod
+    def _write_directory(database, directory) -> str:
+        target = f"dir:{directory}"
+        with open_archive(ArchiveConfig(media="test", payload_kind="sql"),
+                          target=target) as writer:
+            writer.write(db_dump(database).encode("utf-8"))
+        return target
+
     def test_save_and_load_directory(self, tiny_database, tiny_archive, tmp_path):
-        directory = tiny_archive.save(tmp_path / "archive")
-        loaded = MicrOlonysArchive.load(directory)
+        target = self._write_directory(tiny_database, tmp_path / "archive")
+        loaded = load_archive(target)
         assert loaded.manifest == tiny_archive.manifest
         assert len(loaded.data_emblem_images) == len(tiny_archive.data_emblem_images)
-        result = restore_archive_directory(str(directory), "test-small")
+        result = open_restore(loaded).read()
         assert result.database == tiny_database
 
-    def test_open_restore_from_directory(self, tiny_database, tiny_archive, tmp_path):
-        directory = tiny_archive.save(tmp_path / "archive-api")
+    def test_open_restore_from_directory(self, tiny_database, tmp_path):
+        target = self._write_directory(tiny_database, tmp_path / "archive-api")
         # The manifest supplies media + codec: the archive is self-describing.
-        result = open_restore(directory).read()
-        assert result.database == tiny_database
+        with open_restore(target) as reader:
+            assert reader.read().database == tiny_database
 
     def test_loading_a_non_archive_directory_fails(self, tmp_path):
         from repro.errors import ArchiveError
         with pytest.raises(ArchiveError):
-            MicrOlonysArchive.load(tmp_path)
+            load_archive(f"dir:{tmp_path}")

@@ -13,7 +13,8 @@ implementation in the tree; this suite pins them together with hypothesis:
 - ``_band_centers_rows`` vs ``EmblemSampler._band_centers``;
 - ``_otsu_threshold_stack`` vs ``otsu_threshold``;
 - the Bootstrap letter codec vs its per-character loops;
-- the ``chunk_bounds`` minimum-chunk floor and serial/chunked decode equality.
+- the restore pipeline's ``chunk_bounds`` minimum-chunk floor and
+  serial/chunked decode equality.
 """
 
 import numpy as np
@@ -38,14 +39,17 @@ from repro.mocoder.emblem import (
     otsu_threshold,
 )
 from repro.mocoder.interleave import deinterleave_blocks, deinterleave_blocks_batch
-from repro.mocoder.mocoder import MIN_DECODE_CHUNK, DecodeReport, chunk_bounds
 from repro.mocoder.outer_code import (
     OuterCode,
     _gf_matrix_multiply,
     _gf_matrix_multiply_reference,
 )
 from repro.mocoder.reed_solomon import get_code
+from repro.core.archive import ArchiveManifest, SegmentRecord
 from repro.core.profiles import get_profile
+from repro.pipeline import RestorePipeline, pipeline as pipeline_module
+from repro.pipeline.pipeline import MIN_DECODE_CHUNK, chunk_bounds
+from repro.util.crc import crc32_of
 
 SPEC = get_profile("test").spec
 
@@ -321,21 +325,27 @@ class TestChunkFloor:
                 flattened = [i for start, stop in bounds for i in range(start, stop)]
                 assert flattened == list(range(count)), (count, parts)
 
-    def test_parallel_decode_output_equals_serial(self, rng):
+    def test_parallel_decode_output_equals_serial(self, rng, monkeypatch):
         coder = MOCoder(SPEC)
         payload = rng.integers(0, 256, size=SPEC.payload_capacity * 5, dtype=np.uint8).tobytes()
         stream = coder.encode(payload)
         images = [emblem.to_image().astype(np.uint8) for emblem in stream.emblems]
-        serial_payload, serial_report = coder.decode(images, parallelism=1)
-        floored_payload, floored_report = coder.decode(images, parallelism=2)
-        assert floored_payload == serial_payload == payload
-        assert floored_report.emblems_decoded == serial_report.emblems_decoded
+        serial_payload, serial_report = coder.decode(images)
+        assert serial_payload == payload
         # Force real chunking (bypassing the floor) to pin byte-identity of
-        # the chunked path itself, not just the floor's collapse to serial.
-        report = DecodeReport(emblems_seen=len(images))
-        bounds = chunk_bounds(len(images), 2, min_chunk=1)
-        assert len(bounds) == 2
-        decoded = coder._decode_images_parallel(images, report, 2, None, bounds)
-        chunked_payload, chunked_report = coder.assemble(decoded, report)
-        assert chunked_payload == serial_payload
-        assert chunked_report.emblems_decoded == serial_report.emblems_decoded
+        # the pipeline's chunked path itself, not just the floor's collapse
+        # to one job per segment.
+        monkeypatch.setattr(pipeline_module, "MIN_DECODE_CHUNK", 1)
+        assert len(chunk_bounds(len(images), 2, min_chunk=1)) == 2
+        crc = crc32_of(payload)
+        record = SegmentRecord(0, 0, len(payload), crc, 0, len(images), len(payload))
+        manifest = ArchiveManifest(
+            "test-small", "STORE", len(payload), crc, len(images), 0, segments=(record,)
+        )
+        pipeline = RestorePipeline(get_profile("test"), decode_parallelism=2)
+        [decoded] = pipeline.iter_decode(
+            manifest, [record], lambda _record: images, decode_payload=False
+        )
+        assert decoded.payload is None
+        assert decoded.container == serial_payload
+        assert decoded.report == serial_report

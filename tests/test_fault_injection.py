@@ -32,7 +32,6 @@ from repro.media.distortions import (
 from repro.media.paper import PaperChannel
 from repro.mocoder.emblem import Emblem
 from repro.mocoder.outer_code import GROUP_DATA, GROUP_PARITY
-from repro.pipeline import ArchivePipeline
 
 
 def random_payload(size: int, seed: int) -> bytes:
@@ -219,11 +218,11 @@ class TestOuterCodeBudget:
 # --------------------------------------------------------------------------- #
 class TestSegmentedFaults:
     @pytest.fixture(scope="class")
-    def segmented(self):
+    def segmented(self, build_archive):
         payload = random_payload(9_000, seed=404)
-        archive = ArchivePipeline(
-            TEST_PROFILE, dbcoder_profile="store", segment_size=3_000
-        ).archive_bytes(payload, payload_kind="binary")
+        archive = build_archive(
+            ArchiveConfig(media="test", codec="store", segment_size=3_000), payload
+        )
         assert len(archive.manifest.segments) == 3
         return archive, payload
 

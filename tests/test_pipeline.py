@@ -6,6 +6,7 @@ must produce byte-identical archives), the per-segment manifest metadata,
 and the estimate_emblems fix.
 """
 
+import dataclasses
 import io
 
 import numpy as np
@@ -13,9 +14,8 @@ import pytest
 
 from repro import (
     ArchiveConfig,
-    ArchivePipeline,
-    RestorePipeline,
     TEST_PROFILE,
+    open_archive,
     open_restore,
 )
 from repro.core.archive import ArchiveManifest, SegmentRecord
@@ -33,6 +33,7 @@ from repro.pipeline import (
     ThreadPoolSegmentExecutor,
     ProcessPoolSegmentExecutor,
 )
+from repro.store import load_archive
 from repro.util.crc import crc32_of
 
 #: Large emblems (57 kB payload) so megabyte-scale tests stay fast.
@@ -74,7 +75,11 @@ def compressible_payload(size: int, seed: int) -> bytes:
 
 
 def archives_identical(a, b) -> bool:
-    if a.manifest != b.manifest or a.bootstrap_text != b.bootstrap_text:
+    # The embedded session config names the executor; everything else that
+    # goes onto the medium must match.
+    if dataclasses.replace(a.manifest, config=None) != dataclasses.replace(
+        b.manifest, config=None
+    ) or a.bootstrap_text != b.bootstrap_text:
         return False
     if len(a.data_emblem_images) != len(b.data_emblem_images):
         return False
@@ -188,81 +193,76 @@ def _explode_on_seven(x):
 # --------------------------------------------------------------------------- #
 class TestPipelineRoundTrip:
     @pytest.mark.parametrize("size", [0, 1, 198, 199, 200, 5_000])
-    def test_payload_size_sweep(self, size):
+    def test_payload_size_sweep(self, size, build_archive):
         payload = random_payload(size, seed=100 + size)
-        pipeline = ArchivePipeline(TEST_PROFILE, segment_size=1024)
-        archive = pipeline.archive_bytes(payload, payload_kind="binary")
+        archive = build_archive(ArchiveConfig(media="test", segment_size=1024), payload)
         result = open_restore(archive).read()
         assert result.payload == payload
 
     @pytest.mark.parametrize("dbcoder_profile", list(Profile))
-    def test_all_dbcoder_profiles(self, dbcoder_profile):
+    def test_all_dbcoder_profiles(self, dbcoder_profile, build_archive):
         payload = compressible_payload(12_000, seed=7)
-        pipeline = ArchivePipeline(
-            TEST_PROFILE, dbcoder_profile=dbcoder_profile, segment_size=4096
-        )
-        archive = pipeline.archive_bytes(payload, payload_kind="binary")
+        config = ArchiveConfig(media="test", codec=dbcoder_profile.name, segment_size=4096)
+        archive = build_archive(config, payload)
         assert len(archive.manifest.segments) == 3
         result = open_restore(archive).read()
         assert result.payload == payload
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_randomized_segment_boundaries(self, seed):
+    def test_randomized_segment_boundaries(self, seed, build_archive):
         """Seeded property test: random sizes + random segment sizes round-trip."""
         rng = np.random.default_rng(seed)
         size = int(rng.integers(0, 20_000))
         segment_size = int(rng.integers(1, 8_192))
         payload = random_payload(size, seed=seed * 97)
-        archive = ArchivePipeline(TEST_PROFILE, segment_size=segment_size).archive_bytes(
-            payload
+        archive = build_archive(
+            ArchiveConfig(media="test", segment_size=segment_size), payload
         )
         assert archive.manifest.archive_bytes == size
         result = open_restore(archive).read()
         assert result.payload == payload
 
-    def test_megabyte_scale_roundtrip(self):
+    def test_megabyte_scale_roundtrip(self, build_archive):
         """Several-MB payload, bounded segments, big emblems, bit-exact."""
         payload = random_payload(3 * 1024 * 1024, seed=11)
-        pipeline = ArchivePipeline(
-            BIG_SPEC_PROFILE,
-            dbcoder_profile=Profile.STORE,
-            segment_size=1024 * 1024,
+        config = ArchiveConfig(
+            media=BIG_SPEC_PROFILE.name, codec="store", segment_size=1024 * 1024
         )
-        archive = pipeline.archive_bytes(payload, payload_kind="binary")
+        archive = build_archive(config, payload)
         assert len(archive.manifest.segments) == 3
         result = open_restore(archive).read()
         assert result.payload == payload
 
-    def test_stream_source_matches_bytes_source(self):
+    def test_stream_source_matches_bytes_source(self, build_archive):
         payload = random_payload(9_000, seed=5)
-        pipeline = ArchivePipeline(TEST_PROFILE, segment_size=2048)
-        from_bytes = pipeline.archive_bytes(payload)
-        from_file = pipeline.archive_stream(io.BytesIO(payload))
-        assert archives_identical(from_bytes, from_file)
+        config = ArchiveConfig(media="test", segment_size=2048)
+        from_bytes = build_archive(config, payload)
+        source = io.BytesIO(payload)
+        with open_archive(config) as writer:
+            for chunk in iter(lambda: source.read(1_000), b""):
+                writer.write(chunk)
+        assert archives_identical(from_bytes, writer.archive)
 
 
 class TestExecutorEquivalence:
     @pytest.mark.parametrize("executor", ["thread:2", "process:2"])
-    def test_parallel_matches_serial_byte_identical(self, executor):
+    def test_parallel_matches_serial_byte_identical(self, executor, build_archive):
         payload = compressible_payload(30_000, seed=23)
-        serial = ArchivePipeline(
-            TEST_PROFILE, segment_size=8_192, executor="serial"
-        ).archive_bytes(payload)
-        parallel = ArchivePipeline(
-            TEST_PROFILE, segment_size=8_192, executor=executor
-        ).archive_bytes(payload)
+        config = ArchiveConfig(media="test", segment_size=8_192)
+        serial = build_archive(config, payload)
+        parallel = build_archive(config.replace(executor=executor), payload)
         assert archives_identical(serial, parallel)
 
-    def test_parallel_segmented_restore(self):
+    def test_parallel_segmented_restore(self, build_archive):
         payload = random_payload(16_000, seed=31)
-        archive = ArchivePipeline(TEST_PROFILE, segment_size=4_096).archive_bytes(payload)
-        result = open_restore(archive, executor="thread:2").read()
-        assert result.payload == payload
+        archive = build_archive(ArchiveConfig(media="test", segment_size=4_096), payload)
+        with open_restore(archive, executor="thread:2") as reader:
+            assert reader.read().payload == payload
 
-    def test_segmented_restore_under_emulated_decoder(self):
+    def test_segmented_restore_under_emulated_decoder(self, build_archive):
         """The archived DynaRisc decoder runs once per segment."""
         payload = compressible_payload(6_000, seed=41)
-        archive = ArchivePipeline(TEST_PROFILE, segment_size=2_048).archive_bytes(payload)
+        archive = build_archive(ArchiveConfig(media="test", segment_size=2_048), payload)
         assert len(archive.manifest.segments) == 3
         result = open_restore(archive, decode_mode="dynarisc").read()
         assert result.payload == payload
@@ -275,10 +275,10 @@ class TestExecutorEquivalence:
 # --------------------------------------------------------------------------- #
 class TestSegmentMetadata:
     @pytest.fixture(scope="class")
-    def archive(self):
+    def archive(self, build_archive):
         payload = random_payload(10_000, seed=77)
         return (
-            ArchivePipeline(TEST_PROFILE, segment_size=3_000).archive_bytes(payload),
+            build_archive(ArchiveConfig(media="test", segment_size=3_000), payload),
             payload,
         )
 
@@ -321,16 +321,15 @@ class TestSegmentMetadata:
     def test_missing_scans_fail_loudly(self, archive):
         artefact, _ = archive
         with pytest.raises(RestorationError, match="scans"):
-            RestorePipeline(TEST_PROFILE).restore_payload(
-                artefact.manifest, artefact.data_emblem_images[:-1]
+            open_restore(artefact).read_from_scans(
+                artefact.data_emblem_images[:-1], manifest=artefact.manifest
             )
 
-    def test_save_and_load_preserves_segments(self, archive, tmp_path):
+    def test_save_and_load_preserves_segments(self, archive, tmp_path, write_archive):
         artefact, payload = archive
-        from repro import MicrOlonysArchive
-
-        directory = artefact.save(tmp_path / "segmented")
-        loaded = MicrOlonysArchive.load(directory)
+        target = f"dir:{tmp_path / 'segmented'}"
+        write_archive(target, payload, segment_size=3_000)
+        loaded = load_archive(target)
         assert loaded.manifest == artefact.manifest
         assert open_restore(loaded).read().payload == payload
 
@@ -340,21 +339,17 @@ class TestSegmentMetadata:
 # --------------------------------------------------------------------------- #
 class TestEstimateEmblems:
     @pytest.mark.parametrize("size", [0, 100, 5_000, 20_000])
-    def test_estimate_is_exact_for_store_codec(self, size):
+    def test_estimate_is_exact_for_store_codec(self, size, build_archive):
         """STORE adds exactly the container header, so the estimate pins."""
         config = ArchiveConfig(media="test", codec="store")
         payload = random_payload(size, seed=size + 1)
-        archive = ArchivePipeline(
-            TEST_PROFILE, dbcoder_profile="store", segment_size=None
-        ).archive_bytes(payload)
+        archive = build_archive(config, payload)
         assert config.estimate_emblems(size) == archive.manifest.data_emblem_count
 
-    def test_estimate_is_exact_for_segmented_store(self):
+    def test_estimate_is_exact_for_segmented_store(self, build_archive):
         config = ArchiveConfig(media="test", codec="store", segment_size=3_000)
         payload = random_payload(10_000, seed=9)
-        archive = ArchivePipeline(
-            TEST_PROFILE, dbcoder_profile="store", segment_size=3_000
-        ).archive_bytes(payload)
+        archive = build_archive(config, payload)
         assert config.estimate_emblems(10_000) == archive.manifest.data_emblem_count
 
     def test_estimate_uses_the_container_header_size(self):
@@ -366,10 +361,8 @@ class TestEstimateEmblems:
         boundary = capacity - HEADER_SIZE
         assert config.estimate_emblems(boundary) < config.estimate_emblems(boundary + 1)
 
-    def test_estimate_upper_bounds_compressible_payloads(self):
+    def test_estimate_upper_bounds_compressible_payloads(self, build_archive):
         config = ArchiveConfig(media="test")
         payload = compressible_payload(20_000, seed=3)
-        archive = ArchivePipeline(
-            TEST_PROFILE, segment_size=None
-        ).archive_bytes(payload)
+        archive = build_archive(config, payload)
         assert config.estimate_emblems(len(payload)) >= archive.manifest.data_emblem_count

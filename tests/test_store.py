@@ -89,6 +89,32 @@ class TestManifestVersions:
             reader = open_restore(tmp_path / "arch")
         assert reader.read_range(2_100, 500) == payload[2_100:2_600]
 
+    def test_segment_free_manifest_restores_as_one_segment(self, tmp_path, make_payload,
+                                                           write_archive):
+        """The pre-pipeline layout (no segment records) restores every way."""
+        payload = make_payload(5_000, seed=22)
+        target = f"dir:{tmp_path / 'arch'}"
+        write_archive(target, payload, segment_size=None)
+        manifest_path = tmp_path / "arch" / "manifest.json"
+        fields = json.loads(manifest_path.read_text())
+        for key in ("segments", "segment_size", "format_version", "config",
+                    "generation", "parent"):
+            del fields[key]
+        manifest_path.write_text(json.dumps(fields))
+
+        with pytest.warns(DeprecationWarning, match="v1 archive manifest"):
+            reader = open_restore(target)
+        with reader:
+            assert reader.manifest.segments == ()
+            assert reader.read().payload == payload
+            assert reader.read_range(1_000, 300) == payload[1_000:1_300]
+            assert reader.restore_segment(0) == payload
+        with pytest.warns(DeprecationWarning):
+            emulated = open_restore(target, decode_mode="dynarisc")
+        with emulated:
+            result = emulated.read()
+        assert result.payload == payload and result.emulator_steps > 0
+
     def test_v2_manifest_loads_through_the_shim(self, tmp_path, make_payload, write_archive):
         """v2 (PR 3's layout: versioned + hashes, no lineage) round-trips."""
         payload = make_payload(5_000, seed=21)
@@ -153,10 +179,8 @@ class TestBackends:
         names = {p.name for p in (tmp_path / "arch").iterdir()}
         assert {"manifest.json", "bootstrap.txt", "config.json"} <= names
         assert any(name.startswith("data_emblem_") for name in names)
-        # The classic whole-directory loader still reads it.
-        from repro.core.archive import MicrOlonysArchive
-
-        archive = MicrOlonysArchive.load(tmp_path / "arch")
+        # The whole-archive loader reads the classic layout back.
+        archive = load_archive(f"dir:{tmp_path / 'arch'}")
         assert open_restore(archive).read().payload == payload
 
     def test_memory_backend(self, make_payload, write_archive):
