@@ -257,7 +257,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.smoke:
         payload_bytes = 512 * 1024
         segment_size = 128 * 1024
-        executors = ["serial", f"thread:{min(2, args.workers)}"]
+        # Fixed names: the committed baseline's keys must not depend on how
+        # many CPUs the recording host had.
+        executors = ["serial", "thread:2"]
     else:
         payload_bytes = int(args.payload_mb * 1024 * 1024)
         segment_size = args.segment_kb * 1024

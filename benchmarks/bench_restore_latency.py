@@ -1,6 +1,6 @@
-"""Restore-latency benchmark: sub-segment parallel decode and readahead.
+"""Restore-latency benchmark: sub-segment parallel decode, readahead, emulation.
 
-Measures the two claims behind the PR-4 restore-path work:
+Measures three restore paths:
 
 1. **sub-segment parallel decode**: a *single huge segment* historically
    decoded on one core; ``decode_parallelism`` splits its per-image emblem
@@ -11,7 +11,11 @@ Measures the two claims behind the PR-4 restore-path work:
    segment's frames lazily, serialising backend I/O in front of decode; a
    prefetching frame source (``readahead`` in :class:`~repro.api.
    ArchiveConfig`) overlaps the two — the effect is measured against a
-   deliberately slowed backend modelling a remote/cold store.
+   deliberately slowed backend modelling a remote/cold store;
+3. **emulated restore**: a one-segment ``portable`` archive restored with
+   ``decode_mode="dynarisc"``, so the archived LZSS decoder runs under the
+   DynaRisc interpreter; the ``emulated`` block reports MB/s, seconds and
+   the emulator step count.
 
 Run standalone (it is *not* collected by pytest)::
 
@@ -125,6 +129,36 @@ def bench_single_segment_decode(payload: bytes, parallelisms: list[int]) -> dict
     return results
 
 
+def bench_emulated_restore(payload: bytes) -> dict:
+    """One-segment ``portable`` archive restored by the archived DynaRisc decoder.
+
+    The whole restore — MOCoder decode plus the archived LZSS decoder run
+    under :class:`~repro.dynarisc.emulator.DynaRiscEmulator` — is timed, so
+    the row tracks the interpreter on the future user's path.
+    """
+    config = ArchiveConfig(media="test", codec="portable", segment_size=None)
+    with open_archive(config) as writer:
+        writer.write(payload)
+    elapsed = None
+    with open_restore(writer.archive, config, decode_mode="dynarisc") as reader:
+        for _ in range(_TIMING_RUNS):
+            start = time.perf_counter()
+            result = reader.read()
+            run = time.perf_counter() - start
+            assert result.payload == payload
+            elapsed = run if elapsed is None else min(elapsed, run)
+    steps = result.emulator_steps
+    print(f"emulated restore (decode_mode=dynarisc): {len(payload) / 1e6:.2f} MB payload, "
+          f"{elapsed:6.2f} s  {len(payload) / 1e6 / elapsed:5.3f} MB/s  "
+          f"{steps} emulator steps ({steps / elapsed / 1e6:.2f} M steps/s incl. MOCoder)")
+    return {
+        "seconds": elapsed,
+        # Restore throughput through the emulator: higher is better.
+        "mb_per_s": len(payload) / 1e6 / elapsed,
+        "emulator_steps": steps,
+    }
+
+
 def bench_read_range_readahead(
     payload: bytes,
     segment_size: int,
@@ -200,6 +234,7 @@ def main(argv: list[str] | None = None) -> int:
     workdir = Path(tempfile.mkdtemp(prefix="bench-restore-latency-"))
     try:
         single = bench_single_segment_decode(payload_bytes(single_bytes), parallelisms)
+        emulated = bench_emulated_restore(payload_bytes(single_bytes))
         ranged = bench_read_range_readahead(
             payload_bytes(range_bytes), segment_size, workdir, depths,
             slice_bytes, fetch_delay,
@@ -213,6 +248,7 @@ def main(argv: list[str] | None = None) -> int:
             "smoke": bool(args.smoke),
             "cpus_visible": os.cpu_count(),
             "single_segment": single,
+            "emulated": emulated,
             "read_range": ranged,
         }
         Path(args.json).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

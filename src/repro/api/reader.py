@@ -26,7 +26,13 @@ from repro.dbcoder.formats import unpack_container
 from repro.dbms.database import Database
 from repro.dbms.dump import db_load
 from repro.dynarisc.emulator import DynaRiscEmulator
-from repro.errors import ArchiveError, ReproError, RestorationError, StoreError
+from repro.errors import (
+    ArchiveError,
+    ExecutionLimitExceeded,
+    ReproError,
+    RestorationError,
+    StoreError,
+)
 from repro.mocoder.mocoder import DecodeReport, MOCoder
 from repro.nested import NestedDynaRiscMachine
 from repro.pipeline.executors import SegmentExecutor, get_executor
@@ -518,8 +524,21 @@ class ArchiveReader:
                 f"{header.profile_id}"
             )
         if self.config.decode_mode == "dynarisc":
-            emulator = DynaRiscEmulator(decoder_code, input_data=stream, step_limit=2_000_000_000)
-            part, steps = emulator.run(0), emulator.steps
+            # The archived LZSS decoder needs at most ~32 steps per output
+            # byte (all length-3 matches) and ~21 per input-plus-output byte;
+            # a looping decoder from damaged or hostile system emblems must
+            # fail rather than spin for hours.
+            budget = 64 * (header.original_length + len(stream)) + 4096
+            emulator = DynaRiscEmulator(decoder_code, input_data=stream, step_limit=budget)
+            try:
+                part = emulator.run(0)
+            except ExecutionLimitExceeded as exc:
+                raise ExecutionLimitExceeded(
+                    f"segment {record.index}: the archived decoder ran past its "
+                    f"budget of {budget} DynaRisc steps for {header.original_length} "
+                    f"output bytes ({exc})"
+                ) from exc
+            steps = emulator.steps
         else:
             nested = NestedDynaRiscMachine(
                 decoder_code, input_data=stream, entry=0, step_limit=2_000_000_000

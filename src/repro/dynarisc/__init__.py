@@ -8,7 +8,8 @@ This package provides the complete toolchain:
   binary encoding (the paper's Table 1 shows a sample of it),
 * :mod:`repro.dynarisc.assembler` — a two-pass assembler with labels and data
   directives,
-* :mod:`repro.dynarisc.emulator` — the reference emulator,
+* :mod:`repro.dynarisc.emulator` — the emulator: one interpreter loop over
+  instructions decoded once per run,
 * :mod:`repro.dynarisc.disassembler` — the inverse of the assembler,
 * :mod:`repro.dynarisc.programs` — the archived decoder programs themselves,
   written in DynaRisc assembly.

@@ -4,6 +4,8 @@ Exercises the flows through the :mod:`repro.api` facade, the one way to
 archive (``open_archive``) and to restore (``open_restore``).
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,14 @@ from repro import (
     open_restore,
 )
 from repro.core.profiles import PROFILES, get_profile
-from repro.errors import ConfigError, RestorationError, UnknownNameError
+from repro.dynarisc import DynaRiscAssembler
+from repro.errors import (
+    ConfigError,
+    ExecutionLimitExceeded,
+    RestorationError,
+    UnknownNameError,
+)
+from repro.mocoder import EmblemKind, MOCoder
 from repro.store import load_archive
 
 
@@ -90,6 +99,16 @@ class TestRestoreSession:
         result = open_restore(tiny_archive, decode_mode="dynarisc").read()
         assert result.database == tiny_database
         assert result.emulator_steps > 0
+
+    def test_looping_archived_decoder_fails_within_its_budget(self, tiny_archive):
+        """System emblems carrying a decoder that never halts must not hang."""
+        loop = DynaRiscAssembler().assemble("start: JUMP start").code
+        system_images = MOCoder(TEST_PROFILE.spec).encode_to_images(loop, kind=EmblemKind.SYSTEM)
+        reader = open_restore(tiny_archive, decode_mode="dynarisc")
+        start = time.perf_counter()
+        with pytest.raises(ExecutionLimitExceeded, match="segment 0: the archived decoder"):
+            reader.read_from_scans(tiny_archive.data_emblem_images, system_images)
+        assert time.perf_counter() - start < 60
 
     def test_restore_with_missing_emblems(self, tiny_database, tiny_archive):
         damaged = MicrOlonysArchive(
