@@ -52,8 +52,8 @@ store-smoke:
 	@set -e; rm -rf .store-smoke; mkdir .store-smoke; \
 	trap 'rm -rf .store-smoke' EXIT; \
 	$(PYTHON) -c "open('.store-smoke/payload.bin','wb').write(b'ULE store smoke payload. '*400)"; \
-	$(PYTHON) -m repro archive -i .store-smoke/payload.bin -o .store-smoke/backup.ule \
-		--store container --media test --codec portable --segment-size 2048; \
+	$(PYTHON) -m repro archive -i .store-smoke/payload.bin -o file:.store-smoke/backup.ule \
+		--media test --codec portable --segment-size 2048; \
 	$(PYTHON) -m repro inspect .store-smoke/backup.ule --json \
 		| $(PYTHON) -c "import json,sys; m=json.load(sys.stdin); \
 		assert m['format_version']==4 and m['segments'], m"; \
@@ -82,8 +82,8 @@ restore-smoke:
 	@set -e; rm -rf .restore-smoke; mkdir .restore-smoke; \
 	trap 'rm -rf .restore-smoke' EXIT; \
 	$(PYTHON) -c "open('.restore-smoke/payload.bin','wb').write(b'ULE restore smoke payload. '*300)"; \
-	$(PYTHON) -m repro archive -i .restore-smoke/payload.bin -o .restore-smoke/arch.ule \
-		--store container --media test --codec portable --segment-size 2048; \
+	$(PYTHON) -m repro archive -i .restore-smoke/payload.bin -o file:.restore-smoke/arch.ule \
+		--media test --codec portable --segment-size 2048; \
 	$(PYTHON) -m repro restore -i .restore-smoke/arch.ule -o .restore-smoke/restored.bin \
 		--via-channel --seed 11 --executor thread:2 --decode-parallelism 2; \
 	cmp .restore-smoke/payload.bin .restore-smoke/restored.bin; \
@@ -99,8 +99,8 @@ append-smoke:
 	trap 'rm -rf .append-smoke' EXIT; \
 	$(PYTHON) -c "open('.append-smoke/a.bin','wb').write(b'ULE append smoke gen0. '*200)"; \
 	$(PYTHON) -c "open('.append-smoke/b.bin','wb').write(b'ULE append smoke gen1! '*150)"; \
-	$(PYTHON) -m repro archive -i .append-smoke/a.bin -o .append-smoke/backup.ule \
-		--store container --media test --codec portable --segment-size 2048; \
+	$(PYTHON) -m repro archive -i .append-smoke/a.bin -o file:.append-smoke/backup.ule \
+		--media test --codec portable --segment-size 2048; \
 	$(PYTHON) -m repro archive -i .append-smoke/b.bin -o .append-smoke/backup.ule \
 		--append --json \
 		| $(PYTHON) -c "import json,sys; m=json.load(sys.stdin); \

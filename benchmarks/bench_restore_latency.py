@@ -168,9 +168,9 @@ def bench_read_range_readahead(
     fetch_delay: float,
 ) -> dict:
     """read_range latency vs. readahead depth over a slowed container backend."""
-    target = workdir / "latency.ule"
+    target = f"file:{workdir / 'latency.ule'}"
     config = ArchiveConfig(media="test", codec="store", segment_size=segment_size)
-    with open_archive(config, target=target, store="container") as writer:
+    with open_archive(config, target=target) as writer:
         writer.write(payload)
     offset = len(payload) // 8
     print(f"read_range: {slice_bytes}-byte slice over a container backend with "

@@ -81,18 +81,20 @@ def bench_write(payload: bytes, segment_size: int, workdir: Path) -> dict:
     print(f"  collect=True (in-memory artefact)   peak {collected_peak / 1e6:8.1f} MB")
 
     measurements: dict = {"collected_peak_bytes": collected_peak, "streaming": {}}
+    # (backend, target-URI scheme, path or memory key); the scheme alone
+    # picks the backend.
     targets = [
-        ("directory", workdir / "arch-dir"),
-        ("container", workdir / "arch.ule"),
-        ("memory", "mem:bench-store"),
+        ("directory", "dir", workdir / "arch-dir"),
+        ("container", "file", workdir / "arch.ule"),
+        ("memory", "mem", "bench-store"),
     ]
-    for store, target in targets:
+    for store, scheme, target in targets:
         # Timing and memory come from separate runs: tracemalloc's hooks tax
         # every allocation in the encode hot path, so timing under it
         # understates throughput severalfold (the directory/container
         # targets are re-archived into a scratch name first, then measured).
         def archive_to(destination):
-            with open_archive(config, target=destination, store=store) as writer:
+            with open_archive(config, target=f"{scheme}:{destination}") as writer:
                 writer.write(payload)
 
         timing_target = target if store == "memory" else (
@@ -104,7 +106,7 @@ def bench_write(payload: bytes, segment_size: int, workdir: Path) -> dict:
             archive_to(timing_target)
             elapsed = min(elapsed, time.perf_counter() - start)
             if store == "memory":
-                MemoryBackend.discard(str(target))
+                MemoryBackend.discard(f"mem:{target}")
             elif timing_target.is_dir():
                 shutil.rmtree(timing_target)
             else:
@@ -126,7 +128,7 @@ def bench_write(payload: bytes, segment_size: int, workdir: Path) -> dict:
 
 
 def bench_read(payload: bytes, workdir: Path, slice_bytes: int) -> dict:
-    target = workdir / "arch.ule"
+    target = f"file:{workdir / 'arch.ule'}"
     print(f"read: container archive, {slice_bytes}-byte random slices")
 
     result, full_time = timed(lambda: open_restore(target).read())

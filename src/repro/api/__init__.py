@@ -7,9 +7,11 @@ This package is the canonical way in and out of the system:
   size, decode mode) through :mod:`repro.registry`;
 * :func:`open_archive` / :func:`open_restore` — session-based streaming I/O
   over the pipeline (context managers, chunked ``write``, progress
-  callbacks), persisting to / reading from any :mod:`repro.store` backend
-  (``target=``/``store=``); :func:`open_archive` is the only way to archive
-  and :class:`ArchiveReader` the only way to restore — whole archives,
+  callbacks), persisting to / reading from the :mod:`repro.store` backend a
+  target URI names (``target="file:backup.ule"``, ``"dir:..."``,
+  ``"mem:..."``, ``"vol:..."`` or a filesystem path — the one place a
+  backend or volume geometry is chosen); :func:`open_archive` is the only
+  way to archive and :class:`ArchiveReader` the only way to restore — whole archives,
   externally produced scans, random-access
   :meth:`~repro.api.reader.ArchiveReader.read_range` /
   :meth:`~repro.api.reader.ArchiveReader.restore_segment` partial restore,
@@ -17,7 +19,8 @@ This package is the canonical way in and out of the system:
 * :func:`run_end_to_end` — all seven steps of Figure 2a, including the
   channel ``record``/``scan`` hop, in a single call;
 * ``python -m repro`` (:mod:`repro.api.cli`) — ``archive`` / ``restore`` /
-  ``inspect`` / ``profiles`` subcommands built on the same facade.
+  ``verify`` / ``inspect`` / ``serve`` / ``profiles`` subcommands built on
+  the same facade, taking the same target URIs.
 """
 
 from repro.api.config import ArchiveConfig

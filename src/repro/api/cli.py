@@ -3,21 +3,23 @@
 Subcommands
 -----------
 ``archive``
-    Archive a payload file onto a storage backend (``--store directory``
-    writes one PGM per frame, ``--store container`` a single archive file),
-    streaming the input through an :class:`~repro.api.session.ArchiveWriter`
-    with ``collect=False`` — frames go straight to the target as they
-    encode, so peak memory stays bounded by the executor window regardless
-    of payload size.  The resolved :class:`~repro.api.ArchiveConfig` is
-    embedded in the v2 manifest *and* saved as ``config.json``, so a run is
+    Archive a payload file onto the target ``-o`` names (``dir:<path>``
+    writes one PGM per frame, ``file:<path>`` a single archive file,
+    ``vol:...`` a sharded volume set; a plain path is sniffed by shape, see
+    :mod:`repro.store.target`), streaming the input through an
+    :class:`~repro.api.session.ArchiveWriter` with ``collect=False`` —
+    frames go straight to the target as they encode, so peak memory stays
+    bounded by the executor window regardless of payload size.  The
+    resolved :class:`~repro.api.ArchiveConfig` is embedded in the manifest
+    *and* saved as ``config.json``, so a run is
     reproducible from the artefact alone.
     With ``--append`` the run *extends* an existing archive instead of
     creating one: new frames land after the old ones and a superseding
     manifest one generation up makes the appended bytes addressable as a
     seamless continuation of the payload (true incremental backup).
 ``restore``
-    Restore a saved archive (directory or container file) back to the
-    payload file, optionally re-running the simulated record/scan cycle
+    Restore a saved archive (any target spelling ``-i`` accepts) back to
+    the payload file, optionally re-running the simulated record/scan cycle
     first (``--via-channel``), or restoring just a byte range
     (``--offset``/``--length`` — only the covering segments are decoded).
 ``verify``
@@ -82,6 +84,7 @@ def _load_config(args: argparse.Namespace) -> ArchiveConfig:
 # --------------------------------------------------------------------------- #
 def _cmd_archive(args: argparse.Namespace) -> int:
     input_path = Path(args.input)
+    spec = parse_target(args.output)
     if args.append:
         # The existing target describes itself (its superseding manifest
         # supplies the config); explicit flags override on top.
@@ -93,16 +96,9 @@ def _cmd_archive(args: argparse.Namespace) -> int:
         base_config = (
             ArchiveConfig.from_json(Path(args.config).read_text()) if args.config else None
         )
-        spec = parse_target(args.output, store=args.store)
-        store = spec.store
         writer_session = open_archive(base_config, target=spec, append=True, **overrides)
     else:
-        config = _load_config(args)
-        spec = parse_target(
-            args.output, store=args.store or config.store, default_store="directory"
-        )
-        store = spec.store
-        writer_session = open_archive(config, target=spec)
+        writer_session = open_archive(_load_config(args), target=spec)
     # Frames stream straight onto the store target as batches complete
     # (collect=False via target=...), so huge archives never accumulate
     # their emblem rasters in memory.
@@ -116,7 +112,7 @@ def _cmd_archive(args: argparse.Namespace) -> int:
     manifest = writer.archive.manifest
     summary = {
         "output": str(args.output),
-        "store": registry.stores.resolve_name(store),
+        "store": spec.store,
         "config": config.to_dict(),
         "format_version": manifest.format_version,
         "generation": manifest.generation,
@@ -150,8 +146,7 @@ def _cmd_restore(args: argparse.Namespace) -> int:
     partial = args.offset is not None or args.length is not None
     if partial and args.via_channel:
         raise ReproError("--offset/--length cannot be combined with --via-channel")
-    spec = parse_target(args.input, store=args.store)
-    with open_restore(spec, **overrides) as reader:
+    with open_restore(args.input, **overrides) as reader:
         output_path = Path(args.output)
         if partial:
             offset = args.offset or 0
@@ -245,7 +240,7 @@ def _inspect_over_http(url: str, as_json: bool) -> int:
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
-    spec = parse_target(args.input, store=args.store)
+    spec = parse_target(args.input)
     if spec.is_remote:
         return _inspect_over_http(spec.target, args.json)
     try:
@@ -339,12 +334,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    spec = parse_target(args.input, store=args.store)
-    if spec.store is None:
-        raise StoreError(
-            f"{args.input} does not exist; pass --store explicitly to name "
-            "its backend"
-        )
+    spec = parse_target(args.input)
     store = spec.store
     repair_report = None
     torn_tail = None
@@ -496,10 +486,9 @@ def build_parser() -> argparse.ArgumentParser:
     archive.add_argument("--input", "-i", required=True, help="payload file to archive")
     archive.add_argument("--output", "-o", required=True,
                          help="archive target URI: dir:<path>, file:<path>, mem:<name>, "
-                              "or vol:k=K,m=M:<member,member,...> (bare paths are "
-                              "deprecated but still accepted)")
-    archive.add_argument("--store", help="storage backend: directory (default), container, "
-                                         "memory, volumes")
+                              "vol:k=K,m=M:<member,member,...>, or a path (an existing "
+                              "directory or a new name without .ule is a directory "
+                              "archive, an existing file or a new *.ule a container)")
     archive.add_argument("--append", action="store_true",
                          help="extend an existing archive at --output instead of "
                               "creating one (writes a superseding manifest one "
@@ -521,9 +510,8 @@ def build_parser() -> argparse.ArgumentParser:
     restore = sub.add_parser("restore", help="restore a saved archive (full or a byte range)")
     restore.add_argument("--input", "-i", required=True,
                          help="archive target URI: dir:<path>, file:<path>, mem:<name>, "
-                              "or vol:<members> (bare paths are deprecated)")
+                              "vol:<members>, or a path")
     restore.add_argument("--output", "-o", required=True, help="file for the restored payload")
-    restore.add_argument("--store", help="storage backend override (auto-detected by default)")
     restore.add_argument("--offset", type=int,
                          help="partial restore: first payload byte to recover")
     restore.add_argument("--length", type=int,
@@ -546,16 +534,14 @@ def build_parser() -> argparse.ArgumentParser:
     restore.set_defaults(handler=_cmd_restore)
 
     inspect = sub.add_parser("inspect", help="summarise a saved archive's manifest")
-    inspect.add_argument("input", help="archive target URI (dir:/file:/mem:/vol:), a bare "
+    inspect.add_argument("input", help="archive target URI (dir:/file:/mem:/vol:), a "
                                       "path, or http(s)://host/archives/<name>")
-    inspect.add_argument("--store", help="storage backend override (auto-detected by default)")
     inspect.add_argument("--json", action="store_true", help="machine-readable summary")
     inspect.set_defaults(handler=_cmd_inspect)
 
     verify = sub.add_parser("verify", help="fsck a saved archive (walks every "
                                            "manifest generation)")
-    verify.add_argument("input", help="archive target URI (dir:/file:/mem:/vol:) or a bare path")
-    verify.add_argument("--store", help="storage backend override (auto-detected by default)")
+    verify.add_argument("input", help="archive target URI (dir:/file:/mem:/vol:) or a path")
     verify.add_argument("--shallow", action="store_true",
                         help="skip the per-segment hash re-decode; only read and "
                              "parse every referenced frame")

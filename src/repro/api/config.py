@@ -23,6 +23,7 @@ from repro.errors import ConfigError, UnknownNameError
 from repro.media.channel import MediaChannel
 from repro.mocoder.mocoder import MOCoder
 from repro.pipeline.executors import parse_executor_spec
+from repro.pipeline.pipeline import ChannelSpec
 from repro.pipeline.segmenter import segment_count
 
 __all__ = ["ArchiveConfig"]
@@ -30,6 +31,13 @@ __all__ = ["ArchiveConfig"]
 #: Valid values for ``decode_mode``: the reference decoders, or the archived
 #: DBCoder decoder under the DynaRisc emulator or the nested VeRisc stack.
 DECODE_MODES = ("python", "dynarisc", "nested")
+
+#: Keys older archives embed in their manifest config, and where each now lives.
+_RETIRED_KEYS = {
+    "store": "spell the backend as the scheme of the target URI (dir:, file:, mem:, vol:)",
+    "volume_parity": "spell the parity volume count as m= in the vol: target URI",
+    "volume_stripe": "spell the stripe depth as stripe= in the vol: target URI",
+}
 
 #: Whether a media profile's channel applies raster distortion profiles,
 #: memoised per profile object so config validation doesn't rebuild a
@@ -87,22 +95,15 @@ class ArchiveConfig:
         Optional distortion-profile name from
         :data:`repro.registry.distortions` overriding the channel's default
         scanner model; ``None`` keeps the channel default.
-    store:
-        Optional storage-backend name from :data:`repro.registry.stores`
-        (``"directory"``, ``"container"``, ``"memory"``, ``"volumes"``) used
-        when a session is given a ``target`` to persist to / read from;
-        ``None`` lets the session infer the backend from the target.
-    volume_parity:
-        Default M (parity volume count) applied when a ``vol:`` target URI
-        omits ``m=``; ignored for non-volume targets.
-    volume_stripe:
-        Default stripe depth (frames per shard per stripe) applied when a
-        ``vol:`` target URI omits ``stripe=``; ignored otherwise.
     scan_seed:
         Seed for the simulated record/scan cycle (reproducible damage).
     payload_kind:
         Recorded in the manifest; ``"sql"`` payloads are reloaded into the
         miniature DBMS at restore time.
+
+    Where an archive lives — its storage backend and, for a volume set, its
+    geometry — is not part of the config: the session's target URI spells
+    it (:mod:`repro.store.target`).
     """
 
     media: str = "test-small"
@@ -116,12 +117,10 @@ class ArchiveConfig:
     distortion: str | None = None
     scan_seed: int | None = None
     payload_kind: str = "binary"
-    store: str | None = None
-    volume_parity: int = 1
-    volume_stripe: int = 1
 
     # ------------------------------------------------------------------ #
     def __post_init__(self) -> None:
+        self._check_types()
         try:
             object.__setattr__(self, "media", registry.media.resolve_name(self.media))
             object.__setattr__(self, "codec", registry.codecs.resolve_name(self.codec))
@@ -130,10 +129,6 @@ class ArchiveConfig:
             if self.distortion is not None:
                 object.__setattr__(
                     self, "distortion", registry.distortions.resolve_name(self.distortion)
-                )
-            if self.store is not None:
-                object.__setattr__(
-                    self, "store", registry.stores.resolve_name(self.store)
                 )
         except UnknownNameError as exc:
             raise ConfigError(str(exc)) from exc
@@ -156,25 +151,51 @@ class ArchiveConfig:
             raise ConfigError(
                 f"decode_mode must be one of {DECODE_MODES}, got {self.decode_mode!r}"
             )
-        if not isinstance(self.decode_parallelism, int) or self.decode_parallelism < 1:
+        if self.decode_parallelism < 1:
             raise ConfigError(
                 f"decode_parallelism must be an integer >= 1, got {self.decode_parallelism!r}"
             )
-        if not isinstance(self.readahead, int) or self.readahead < 0:
+        if self.readahead < 0:
             raise ConfigError(
                 f"readahead must be an integer >= 0, got {self.readahead!r}"
-            )
-        if not isinstance(self.volume_parity, int) or self.volume_parity < 1:
-            raise ConfigError(
-                f"volume_parity must be an integer >= 1, got {self.volume_parity!r}"
-            )
-        if not isinstance(self.volume_stripe, int) or self.volume_stripe < 1:
-            raise ConfigError(
-                f"volume_stripe must be an integer >= 1, got {self.volume_stripe!r}"
             )
         if workers is None and ":" in self.executor:
             # "thread:" with an empty count normalises to the bare name.
             object.__setattr__(self, "executor", name)
+
+    def _check_types(self) -> None:
+        """Reject values of a type the pipeline cannot honour.
+
+        JSON configs arrive untyped: ``"outer_code": "no"`` is truthy, and a
+        ``bool`` is an ``int`` to Python, so both are checked explicitly.
+        """
+        for name in ("segment_size", "decode_parallelism", "readahead", "scan_seed"):
+            value = getattr(self, name)
+            if value is None and name in ("segment_size", "scan_seed"):
+                continue
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.outer_code, bool):
+            raise ConfigError(f"outer_code must be true or false, got {self.outer_code!r}")
+        if not isinstance(self.payload_kind, str):
+            raise ConfigError(f"payload_kind must be a string, got {self.payload_kind!r}")
+
+    @classmethod
+    def _check_keys(cls, fields: dict[str, Any]) -> None:
+        """Reject keys that are not config fields, naming the new spelling of
+        a retired one."""
+        known = {field.name for field in dataclasses.fields(cls)}
+        unknown = sorted(set(fields) - known)
+        retired = [key for key in unknown if key in _RETIRED_KEYS]
+        if retired:
+            raise ConfigError("; ".join(
+                f"config key {key!r} was removed: {_RETIRED_KEYS[key]}" for key in retired
+            ))
+        if unknown:
+            raise ConfigError(
+                f"unknown config keys: {', '.join(unknown)} "
+                f"(valid keys: {', '.join(sorted(known))})"
+            )
 
     # ------------------------------------------------------------------ #
     # Serialisation: a config is plain data and must survive JSON exactly.
@@ -187,6 +208,11 @@ class ArchiveConfig:
     def from_dict(cls, fields: dict[str, Any]) -> "ArchiveConfig":
         """Build (and validate) a config from :meth:`to_dict` output.
 
+        Keys that archives written before the target URI chose the backend
+        and volume geometry still embed (``store``, ``volume_parity``,
+        ``volume_stripe``) are dropped: an existing archive's backend comes
+        from its target and a volume set's geometry from its members.
+
         Raises
         ------
         ConfigError
@@ -194,13 +220,8 @@ class ArchiveConfig:
         """
         if not isinstance(fields, dict):
             raise ConfigError(f"config must be a JSON object, got {type(fields).__name__}")
-        known = {field.name for field in dataclasses.fields(cls)}
-        unknown = sorted(set(fields) - known)
-        if unknown:
-            raise ConfigError(
-                f"unknown config keys: {', '.join(unknown)} "
-                f"(valid keys: {', '.join(sorted(known))})"
-            )
+        fields = {key: value for key, value in fields.items() if key not in _RETIRED_KEYS}
+        cls._check_keys(fields)
         return cls(**fields)
 
     def to_json(self, indent: int | None = 2) -> str:
@@ -218,32 +239,24 @@ class ArchiveConfig:
 
     def replace(self, **changes: Any) -> "ArchiveConfig":
         """A copy with ``changes`` applied (re-validated)."""
+        self._check_keys(changes)
         return dataclasses.replace(self, **changes)
 
     # ------------------------------------------------------------------ #
     # Resolution: names -> live objects.
     # ------------------------------------------------------------------ #
     def media_profile(self) -> MediaProfile:
-        """The resolved media profile, with any distortion override applied."""
-        base = registry.get_media(self.media)
-        if self.distortion is None:
-            return base
-        distortion = registry.get_distortion(self.distortion)
-
-        def channel_with_override() -> MediaChannel:
-            channel = base.channel()
-            channel.distortion = distortion
-            return channel
-
-        return dataclasses.replace(base, channel_factory=channel_with_override)
+        """The resolved media profile (emblem geometry and channel factory)."""
+        return registry.get_media(self.media)
 
     def resolve_codec(self) -> "registry.Codec":
         """The resolved compression codec."""
         return registry.get_codec(self.codec)
 
     def channel(self) -> MediaChannel:
-        """A fresh media channel instance for step 7 (record/scan)."""
-        return self.media_profile().channel()
+        """A fresh media channel for step 7 (record/scan), with any
+        distortion override applied."""
+        return ChannelSpec(self.media, self.distortion).build_channel()
 
     # ------------------------------------------------------------------ #
     def estimate_emblems(self, payload_bytes: int) -> int:

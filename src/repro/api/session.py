@@ -99,8 +99,7 @@ class ArchiveWriter:
         progress: Callable[[SegmentRecord], None] | None = None,
         on_batch: Callable[[EncodedSegment], None] | None = None,
         collect: bool | None = None,
-        target: "str | Path | None" = None,
-        store: str | None = None,
+        target: "str | Path | TargetSpec | None" = None,
         append_base: ArchiveManifest | None = None,
     ):
         self.config = config
@@ -108,24 +107,9 @@ class ArchiveWriter:
         self.progress = progress
         self.on_batch = on_batch
         self.target = target
-        self._store = store
-        #: The parsed target spec every store operation of this session
-        #: routes through — one :func:`repro.store.parse_target` call per
-        #: session, so the bare-path deprecation warns once and ``vol:``
-        #: geometry defaults (``config.volume_parity``/``volume_stripe``)
-        #: apply only when *creating* a volume set (an appended set's
-        #: geometry is read back from the medium instead).
-        self._spec: TargetSpec | None = None
-        if target is not None:
-            self._spec = parse_target(
-                target,
-                store=store if store is not None else config.store,
-                default_store=None if append_base is not None else "directory",
-            )
-            if append_base is None:
-                self._spec = self._spec.with_volume_defaults(
-                    config.volume_parity, config.volume_stripe
-                )
+        #: The parsed target every store operation of this session routes
+        #: through (one :func:`repro.store.parse_target` call per session).
+        self._spec = parse_target(target) if target is not None else None
         #: With ``collect=False`` emblem images are dropped after the
         #: callbacks (and any store sink) run — the bounded-memory mode; the
         #: closed archive then carries the manifest, system emblems and
@@ -364,7 +348,6 @@ def _resolve_config(
 
 def _resolve_append(
     target: "str | Path | TargetSpec",
-    store: str | None,
     config: ArchiveConfig | None,
     overrides: dict[str, object],
 ) -> "tuple[ArchiveConfig, ArchiveManifest]":
@@ -378,7 +361,7 @@ def _resolve_append(
     """
     from repro import registry  # lazy: registry imports repro.store
 
-    with open_source(target, store) as source:
+    with open_source(target) as source:
         base = source.manifest()
     if config is None:
         if base.config is not None:
@@ -417,8 +400,7 @@ def open_archive(
     progress: Callable[[SegmentRecord], None] | None = None,
     on_batch: Callable[[EncodedSegment], None] | None = None,
     collect: bool | None = None,
-    target: "str | Path | None" = None,
-    store: str | None = None,
+    target: "str | Path | TargetSpec | None" = None,
     append: bool = False,
     **overrides: object,
 ) -> ArchiveWriter:
@@ -434,12 +416,12 @@ def open_archive(
     batch's images after the callbacks — peak memory then stays bounded by
     the executor window regardless of payload size.
 
-    ``target`` persists the archive through a :mod:`repro.store` backend
-    (``store`` names it explicitly: ``"directory"``, ``"container"``,
-    ``"memory"``; otherwise ``config.store`` or the target's shape decides):
-    frames stream onto the target as they encode and ``collect`` defaults to
-    ``False``, so ``open_archive(..., target="backup.ule", store="container")``
-    writes an arbitrarily large archive in bounded memory.
+    ``target`` persists the archive through the :mod:`repro.store` backend
+    its spelling names (:mod:`repro.store.target`: ``dir:``, ``file:``,
+    ``mem:``, ``vol:`` or a filesystem path): frames stream onto the target
+    as they encode and ``collect`` defaults to ``False``, so
+    ``open_archive(..., target="file:backup.ule")`` writes an arbitrarily
+    large archive in bounded memory.
 
     ``append=True`` *extends* an existing target instead of creating one —
     true incremental backup: the session resumes frame numbering and
@@ -455,20 +437,20 @@ def open_archive(
     if append:
         if target is None:
             raise ArchiveError("open_archive(append=True) needs a target to extend")
-        # Parse once up front so the bare-path deprecation warns a single
-        # time and both the base-manifest read and the writer share one spec.
-        spec = parse_target(target, store=store)
-        config, base = _resolve_append(spec, None, config, overrides)
+        # Parse once up front: the base-manifest read and the writer share
+        # one spec.
+        spec = parse_target(target)
+        config, base = _resolve_append(spec, config, overrides)
         if payload_kind is None:
             payload_kind = base.payload_kind
         return ArchiveWriter(
             config, payload_kind=payload_kind, progress=progress, on_batch=on_batch,
-            collect=collect, target=spec, store=None, append_base=base,
+            collect=collect, target=spec, append_base=base,
         )
     config = _resolve_config(config, overrides)
     return ArchiveWriter(
         config, payload_kind=payload_kind, progress=progress, on_batch=on_batch,
-        collect=collect, target=target, store=store,
+        collect=collect, target=target,
     )
 
 
@@ -476,7 +458,6 @@ def open_restore(
     source: "MicrOlonysArchive | ArchiveSource | str | Path | TargetSpec",
     config: ArchiveConfig | None = None,
     *,
-    store: str | None = None,
     on_segment: Callable[[SegmentRecord], None] | None = None,
     via_channel: bool = False,
     segment_cache: SegmentCacheLike | None = None,
@@ -498,9 +479,9 @@ def open_restore(
 
     ``source`` may be an in-memory :class:`~repro.core.archive.
     MicrOlonysArchive`, an open :class:`~repro.store.ArchiveSource`, or a
-    path/key to a saved archive — a directory, a single-file container, or a
-    ``mem:`` target (``store`` forces the backend; otherwise the layout is
-    sniffed).  Store-backed sessions open *cold*: only the manifest is read
+    target naming a saved archive (a ``dir:``/``file:``/``mem:``/``vol:``
+    URI or a filesystem path, see :mod:`repro.store.target`).  Store-backed
+    sessions open *cold*: only the manifest is read
     up front, so :meth:`ArchiveReader.read_range` /
     :meth:`~ArchiveReader.restore_segment` fetch and decode just the
     segments they need.
@@ -520,7 +501,7 @@ def open_restore(
         archive_source = source
         manifest = archive_source.manifest()
     else:
-        archive_source = open_source(source, store)
+        archive_source = open_source(source)
         manifest = archive_source.manifest()
     if config is None:
         if manifest.config is not None:

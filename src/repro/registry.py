@@ -21,7 +21,8 @@ Five registries ship populated with the built-ins:
   (``serial`` / ``thread`` / ``process`` / ``auto``).
 * :data:`distortions` — named scanner/medium degradation profiles.
 * :data:`stores` — :class:`~repro.store.backends.StorageBackend` archive
-  layouts (``directory`` / ``container`` / ``memory``).
+  layouts (``directory`` / ``container`` / ``memory`` / ``volumes``); a
+  target URI's scheme picks one (:mod:`repro.store.target`).
 
 Lookups are case-insensitive and failures raise
 :class:`~repro.errors.UnknownNameError` with a did-you-mean suggestion.
@@ -419,11 +420,6 @@ stores: Registry[StorageBackend] = Registry("storage backend")
 
 for _store in (DirectoryBackend(), ContainerBackend(), MemoryBackend(), VolumeSetBackend()):
     stores.register(_store.name, _store)
-
-stores.alias("dir", DirectoryBackend.name)
-stores.alias("file", ContainerBackend.name)
-stores.alias("mem", MemoryBackend.name)
-stores.alias("vol", VolumeSetBackend.name)
 
 
 def get_store(name: "str | StorageBackend") -> StorageBackend:

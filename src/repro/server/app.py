@@ -434,7 +434,7 @@ class ReproServer:
         begin = functools.partial(
             self.repository.begin_upload,
             name,
-            store=request.query.get("store", "container"),
+            layout=request.query.get("store", "container"),
             replace=request.flag("replace"),
             wait=not request.flag("nowait"),
             media=request.query.get("media"),

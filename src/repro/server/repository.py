@@ -5,9 +5,10 @@ plain blocking code (the asyncio front end calls it on worker threads), and
 every rule that keeps concurrent tenants from corrupting each other lives
 here rather than in the HTTP handlers:
 
-* **naming** — an archive name maps to ``<root>/<name>`` (directory layout)
-  or ``<root>/<name>.ule`` (single-file container); names are validated
-  against a strict pattern, so a request path can never escape the root;
+* **naming** — an archive name maps to the target ``dir:<root>/<name>``
+  (directory layout) or ``file:<root>/<name>.ule`` (single-file
+  container); names are validated against a strict pattern, so a request
+  path can never escape the root;
 * **writer locking** — each archive has one :class:`threading.Lock`; uploads
   and appends hold it for their whole session, so concurrent writers
   *serialize* (or fail fast with :class:`~repro.errors.ArchiveBusyError`
@@ -156,13 +157,13 @@ class WriteSession:
         name: str,
         state: _ArchiveState,
         writer: ArchiveWriter,
-        store: str,
+        layout: str,
     ):
         self._repository = repository
         self._name = name
         self._state = state
         self._writer = writer
-        self._store = store
+        self._layout = layout
         self._bytes_in = 0
         self._done = False
 
@@ -191,7 +192,7 @@ class WriteSession:
         manifest = archive.manifest
         return {
             "name": self._name,
-            "store": self._store,
+            "store": self._layout,
             "generation": manifest.generation,
             "payload_bytes": manifest.archive_bytes,
             "payload_crc32": manifest.archive_crc32,
@@ -237,17 +238,21 @@ class ArchiveRepository:
     # ------------------------------------------------------------------ #
     # Name / target resolution
     # ------------------------------------------------------------------ #
-    def _existing(self, name: str) -> "tuple[Path, str] | None":
-        """The (target, store) of an existing archive, or ``None``."""
-        directory = self.root / name
-        if (directory / MANIFEST_NAME).exists():
-            return directory, "directory"
-        container = self.root / f"{name}{_CONTAINER_SUFFIX}"
-        if container.is_file():
-            return container, "container"
+    def _target(self, name: str, layout: str) -> str:
+        """The target URI of archive ``name`` in ``layout``."""
+        if layout == "container":
+            return f"file:{self.root / name}{_CONTAINER_SUFFIX}"
+        return f"dir:{self.root / name}"
+
+    def _existing(self, name: str) -> "tuple[str, str] | None":
+        """The (target URI, layout) of an existing archive, or ``None``."""
+        if (self.root / name / MANIFEST_NAME).exists():
+            return self._target(name, "directory"), "directory"
+        if (self.root / f"{name}{_CONTAINER_SUFFIX}").is_file():
+            return self._target(name, "container"), "container"
         return None
 
-    def _resolve(self, name: str) -> "tuple[Path, str]":
+    def _resolve(self, name: str) -> "tuple[str, str]":
         located = self._existing(validate_archive_name(name))
         if located is None:
             raise ArchiveNotFoundError(f"no archive named {name!r} in {self.root}")
@@ -262,7 +267,7 @@ class ArchiveRepository:
             return state
 
     def _open_reader(self, name: str) -> ArchiveReader:
-        target, _store = self._resolve(name)
+        target, _layout = self._resolve(name)
         return open_restore(
             target, segment_cache=self.cache, **self._reader_overrides
         )
@@ -285,21 +290,23 @@ class ArchiveRepository:
         self,
         name: str,
         *,
-        store: str = "container",
+        layout: str = "container",
         replace: bool = False,
         wait: bool = True,
         **config_fields: object,
     ) -> WriteSession:
         """Start a fresh-archive upload session (holds the writer lock).
 
-        ``store`` picks the layout (``container`` default, ``directory``);
-        an existing archive under ``name`` is refused unless ``replace`` is
-        true *and* the layouts agree (container targets truncate cleanly).
+        ``layout`` (the HTTP ``store`` parameter) picks the target:
+        ``container`` (default) writes ``file:<root>/<name>.ule``,
+        ``directory`` writes ``dir:<root>/<name>``.  An existing archive
+        under ``name`` is refused unless ``replace`` is true *and* the
+        layouts agree (container targets truncate cleanly).
         """
         validate_archive_name(name)
-        if store not in ("container", "directory"):
+        if layout not in ("container", "directory"):
             raise BadRequestError(
-                f"store {store!r} not servable; use 'container' or 'directory'"
+                f"store {layout!r} not servable; use 'container' or 'directory'"
             )
         state = self._state(name)
         self._acquire_writer(name, state, wait)
@@ -311,41 +318,36 @@ class ArchiveRepository:
                         f"archive {name!r} already exists; append to it or "
                         "pass replace=1 to overwrite"
                     )
-                if located[1] != store:
+                if located[1] != layout:
                     raise BadRequestError(
                         f"archive {name!r} already uses the {located[1]!r} "
-                        f"layout; cannot replace it with {store!r}"
+                        f"layout; cannot replace it with {layout!r}"
                     )
-                if store == "directory":
+                if layout == "directory":
                     raise BadRequestError(
                         f"archive {name!r} uses the directory layout, which "
                         "does not support in-place replace; delete it first"
                     )
-            target = (
-                self.root / f"{name}{_CONTAINER_SUFFIX}"
-                if store == "container"
-                else self.root / name
-            )
             config = ArchiveConfig(
                 **{key: value for key, value in config_fields.items() if value is not None}  # type: ignore[arg-type]
             )
-            writer = open_archive(config, target=target, store=store)
+            writer = open_archive(config, target=self._target(name, layout))
         except BaseException:
             state.writer_lock.release()
             raise
-        return WriteSession(self, name, state, writer, store)
+        return WriteSession(self, name, state, writer, layout)
 
     def begin_append(self, name: str, *, wait: bool = True) -> WriteSession:
         """Start an append session extending an existing archive."""
         state = self._state(name)
         self._acquire_writer(name, state, wait)
         try:
-            target, store = self._resolve(name)
-            writer = open_archive(target=target, store=store, append=True)
+            target, layout = self._resolve(name)
+            writer = open_archive(target=target, append=True)
         except BaseException:
             state.writer_lock.release()
             raise
-        return WriteSession(self, name, state, writer, store)
+        return WriteSession(self, name, state, writer, layout)
 
     # ------------------------------------------------------------------ #
     # Read side
@@ -371,12 +373,12 @@ class ArchiveRepository:
 
     def inspect(self, name: str) -> dict[str, object]:
         """The archive's manifest summary (no frame is read)."""
-        target, store = self._resolve(name)
+        target, layout = self._resolve(name)
         with open_source(target) as source:
             manifest = source.manifest()
         return {
             "name": name,
-            "store": store,
+            "store": layout,
             "format_version": manifest.format_version,
             "generation": manifest.generation,
             "parent": manifest.parent,
@@ -404,11 +406,11 @@ class ArchiveRepository:
         for name in sorted(names):
             entry: dict[str, object] = {"name": name}
             try:
-                target, store = self._resolve(name)
+                target, layout = self._resolve(name)
                 with open_source(target) as source:
                     manifest = source.manifest()
                 entry.update(
-                    store=store,
+                    store=layout,
                     generation=manifest.generation,
                     payload_bytes=manifest.archive_bytes,
                     segments=max(len(manifest.segments), 1),

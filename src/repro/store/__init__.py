@@ -13,16 +13,18 @@ Three parts, mirroring the tentpole it implements:
   for append) and a random-access
   :class:`~repro.store.backends.ArchiveSource` that always serves the
   *superseding* (newest valid) manifest;
-* :mod:`repro.store.target` — the unified **target-URI grammar**
-  (``dir:`` / ``file:`` / ``mem:`` / ``http(s):`` / ``vol:``), parsed by
-  :func:`parse_target` into a typed :class:`TargetSpec` that every opener
-  below routes through;
+* :mod:`repro.store.target` — the **target-URI grammar** (``dir:`` /
+  ``file:`` / ``mem:`` / ``http(s):`` / ``vol:``, or a filesystem path
+  sniffed by shape), parsed by :func:`parse_target` into a typed
+  :class:`TargetSpec`; the spelling is the only place a backend or a
+  volume geometry is chosen, and every opener below routes through it;
 * :mod:`repro.store.volumes` — **sharded volume sets**: frames striped
   across K data volumes plus M cross-shard Reed-Solomon parity volumes,
   surviving the loss of any M whole members;
 * the helpers below — backend resolution (:func:`open_sink` /
-  :func:`open_append_sink` / :func:`open_source`, with :func:`detect_store`
-  sniffing the layout of an existing target), :func:`manifest_digest` (the
+  :func:`open_append_sink` / :func:`open_source`; a missing target fails
+  inside the backend with a :class:`~repro.errors.StoreError`),
+  :func:`manifest_digest` (the
   parent-pinning hash of the append lineage) and :func:`load_archive` for
   materialising a full :class:`~repro.core.archive.MicrOlonysArchive` from
   any source.
@@ -74,7 +76,6 @@ __all__ = [
     "TargetSpec",
     "VolumeSetSpec",
     "parse_target",
-    "detect_store",
     "open_sink",
     "open_append_sink",
     "open_source",
@@ -89,91 +90,35 @@ __all__ = [
 ]
 
 
-def detect_store(target: "str | Path") -> str:
-    """Sniff which backend an *existing* target belongs to.
-
-    Explicit URI schemes decide directly (``mem:``/``dir:``/``file:``/
-    ``vol:``); for bare targets, directories are ``directory`` archives and
-    regular files are ``container`` archives.
-    """
-    if isinstance(target, str):
-        for prefix, store in (
-            ("vol:", "volumes"),
-            ("mem:", "memory"),
-            ("dir:", "directory"),
-            ("file:", "container"),
-        ):
-            if target.startswith(prefix):
-                return store
-    path = Path(target)
-    if path.is_dir():
-        return "directory"
-    if path.is_file():
-        return "container"
-    raise StoreError(
-        f"{target} does not exist; pass store=... explicitly to create it"
-    )
-
-
-def _backend(store: str) -> StorageBackend:
+def _local(target: "str | Path | TargetSpec") -> "tuple[StorageBackend, str]":
+    """The backend and backend-native target of a *local* archive target."""
     from repro import registry  # lazy: registry imports this package
 
-    return registry.get_store(store)
-
-
-def _local_spec(
-    target: "str | Path | TargetSpec",
-    store: str | None,
-    default_store: str | None,
-) -> TargetSpec:
-    """Parse a target for a *local* opener, rejecting remote URLs."""
-    spec = parse_target(target, store=store, default_store=default_store)
-    if spec.is_remote:
+    spec = parse_target(target)
+    if spec.store is None:
         raise StoreError(
             f"remote target {spec.target!r} cannot be opened as a local "
             "archive; use the repro.server client paths (e.g. `repro inspect`)"
         )
-    return spec
+    return registry.get_store(spec.store), spec.target
 
 
-def open_sink(target: "str | Path | TargetSpec", store: str | None = None) -> ArchiveSink:
-    """Open ``target`` for writing with the backend its spelling names.
-
-    Every spelling routes through :func:`parse_target`; a bare path with no
-    ``store=`` falls back to the ``directory`` backend (behind the bare-path
-    :class:`DeprecationWarning`).
-    """
-    spec = _local_spec(target, store, default_store="directory")
-    assert spec.store is not None  # default_store guarantees it
-    return _backend(spec.store).create(spec.target)
+def open_sink(target: "str | Path | TargetSpec") -> ArchiveSink:
+    """Create a fresh archive at ``target`` with the backend its spelling names."""
+    backend, native = _local(target)
+    return backend.create(native)
 
 
-def open_append_sink(
-    target: "str | Path | TargetSpec", store: str | None = None
-) -> ArchiveSink:
-    """Reopen an *existing* archive target for an incremental append session.
-
-    Unlike :func:`open_sink` the target must already exist, so a bare path's
-    backend comes from the on-disk layout, never a default.
-    """
-    spec = _local_spec(target, store, default_store=None)
-    if spec.store is None:
-        raise StoreError(
-            f"{spec.target} does not exist; pass store=... explicitly to create it"
-        )
-    return _backend(spec.store).append(spec.target)
+def open_append_sink(target: "str | Path | TargetSpec") -> ArchiveSink:
+    """Reopen an *existing* archive target for an incremental append session."""
+    backend, native = _local(target)
+    return backend.append(native)
 
 
-def open_source(
-    target: "str | Path | TargetSpec", store: str | None = None
-) -> ArchiveSource:
-    """Open an existing archive target for reading (layout auto-detected)."""
-    spec = _local_spec(target, store, default_store=None)
-    if spec.store is None:
-        raise StoreError(
-            f"{spec.target} does not exist; pass store=... explicitly to create it"
-        )
-    return _backend(spec.store).open(spec.target)
+def open_source(target: "str | Path | TargetSpec") -> ArchiveSource:
+    """Open an existing archive target for reading."""
+    backend, native = _local(target)
+    return backend.open(native)
 
 
 def manifest_digest(manifest: ArchiveManifest) -> str:
@@ -187,7 +132,7 @@ def manifest_digest(manifest: ArchiveManifest) -> str:
     return hashlib.sha256(manifest.to_json().encode("utf-8")).hexdigest()
 
 
-def load_archive(source: "ArchiveSource | str | Path", store: str | None = None) -> MicrOlonysArchive:
+def load_archive(source: "ArchiveSource | str | Path | TargetSpec") -> MicrOlonysArchive:
     """Materialise a full in-memory archive artefact from any source.
 
     This reads *every* frame the superseding manifest describes — it is the
@@ -196,7 +141,7 @@ def load_archive(source: "ArchiveSource | str | Path", store: str | None = None)
     """
     opened = not isinstance(source, ArchiveSource)
     if opened:
-        source = open_source(source, store)
+        source = open_source(source)
     try:
         manifest = source.manifest()
         return MicrOlonysArchive(

@@ -267,7 +267,10 @@ class StorageBackend:
 class _DirectorySink(ArchiveSink):
     def __init__(self, directory: Path):
         self.directory = directory
-        directory.mkdir(parents=True, exist_ok=True)
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise StoreError(f"{directory}: cannot create directory archive: {exc}") from exc
 
     def put_frame(self, kind: str, index: int, image: np.ndarray) -> None:
         header, raster = pgm_parts(image)
@@ -586,8 +589,11 @@ class _ContainerSink(ArchiveSink):
             self._offset = scan.size
             self._rollback_size = scan.size
         else:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            self._stream = open(path, "wb")
+            try:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                self._stream = open(path, "wb")
+            except OSError as exc:
+                raise StoreError(f"{path}: cannot create container archive: {exc}") from exc
             self._stream.write(CONTAINER_MAGIC)
             self._offset = len(CONTAINER_MAGIC)
 

@@ -1,11 +1,10 @@
-"""Unified target-URI addressing: one front door for every archive target.
+"""Target URIs: the one way to say where an archive lives.
 
-Target spellings had sprawled across the API surface — bare filesystem
-paths (backend sniffed by shape), ``mem:<name>`` strings, an explicit
-``--store``/``store=`` override, and ``http(s)://`` URLs accepted only by
-``inspect``.  A sharded volume set (:mod:`repro.store.volumes`) has no
-legacy spelling at all.  This module gives every spelling one grammar and
-one parser, :func:`parse_target`, which returns a typed :class:`TargetSpec`:
+Every archive target — a session's ``target``, :func:`~repro.api.open_restore`'s
+source, the CLI's ``-o``/``-i``/positional targets and the server's repository
+paths — goes through :func:`parse_target`, which returns a typed
+:class:`TargetSpec`.  The spelling alone picks the storage backend and, for a
+volume set, its geometry:
 
 ``dir:/path/to/archive``
     A ``directory`` backend archive (one PGM file per frame).
@@ -17,24 +16,26 @@ one parser, :func:`parse_target`, which returns a typed :class:`TargetSpec`:
     A remote archive served by :mod:`repro.server` (read-only client paths).
 ``vol:k=4,m=2,stripe=1:/mnt/a,/mnt/b,...``
     A sharded **volume set**: K data + M parity member volumes, each member
-    itself a ``dir:``/``file:``/``mem:`` target (scheme optional — bare
-    members are sniffed by shape).  ``k``/``m``/``stripe`` may be omitted
-    and fall back to the session's :class:`~repro.api.ArchiveConfig`
-    defaults.
+    itself a ``dir:``/``file:``/``mem:`` target or a filesystem path.
+    Omitted options resolve when a set is created (``m=1``, ``stripe=1``,
+    ``k`` = members − ``m``); an existing set's geometry is read back from
+    its members.
+a filesystem path
+    A scheme-less string or a :class:`pathlib.Path`.  An existing directory
+    is a ``directory`` archive and an existing file a ``container``; a new
+    target is a ``container`` when its name ends in ``.ule`` and a
+    ``directory`` otherwise.
 
-Bare paths keep working: a scheme-less string is inferred from the target's
-shape behind a :class:`DeprecationWarning`, and :class:`pathlib.Path`
-objects stay silent (a ``Path`` *is* an explicit filesystem-path spelling —
-only directory-vs-container remains to infer).  Unknown schemes raise the
-registry-style did-you-mean :class:`~repro.errors.UnknownNameError`.
+Unknown schemes raise the registry-style did-you-mean
+:class:`~repro.errors.UnknownNameError`; an empty path or ``mem:`` key and a
+malformed ``vol:`` spec raise :class:`~repro.errors.StoreError`.
 """
 
 from __future__ import annotations
 
 import difflib
 import re
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import StoreError, UnknownNameError
@@ -65,40 +66,51 @@ _SCHEME_RE = re.compile(r"^([A-Za-z][A-Za-z0-9+.-]*):")
 #: Keys legal in a ``vol:`` options segment.
 _VOL_OPTIONS = ("k", "m", "stripe")
 
+#: A ``vol:`` option value: plain ASCII decimal digits (no sign, space or ``_``).
+_DECIMAL_RE = re.compile(r"[0-9]+")
+
+#: Parity volumes and stripe depth of a new set whose URI omits ``m=``/``stripe=``.
+_DEFAULT_PARITY = 1
+_DEFAULT_STRIPE = 1
+
+#: File-name suffix that makes a new scheme-less target a container.
+_CONTAINER_SUFFIX = ".ule"
+
 
 @dataclass(frozen=True)
 class VolumeSetSpec:
     """The parsed geometry of one ``vol:`` target.
 
     ``data``/``parity``/``stripe`` stay ``None`` when the URI omitted them;
-    :meth:`resolved` fills the gaps from session defaults and validates the
-    final shape.
+    :meth:`resolved` fills the gaps and validates the final shape.
     """
 
     #: Member volume targets, in shard order: data volumes first, then
     #: parity volumes.  Each is a ``dir:``/``file:``/``mem:`` target or a
-    #: bare path (sniffed by :func:`parse_member`).
+    #: filesystem path (sniffed by :func:`parse_member`).
     members: tuple[str, ...]
-    #: K — number of data volumes (``None``: derive from ``parity``).
+    #: K — number of data volumes (``None``: members − M).
     data: int | None = None
-    #: M — number of parity volumes (``None``: session default).
+    #: M — number of parity volumes (``None``: members − K, else 1).
     parity: int | None = None
-    #: Frames per shard within one stripe (``None``: session default).
+    #: Frames per shard within one stripe (``None``: 1).
     stripe: int | None = None
 
-    def resolved(self, default_parity: int = 1, default_stripe: int = 1) -> "VolumeSetSpec":
-        """A fully-specified copy, with defaults applied and shape-checked."""
+    def resolved(self) -> "VolumeSetSpec":
+        """A fully-specified, shape-checked copy.
+
+        An omitted ``m`` is what the member list leaves after ``k`` (1 when
+        both are omitted), an omitted ``k`` what it leaves after ``m``, and
+        an omitted ``stripe`` is 1.
+        """
         total = len(self.members)
-        parity = self.parity
         data = self.data
-        if parity is None and data is None:
-            parity = default_parity
+        parity = self.parity
         if parity is None:
-            assert data is not None
-            parity = total - data
+            parity = _DEFAULT_PARITY if data is None else total - data
         if data is None:
             data = total - parity
-        stripe = self.stripe if self.stripe is not None else default_stripe
+        stripe = self.stripe if self.stripe is not None else _DEFAULT_STRIPE
         if data + parity != total:
             raise StoreError(
                 f"volume set lists {total} members but k={data} + m={parity} "
@@ -137,8 +149,7 @@ class TargetSpec:
     #: scheme-less filesystem target.
     scheme: str
     #: Storage-backend registry name (``directory``/``container``/``memory``/
-    #: ``volumes``); ``None`` for remote (``http(s)``) targets and for
-    #: not-yet-existing bare paths whose backend could not be inferred.
+    #: ``volumes``); ``None`` only for remote (``http(s)``) targets.
     store: str | None
     #: The backend-native target (a filesystem path, a ``mem:`` key, a
     #: canonical ``vol:`` URI, or a full URL for remote targets).
@@ -153,29 +164,9 @@ class TargetSpec:
 
     def uri(self) -> str:
         """A canonical URI spelling of this target."""
-        if self.is_remote:
-            return self.target
-        if self.volumes is not None:
-            return self.volumes.uri()
-        if self.scheme == "mem":
-            return self.target if self.target.startswith("mem:") else f"mem:{self.target}"
-        if self.store is not None and self.store in _STORE_SCHEMES:
+        if self.store in ("directory", "container"):
             return f"{_STORE_SCHEMES[self.store]}:{self.target}"
         return self.target
-
-    def with_volume_defaults(self, parity: int, stripe: int) -> "TargetSpec":
-        """A copy whose volume geometry is resolved against session defaults
-        (no-op for non-volume targets)."""
-        if self.volumes is None:
-            return self
-        resolved = self.volumes.resolved(default_parity=parity, default_stripe=stripe)
-        return replace(self, volumes=resolved, target=resolved.uri())
-
-
-def _canonical_store(name: str) -> str:
-    from repro import registry  # lazy: registry imports repro.store
-
-    return registry.stores.resolve_name(name)
 
 
 def _unknown_scheme(scheme: str) -> UnknownNameError:
@@ -184,31 +175,16 @@ def _unknown_scheme(scheme: str) -> UnknownNameError:
     return UnknownNameError("target scheme", scheme, choices, close[0] if close else None)
 
 
-def _infer_path_store(path: Path) -> str | None:
-    """Backend of an existing filesystem target, ``None`` when absent."""
-    if path.is_dir():
+def _sniff_path(path: str) -> str:
+    """The backend of a filesystem target (see the module docs for the rule)."""
+    if not path:
+        raise StoreError("an archive target needs a non-empty path")
+    candidate = Path(path)
+    if candidate.is_dir():
         return "directory"
-    if path.is_file():
+    if candidate.is_file():
         return "container"
-    return None
-
-
-def _check_store_override(spec: TargetSpec, store: str | None, raw: object) -> TargetSpec:
-    """Apply an explicit ``store=`` override, rejecting contradictions."""
-    if store is None:
-        return spec
-    if spec.is_remote:
-        raise StoreError(
-            f"remote target {spec.target!r} is served over HTTP; it has no "
-            f"local storage backend (store={store!r} was passed)"
-        )
-    canonical = _canonical_store(store)
-    if spec.store is not None and spec.store != canonical:
-        raise StoreError(
-            f"target {raw!r} names the {spec.store!r} backend but "
-            f"store={store!r} was passed; drop one of the two spellings"
-        )
-    return replace(spec, store=canonical)
+    return "container" if candidate.name.endswith(_CONTAINER_SUFFIX) else "directory"
 
 
 def _parse_volume_options(text: str) -> dict[str, int]:
@@ -221,12 +197,14 @@ def _parse_volume_options(text: str) -> dict[str, int]:
                 f"unknown volume-set option {key!r} (valid options: "
                 f"{', '.join(_VOL_OPTIONS)})"
             )
-        try:
-            options[key] = int(value)
-        except ValueError:
+        if key in options:
+            raise StoreError(f"volume-set option {key!r} is given more than once")
+        if not _DECIMAL_RE.fullmatch(value):
             raise StoreError(
-                f"volume-set option {key!r} must be an integer, got {value!r}"
-            ) from None
+                f"volume-set option {key!r} must be an integer written in "
+                f"decimal digits, got {value!r}"
+            )
+        options[key] = int(value)
     return options
 
 
@@ -246,12 +224,7 @@ def _parse_volume_spec(rest: str) -> VolumeSetSpec:
             f"{len(members)} in {'vol:' + rest!r}"
         )
     for member in members:
-        match = _SCHEME_RE.match(member)
-        if match and match.group(1).lower() in ("vol", "http", "https"):
-            raise StoreError(
-                f"volume-set member {member!r} uses the {match.group(1)!r} "
-                "scheme; members must be local dir:/file:/mem: targets"
-            )
+        parse_member(member)
     spec = VolumeSetSpec(
         members=members,
         data=options.get("k"),
@@ -266,117 +239,54 @@ def _parse_volume_spec(rest: str) -> VolumeSetSpec:
 def parse_member(raw: str) -> tuple[str, str]:
     """Resolve one volume-set member to ``(backend name, backend target)``.
 
-    Members with an explicit ``dir:``/``file:``/``mem:`` scheme use it; bare
-    members are sniffed silently by shape (existing directory/file, else a
-    ``.ule`` suffix means container, anything else a directory to create).
+    A member is a ``dir:``/``file:``/``mem:`` target or a filesystem path,
+    parsed exactly like a top-level target by :func:`parse_target`.
     """
     match = _SCHEME_RE.match(raw)
-    if match:
-        scheme = match.group(1).lower()
-        if scheme == "mem":
-            return "memory", raw
-        if scheme in ("dir", "file"):
-            return _SCHEME_STORES[scheme], raw[match.end():]
-        raise _unknown_scheme(match.group(1))
-    path = Path(raw)
-    inferred = _infer_path_store(path)
-    if inferred is not None:
-        return inferred, raw
-    return ("container" if raw.endswith(".ule") else "directory"), raw
+    if match and match.group(1).lower() in ("vol", "http", "https"):
+        raise StoreError(
+            f"volume-set member {raw!r} uses the {match.group(1)!r} scheme; "
+            "members must be local dir:/file:/mem: targets"
+        )
+    spec = parse_target(raw)
+    assert spec.store is not None  # every local scheme names a backend
+    return spec.store, spec.target
 
 
-def parse_target(
-    raw: "str | Path | TargetSpec",
-    *,
-    store: str | None = None,
-    default_store: str | None = None,
-) -> TargetSpec:
+def parse_target(raw: "str | Path | TargetSpec") -> TargetSpec:
     """Parse any archive-target spelling into a :class:`TargetSpec`.
 
-    Parameters
-    ----------
-    raw:
-        A target URI string (see the module docs for the grammar), a bare
-        path string (deprecated — infers the backend behind a
-        :class:`DeprecationWarning`), a :class:`~pathlib.Path` (explicit
-        filesystem target, inferred silently), or an already-parsed
-        :class:`TargetSpec` (passed through).
-    store:
-        Optional explicit backend name (the legacy ``store=``/``--store``
-        override).  Suppresses bare-path inference; contradicting an
-        explicit URI scheme raises :class:`~repro.errors.StoreError`.
-    default_store:
-        Backend assumed for a not-yet-existing bare path when nothing else
-        decides (``open_sink`` passes ``"directory"``); ``None`` leaves
-        ``TargetSpec.store`` unset for the caller to reject.
+    ``raw`` is a target URI (see the module docs for the grammar), a
+    filesystem path as a scheme-less string or a :class:`~pathlib.Path`, or
+    an already-parsed :class:`TargetSpec` (passed through).
 
     Raises
     ------
     UnknownNameError
         On an unrecognised URI scheme (with a did-you-mean suggestion).
     StoreError
-        On a malformed ``vol:`` spec or a contradictory ``store=`` override.
+        On an empty path or ``mem:`` key, or a malformed ``vol:`` spec.
     """
     if isinstance(raw, TargetSpec):
-        return _check_store_override(raw, store, raw)
-    if isinstance(raw, Path):
-        inferred = store or _infer_path_store(raw) or default_store
-        spec = TargetSpec(scheme="path", store=None, target=str(raw))
-        return _check_store_override(
-            spec if inferred is None else replace(spec, store=_canonical_store(inferred)),
-            store,
-            raw,
-        )
+        return raw
     text = str(raw)
-    match = _SCHEME_RE.match(text)
-    if match:
-        scheme = match.group(1).lower()
-        rest = text[match.end():]
-        if scheme in ("http", "https"):
-            return _check_store_override(
-                TargetSpec(scheme=scheme, store=None, target=text), store, raw
-            )
-        if scheme == "mem":
-            return _check_store_override(
-                TargetSpec(scheme="mem", store="memory", target=text), store, raw
-            )
-        if scheme in ("dir", "file"):
-            return _check_store_override(
-                TargetSpec(scheme=scheme, store=_SCHEME_STORES[scheme], target=rest),
-                store,
-                raw,
-            )
-        if scheme == "vol":
-            volumes = _parse_volume_spec(rest)
-            return _check_store_override(
-                TargetSpec(
-                    scheme="vol", store="volumes", target=volumes.uri(), volumes=volumes
-                ),
-                store,
-                raw,
-            )
+    match = None if isinstance(raw, Path) else _SCHEME_RE.match(text)
+    if match is None:
+        return TargetSpec(scheme="path", store=_sniff_path(text), target=text)
+    scheme = match.group(1).lower()
+    rest = text[match.end():]
+    if scheme in ("http", "https"):
+        return TargetSpec(scheme=scheme, store=None, target=text)
+    if scheme == "vol":
+        volumes = _parse_volume_spec(rest)
+        return TargetSpec(scheme="vol", store="volumes", target=volumes.uri(), volumes=volumes)
+    if scheme not in _SCHEME_STORES:
         raise _unknown_scheme(match.group(1))
-    # Scheme-less string: the legacy bare-path spelling.
-    if store is not None:
-        canonical = _canonical_store(store)
-        scheme = _STORE_SCHEMES.get(canonical, "path")
-        if canonical == "volumes":
-            raise StoreError(
-                f"store={store!r} needs a vol: target URI naming the member "
-                f"volumes, got the bare path {text!r}"
-            )
-        return TargetSpec(scheme=scheme, store=canonical, target=text)
-    path = Path(text)
-    inferred = _infer_path_store(path) or default_store
-    warnings.warn(
-        f"bare target path {text!r} is deprecated; spell the backend "
-        f"explicitly as a target URI (dir:{text} for a directory archive, "
-        f"file:{text} for a container) or pass store=...",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return TargetSpec(
-        scheme="path",
-        store=None if inferred is None else _canonical_store(inferred),
-        target=text,
-    )
+    if not rest:
+        raise StoreError(
+            f"target {text!r} names no {'key' if scheme == 'mem' else 'path'}"
+        )
+    if scheme == "mem":
+        # The memory backend's native target is the mem:-prefixed key.
+        return TargetSpec(scheme="mem", store="memory", target=f"mem:{rest}")
+    return TargetSpec(scheme=scheme, store=_SCHEME_STORES[scheme], target=rest)

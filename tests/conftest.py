@@ -60,23 +60,23 @@ def make_payload():
 def write_archive():
     """Factory: archive ``payload`` onto a store target, returning the config.
 
-    ``write_archive(target, payload, store=..., media=..., codec=...,
-    segment_size=...)`` creates a fresh archive; ``append=True`` instead
-    extends the existing archive at ``target`` (the target describes itself,
-    exactly like ``open_archive(append=True)``).
+    ``write_archive(target, payload, media=..., codec=..., segment_size=...)``
+    creates a fresh archive at ``target`` (a target URI such as
+    ``f"file:{path}"``, whose scheme picks the backend); ``append=True``
+    instead extends the existing archive at ``target`` (the target describes
+    itself, exactly like ``open_archive(append=True)``).
     """
     from repro.api import ArchiveConfig, open_archive
 
-    def _write(target, payload: bytes, *, store=None, media="test", codec="portable",
+    def _write(target, payload: bytes, *, media="test", codec="portable",
                segment_size=2048, append=False, **overrides) -> ArchiveConfig:
         if append:
-            with open_archive(target=target, store=store, append=True,
-                              **overrides) as writer:
+            with open_archive(target=target, append=True, **overrides) as writer:
                 writer.write(payload)
         else:
             config = ArchiveConfig(media=media, codec=codec,
                                    segment_size=segment_size, **overrides)
-            with open_archive(config, target=target, store=store) as writer:
+            with open_archive(config, target=target) as writer:
                 writer.write(payload)
         return writer.config
 

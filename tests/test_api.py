@@ -93,6 +93,35 @@ class TestArchiveConfig:
         with pytest.raises(ConfigError):
             ArchiveConfig.from_json("{not json")
 
+    @pytest.mark.parametrize("fields", [
+        {"outer_code": "no"},
+        {"outer_code": 0},
+        {"segment_size": "x"},
+        {"segment_size": True},
+        {"scan_seed": "abc"},
+        {"payload_kind": 7},
+        {"decode_parallelism": True},
+        {"readahead": 1.5},
+    ], ids=lambda fields: "-".join(f"{k}={v!r}" for k, v in fields.items()))
+    def test_values_of_the_wrong_type_rejected(self, fields):
+        with pytest.raises(ConfigError, match=next(iter(fields))):
+            ArchiveConfig.from_dict({"media": "test", **fields})
+
+    def test_replace_rejects_unknown_keys(self):
+        with pytest.raises(ConfigError, match="unknown config keys: medai"):
+            ArchiveConfig().replace(medai="paper")
+
+    def test_retired_keys_name_the_target_uri(self):
+        """Stored configs drop the keys the target URI took over; live calls
+        are told where each one went."""
+        old = {"media": "test", "store": "container", "volume_parity": 2,
+               "volume_stripe": 3}
+        assert ArchiveConfig.from_dict(old) == ArchiveConfig(media="test")
+        for key, spelling in (("store", "scheme"), ("volume_parity", "m="),
+                              ("volume_stripe", "stripe=")):
+            with pytest.raises(ConfigError, match=f"{key}.*{spelling}.*target URI"):
+                ArchiveConfig().replace(**{key: old[key]})
+
     def test_distortion_override_reaches_the_channel(self):
         config = ArchiveConfig(media="test", distortion="pristine")
         assert config.channel().distortion.name == "pristine"

@@ -48,6 +48,9 @@ from repro.store import (
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
+#: Backend name -> the target-URI scheme that selects it.
+SCHEMES = {"directory": "dir", "container": "file"}
+
 
 def _quiet_restore(target, **overrides):
     """open_restore with v1/v2 shim warnings silenced (fault tests reread
@@ -82,8 +85,8 @@ class TestAppendEquivalence:
         payload = make_payload(4_000, seed=seed)
         a, b = payload[:split], payload[split:]
         tmp = tmp_path_factory.mktemp("append-eq")
-        target = tmp / ("arch.ule" if store == "container" else "arch")
-        write_archive(target, a, store=store, media=media, codec=codec)
+        target = f"{SCHEMES[store]}:{tmp / 'arch'}"
+        write_archive(target, a, media=media, codec=codec)
         write_archive(target, b, append=True)
 
         manifest = open_source(target).manifest()
@@ -104,12 +107,11 @@ class TestAppendEquivalence:
         same bytes and agree on the whole-archive CRC."""
         payload = make_payload(7_000, seed=77)
         a, b = payload[:4_100], payload[4_100:]
-        suffix = ".ule" if store == "container" else ""
-        appended = tmp_path / f"appended{suffix}"
-        oneshot = tmp_path / f"oneshot{suffix}"
-        write_archive(appended, a, store=store)
+        appended = f"{SCHEMES[store]}:{tmp_path / 'appended'}"
+        oneshot = f"{SCHEMES[store]}:{tmp_path / 'oneshot'}"
+        write_archive(appended, a)
         write_archive(appended, b, append=True)
-        write_archive(oneshot, payload, store=store)
+        write_archive(oneshot, payload)
 
         one = open_restore(oneshot)
         two = open_restore(appended)
@@ -139,8 +141,8 @@ class TestManifestLineage:
     def test_three_generations_chain(self, tmp_path, make_payload, write_archive):
         payload = make_payload(6_000, seed=31)
         parts = (payload[:2_500], payload[2_500:4_200], payload[4_200:])
-        target = tmp_path / "arch.ule"
-        write_archive(target, parts[0], store="container")
+        target = f"file:{tmp_path / 'arch.ule'}"
+        write_archive(target, parts[0])
         write_archive(target, parts[1], append=True)
         write_archive(target, parts[2], append=True)
 
@@ -190,7 +192,9 @@ class TestManifestLineage:
         with pytest.raises(ArchiveError, match="needs a target"):
             open_archive(append=True)
         with pytest.raises(StoreError):
-            open_archive(target=tmp_path / "ghost.ule", store="container", append=True)
+            open_archive(target=f"file:{tmp_path / 'ghost.ule'}", append=True)
+        with pytest.raises(StoreError):
+            open_archive(target=f"dir:{tmp_path / 'ghost'}", append=True)
 
     def test_append_onto_a_v2_archive(self, tmp_path, make_payload, write_archive):
         """A pre-lineage (v2) archive appends through the shim: the new
@@ -210,6 +214,53 @@ class TestManifestLineage:
         assert manifest.generation == 1 and manifest.parent is not None
         assert _quiet_restore(target).read().payload == payload
 
+    #: The config an archive written with ``write_archive``'s defaults
+    #: embedded before the target URI became the only place a backend or a
+    #: volume geometry is chosen: it still carries ``store``,
+    #: ``volume_parity`` and ``volume_stripe``.
+    OLD_CONFIG = {
+        "codec": "portable", "decode_mode": "python", "decode_parallelism": 1,
+        "distortion": None, "executor": "serial", "media": "test-small",
+        "outer_code": True, "payload_kind": "binary", "readahead": 0,
+        "scan_seed": None, "segment_size": 2048,
+        "store": None, "volume_parity": 1, "volume_stripe": 1,
+    }
+
+    @pytest.mark.parametrize("retired", [
+        {},
+        {"store": "container", "volume_parity": 2, "volume_stripe": 3},
+    ], ids=["as-written", "non-default-values"])
+    def test_archive_with_retired_config_keys(self, tmp_path, make_payload,
+                                              write_archive, retired):
+        """Old media: a manifest config carrying the retired keys restores
+        bit-exact, takes an append and verifies, without a warning."""
+        payload = make_payload(5_000, seed=52)
+        directory = tmp_path / "arch"
+        target = f"dir:{directory}"
+        write_archive(target, payload[:3_000])
+        old_config = {**self.OLD_CONFIG, **retired}
+        fields = json.loads((directory / "manifest.json").read_text())
+        fields["config"] = old_config
+        (directory / "manifest.json").write_text(json.dumps(fields, indent=2, sort_keys=True))
+        (directory / "config.json").write_text(
+            json.dumps(old_config, indent=2, sort_keys=True) + "\n"
+        )
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with open_restore(target) as reader:
+                assert reader.read().payload == payload[:3_000]
+            write_archive(target, payload[3_000:], append=True)
+            with open_restore(target) as reader:
+                assert reader.read_range(2_500, 1_000) == payload[2_500:3_500]
+                assert reader.read().payload == payload
+                report = reader.verify()
+        assert report.ok, report.errors
+        assert report.active_generation == 1
+        new_config = open_source(target).manifest().config
+        assert new_config is not None
+        assert not {"store", "volume_parity", "volume_stripe"} & set(new_config)
+
 
 # --------------------------------------------------------------------------- #
 # Fault injection: torn appends on the container backend
@@ -223,7 +274,7 @@ def torn_fixture(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("torn")
     target = tmp / "arch.ule"
     config = ArchiveConfig(media="test", codec="portable", segment_size=2048)
-    with open_archive(config, target=target, store="container") as writer:
+    with open_archive(config, target=f"file:{target}") as writer:
         writer.write(a)
     size_gen0 = target.stat().st_size
     with open_archive(target=target, append=True) as writer:
@@ -378,7 +429,7 @@ class TestScanDegenerateFiles:
         from repro.store import open_sink
 
         path = tmp_path / "torn-header.ule"
-        with open_sink(path, "container") as sink:
+        with open_sink(f"file:{path}") as sink:
             sink.put_text("note", "complete record before the torn header")
         intact_size = path.stat().st_size
         path.write_bytes(path.read_bytes() + tail)
@@ -401,8 +452,8 @@ class TestVerify:
     def test_clean_multi_generation_archive_verifies(self, tmp_path, make_payload,
                                                      write_archive):
         payload = make_payload(5_000, seed=61)
-        target = tmp_path / "arch.ule"
-        write_archive(target, payload[:3_000], store="container")
+        target = f"file:{tmp_path / 'arch.ule'}"
+        write_archive(target, payload[:3_000])
         write_archive(target, payload[3_000:], append=True)
         report = open_restore(target).verify()
         assert report.ok
@@ -479,9 +530,8 @@ class TestAppendCLI:
         (tmp_path / "b.bin").write_bytes(b)
         target = tmp_path / "arch.ule"
 
-        proc = self._run("archive", "-i", str(tmp_path / "a.bin"), "-o", str(target),
-                         "--store", "container", "--media", "test",
-                         "--segment-size", "2048", "--json")
+        proc = self._run("archive", "-i", str(tmp_path / "a.bin"), "-o", f"file:{target}",
+                         "--media", "test", "--segment-size", "2048", "--json")
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["generation"] == 0
 

@@ -1,8 +1,21 @@
-"""Package layering: every ``repro`` subpackage imports on its own.
+"""Package layering: a declared order, and every subpackage imports on its own.
+
+:data:`LAYERS` lists the packages and top-level modules of ``repro`` lowest
+first.  A module-level ``repro.*`` import may only reach its own entry or an
+earlier one, so the import graph between layers stays acyclic.  Imports
+inside a function body run on first call, not at import time, and stay
+allowed in any direction; the library uses them on purpose where a lower
+layer names a higher one at run time:
+
+* ``core``, ``pipeline`` and ``store`` reach :mod:`repro.registry` by name
+  (``from repro import registry`` inside the function that resolves a
+  codec, media profile or backend);
+* ``api`` reaches :mod:`repro.server` in the CLI's ``serve`` command, so
+  plain CLI runs never load the service stack.
 
 An import cycle between package layers only shows when the *first* import in
-a process enters it from the wrong side, so each subpackage is imported in a
-fresh interpreter of its own.
+a process enters it from the wrong side, so each subpackage is also imported
+in a fresh interpreter of its own.
 """
 
 import ast
@@ -51,3 +64,59 @@ def test_core_imports_no_higher_layer():
                 continue
             for module in modules:
                 assert not module.startswith(higher), f"{path.name} imports {module}"
+
+
+#: The package layering, lowest first (packages and top-level modules).
+LAYERS = (
+    "errors", "util", "dynarisc", "verisc", "bootstrap", "dbms", "media",
+    "mocoder", "nested", "dbcoder", "baselines", "core", "pipeline", "store",
+    "registry", "api", "server", "devtools",
+)
+
+
+def _layer(module: str) -> str:
+    """The :data:`LAYERS` entry a dotted ``repro.*`` module name belongs to."""
+    return module.split(".")[1]
+
+
+def _import_time_modules(body: "list[ast.stmt]"):
+    """Every ``repro.*`` module imported when ``body`` runs at import time:
+    function bodies and ``if TYPE_CHECKING:`` blocks are skipped."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.If) and ast.unparse(node.test).endswith("TYPE_CHECKING"):
+            yield from _import_time_modules(node.orelse)
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module:
+            if node.module == "repro":
+                yield from (f"repro.{alias.name}" for alias in node.names)
+            elif node.module.startswith("repro."):
+                yield node.module
+        elif isinstance(node, ast.Import):
+            yield from (
+                alias.name for alias in node.names if alias.name.startswith("repro.")
+            )
+        for field in ("body", "orelse", "finalbody", "handlers"):
+            yield from _import_time_modules(getattr(node, field, []))
+
+
+def test_layers_cover_the_package():
+    entries = {path.stem for path in PACKAGE.glob("*.py")} | {
+        path.parent.name for path in PACKAGE.glob("*/__init__.py")
+    }
+    assert entries - {"__init__", "__main__"} == set(LAYERS)
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_module_level_imports_point_down_the_layers(layer):
+    rank = LAYERS.index(layer)
+    package = PACKAGE / layer
+    paths = sorted(package.rglob("*.py")) if package.is_dir() else [PACKAGE / f"{layer}.py"]
+    for path in paths:
+        for module in _import_time_modules(ast.parse(path.read_text()).body):
+            target = _layer(module)
+            assert LAYERS.index(target) <= rank, (
+                f"{path.relative_to(SRC)} imports {module} at module level, but "
+                f"{target!r} sits above {layer!r} in the layering"
+            )

@@ -132,8 +132,8 @@ def repository(tmp_path):
     repo.close()
 
 
-def _upload(repo, name, payload, *, store="container", **extra):
-    session = repo.begin_upload(name, store=store, media="test", segment_size=2048, **extra)
+def _upload(repo, name, payload, *, layout="container", **extra):
+    session = repo.begin_upload(name, layout=layout, media="test", segment_size=2048, **extra)
     try:
         session.write(payload)
     except BaseException:
@@ -146,7 +146,7 @@ class TestRepository:
     @pytest.mark.parametrize("store", ["container", "directory"])
     def test_upload_then_ranged_reads(self, repository, make_payload, store):
         payload = make_payload(20_000, seed=11)
-        summary = _upload(repository, f"arc-{store}", payload, store=store)
+        summary = _upload(repository, f"arc-{store}", payload, layout=store)
         assert summary["payload_bytes"] == len(payload)
         name = f"arc-{store}"
         data, total = repository.read_range(name, 0, None)
@@ -174,11 +174,11 @@ class TestRepository:
         assert data == replaced
 
     def test_directory_layout_refuses_replace(self, repository, make_payload):
-        _upload(repository, "dirarc", make_payload(2_000, seed=5), store="directory")
+        _upload(repository, "dirarc", make_payload(2_000, seed=5), layout="directory")
         with pytest.raises(BadRequestError):
-            _upload(repository, "dirarc", b"x", store="directory", replace=True)
+            _upload(repository, "dirarc", b"x", layout="directory", replace=True)
         with pytest.raises(BadRequestError):
-            _upload(repository, "dirarc", b"x", store="container", replace=True)
+            _upload(repository, "dirarc", b"x", layout="container", replace=True)
 
     def test_append_visible_to_later_reads(self, repository, make_payload):
         base = make_payload(10_000, seed=6)
@@ -256,8 +256,8 @@ class TestRepository:
             "cont": make_payload(24_000, seed=31),
             "dirs": make_payload(24_000, seed=32),
         }
-        _upload(repository, "cont", payloads["cont"], store="container")
-        _upload(repository, "dirs", payloads["dirs"], store="directory")
+        _upload(repository, "cont", payloads["cont"], layout="container")
+        _upload(repository, "dirs", payloads["dirs"], layout="directory")
         jobs = [
             (name, offset)
             for name in payloads
@@ -275,7 +275,7 @@ class TestRepository:
 
     def test_list_and_stats(self, repository, make_payload):
         _upload(repository, "one", make_payload(2_000, seed=41))
-        _upload(repository, "two", make_payload(2_000, seed=42), store="directory")
+        _upload(repository, "two", make_payload(2_000, seed=42), layout="directory")
         listing = {entry["name"]: entry for entry in repository.list_archives()}
         assert set(listing) == {"one", "two"}
         assert listing["one"]["store"] == "container"
@@ -294,9 +294,9 @@ _HYPO_TOTAL = 20_000
 @pytest.fixture(scope="module")
 def cached_and_plain_readers(tmp_path_factory, write_archive, make_payload):
     """One archive, one cache-backed reader, one plain reader, one truth."""
-    target = tmp_path_factory.mktemp("server-hypo") / "hypo.ule"
+    target = f"file:{tmp_path_factory.mktemp('server-hypo') / 'hypo.ule'}"
     payload = make_payload(_HYPO_TOTAL, seed=77)
-    write_archive(target, payload, store="container", segment_size=1024)
+    write_archive(target, payload, segment_size=1024)
     cache = SegmentCache(budget_bytes=256 * 1024)
     cached = open_restore(target, segment_cache=cache)
     plain = open_restore(target)

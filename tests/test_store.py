@@ -23,16 +23,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import ArchiveConfig, open_restore, registry
+from repro import open_restore, registry
 from repro.core.archive import ArchiveManifest
-from repro.errors import ArchiveError, ConfigError, StoreError, UnknownNameError
+from repro.errors import ArchiveError, StoreError, UnknownNameError
 from repro.store import (
     MANIFEST_FORMAT_VERSION,
     MemoryBackend,
-    detect_store,
     load_archive,
     open_sink,
     open_source,
+    parse_target,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -166,7 +166,7 @@ class TestBackends:
     def test_container_roundtrips_from_the_file_alone(self, tmp_path, make_payload, write_archive):
         payload = make_payload(9_000, seed=4)
         path = tmp_path / "backup.ule"
-        write_archive(path, payload, store="container")
+        write_archive(f"file:{path}", payload)
         assert path.is_file()
         # A single flat file; restoration uses nothing but its bytes.
         reader = open_restore(path)
@@ -175,7 +175,7 @@ class TestBackends:
 
     def test_directory_store_matches_classic_layout(self, tmp_path, make_payload, write_archive):
         payload = make_payload(4_000, seed=5)
-        write_archive(tmp_path / "arch", payload, store="directory")
+        write_archive(f"dir:{tmp_path / 'arch'}", payload)
         names = {p.name for p in (tmp_path / "arch").iterdir()}
         assert {"manifest.json", "bootstrap.txt", "config.json"} <= names
         assert any(name.startswith("data_emblem_") for name in names)
@@ -187,7 +187,7 @@ class TestBackends:
         payload = make_payload(4_000, seed=6)
         try:
             write_archive("mem:store-test", payload)
-            assert detect_store("mem:store-test") == "memory"
+            assert parse_target("mem:store-test").store == "memory"
             reader = open_restore("mem:store-test")
             assert reader.read_range(1_000, 200) == payload[1_000:1_200]
         finally:
@@ -196,18 +196,24 @@ class TestBackends:
             open_source("mem:store-test")
 
     def test_detect_store(self, tmp_path, write_archive):
-        write_archive(tmp_path / "d", b"x" * 100)
-        write_archive(tmp_path / "c.ule", b"x" * 100, store="container")
-        assert detect_store(tmp_path / "d") == "directory"
-        assert detect_store(tmp_path / "c.ule") == "container"
-        with pytest.raises(StoreError, match="does not exist"):
-            detect_store(tmp_path / "ghost")
+        """A bare path to an existing archive names the backend its shape
+        implies; a missing one fails inside the backend it sniffs to."""
+        write_archive(f"dir:{tmp_path / 'd'}", b"x" * 100)
+        write_archive(f"file:{tmp_path / 'c.ule'}", b"x" * 100)
+        assert parse_target(tmp_path / "d").store == "directory"
+        assert parse_target(tmp_path / "c.ule").store == "container"
+        for path in (tmp_path / "d", tmp_path / "c.ule"):
+            source = open_source(path)
+            assert source.manifest().archive_bytes > 0
+            source.close()
+        with pytest.raises(StoreError, match="does not contain an archive manifest"):
+            open_source(tmp_path / "ghost")
 
     def test_container_survives_a_lost_index(self, tmp_path, make_payload, write_archive):
         """A truncated trailer degrades to a linear record scan — loudly."""
         payload = make_payload(5_000, seed=7)
         path = tmp_path / "backup.ule"
-        write_archive(path, payload, store="container")
+        write_archive(f"file:{path}", payload)
         data = path.read_bytes()
         path.write_bytes(data[:-16])  # chop the index trailer off
         with pytest.warns(RuntimeWarning, match="recovered by scanning"):
@@ -219,12 +225,12 @@ class TestBackends:
         """A corrupt (not just missing) trailer index also warns and flags."""
         payload = make_payload(3_000, seed=9)
         path = tmp_path / "backup.ule"
-        write_archive(path, payload, store="container")
+        write_archive(f"file:{path}", payload)
         data = bytearray(path.read_bytes())
         data[-4] ^= 0xFF  # damage the trailer's index magic
         path.write_bytes(bytes(data))
         with pytest.warns(RuntimeWarning, match="recovered by scanning"):
-            source = open_source(path, "container")
+            source = open_source(f"file:{path}")
         assert source.recovered_by_scan
         assert source.manifest().archive_bytes > 0
         source.close()
@@ -232,34 +238,36 @@ class TestBackends:
     def test_intact_container_opens_without_warning(self, tmp_path, make_payload,
                                                     write_archive):
         path = tmp_path / "backup.ule"
-        write_archive(path, make_payload(2_000, seed=3), store="container")
+        write_archive(f"file:{path}", make_payload(2_000, seed=3))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            source = open_source(path, "container")
+            source = open_source(f"file:{path}")
         assert not source.recovered_by_scan
         source.close()
+
+    def test_target_of_the_wrong_shape_fails_cleanly(self, tmp_path):
+        (tmp_path / "file").write_bytes(b"stub")
+        with pytest.raises(StoreError, match="cannot create container archive"):
+            open_sink(f"file:{tmp_path}")
+        with pytest.raises(StoreError, match="cannot create directory archive"):
+            open_sink(f"dir:{tmp_path / 'file'}")
 
     def test_container_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "not-an-archive"
         path.write_bytes(b"P5\n1 1\n255\n\x00")
         with pytest.raises(StoreError, match="bad magic"):
-            open_source(path, "container")
+            open_source(f"file:{path}")
 
     def test_stores_registry(self):
         assert registry.stores.names() == ["container", "directory", "memory", "volumes"]
-        assert registry.get_store("dir").name == "directory"
-        assert registry.get_store("vol").name == "volumes"
+        # The target URI's scheme is the only short spelling of a backend.
+        assert registry.stores.aliases() == {}
         with pytest.raises(UnknownNameError, match="did you mean"):
             registry.get_store("contaner")
 
-    def test_config_store_field_validates(self):
-        assert ArchiveConfig(store="file").store == "container"
-        with pytest.raises(ConfigError):
-            ArchiveConfig(store="cloud")
-
     def test_load_archive_from_any_target(self, tmp_path, make_payload, write_archive):
         payload = make_payload(3_000, seed=8)
-        write_archive(tmp_path / "c.ule", payload, store="container")
+        write_archive(f"file:{tmp_path / 'c.ule'}", payload)
         archive = load_archive(tmp_path / "c.ule")
         assert archive.manifest.archive_bytes == len(payload)
         assert len(archive.data_emblem_images) == archive.manifest.data_emblem_count
@@ -283,10 +291,10 @@ class TestBufferedContainerSink:
         frames = self._frames(9)
         batched = tmp_path / "batched.ule"
         looped = tmp_path / "looped.ule"
-        with open_sink(batched, "container") as sink:
+        with open_sink(f"file:{batched}") as sink:
             sink.put_frames("data", 0, frames)
             sink.put_text("note", "same bytes either way")
-        with open_sink(looped, "container") as sink:
+        with open_sink(f"file:{looped}") as sink:
             for index, frame in enumerate(frames):
                 sink.put_frame("data", index, frame)
             sink.put_text("note", "same bytes either way")
@@ -303,20 +311,20 @@ class TestBufferedContainerSink:
             system_emblem_count=0,
         )
         targets = [
-            ("directory", tmp_path / "arch-dir"),
-            ("container", tmp_path / "arch.ule"),
-            ("memory", "mem:test-put-frames"),
+            f"dir:{tmp_path / 'arch-dir'}",
+            f"file:{tmp_path / 'arch.ule'}",
+            "mem:test-put-frames",
         ]
         try:
-            for store, target in targets:
-                with open_sink(target, store) as sink:
+            for target in targets:
+                with open_sink(target) as sink:
                     sink.put_frames("data", 0, frames)
                     sink.put_manifest(manifest)
-                source = open_source(target, store)
+                source = open_source(target)
                 got = source.get_frames("data", 0, len(frames))
                 assert len(got) == len(frames)
                 for want, have in zip(frames, got):
-                    assert np.array_equal(want, have), store
+                    assert np.array_equal(want, have), target
                 source.close()
         finally:
             MemoryBackend.discard("mem:test-put-frames")
@@ -327,10 +335,10 @@ class TestBufferedContainerSink:
         from repro.store import open_append_sink
 
         target = tmp_path / "backup.ule"
-        with open_sink(target, "container") as sink:
+        with open_sink(f"file:{target}") as sink:
             sink.put_frames("data", 0, self._frames(3))
         before = target.read_bytes()
-        sink = open_append_sink(target, "container")
+        sink = open_append_sink(f"file:{target}")
         sink.put_frames("data", 3, self._frames(2, seed=9))
         sink.put_text("extra", "never reaches the medium")  # still pending
         sink.abort()
@@ -338,7 +346,7 @@ class TestBufferedContainerSink:
 
     def test_closed_sink_rejects_further_records(self, tmp_path):
         target = tmp_path / "closed.ule"
-        sink = open_sink(target, "container")
+        sink = open_sink(f"file:{target}")
         sink.put_frames("data", 0, self._frames(1))
         sink.close()
         with pytest.raises(StoreError, match="closed"):
@@ -355,8 +363,8 @@ class TestPartialRestore:
     def test_read_range_equals_full_restore_slice(self, tmp_path, media, codec,
                                                   make_payload, write_archive):
         payload = make_payload(6_000, seed=11)
-        target = tmp_path / f"{media}-{codec}.ule"
-        write_archive(target, payload, store="container", media=media, codec=codec)
+        target = f"file:{tmp_path / f'{media}-{codec}.ule'}"
+        write_archive(target, payload, media=media, codec=codec)
         full = open_restore(target).read().payload
         assert full == payload
         reader = open_restore(target)
@@ -386,8 +394,8 @@ class TestPartialRestore:
                                                            write_archive):
         """The acceptance criterion: partial < full, measured in frames."""
         payload = make_payload(8_192, seed=13)
-        target = tmp_path / "arch.ule"
-        write_archive(target, payload, store="container")
+        target = f"file:{tmp_path / 'arch.ule'}"
+        write_archive(target, payload)
 
         full_result = open_restore(target).read()
         full_frames = full_result.data_report.emblems_seen
@@ -403,8 +411,8 @@ class TestPartialRestore:
     def test_read_range_parallel_executor_matches_serial(self, tmp_path, make_payload,
                                                          write_archive):
         payload = make_payload(8_192, seed=14)
-        target = tmp_path / "arch.ule"
-        write_archive(target, payload, store="container")
+        target = f"file:{tmp_path / 'arch.ule'}"
+        write_archive(target, payload)
         serial = open_restore(target, executor="serial").read_range(1_000, 6_000)
         threaded = open_restore(target, executor="thread:2").read_range(1_000, 6_000)
         assert serial == threaded == payload[1_000:7_000]
@@ -522,9 +530,8 @@ class TestStoreCLI:
         target = tmp_path / "backup.ule"
 
         proc = self._run(
-            "archive", "-i", str(payload_path), "-o", str(target),
-            "--store", "container", "--media", "test", "--segment-size", "2048",
-            "--json",
+            "archive", "-i", str(payload_path), "-o", f"file:{target}",
+            "--media", "test", "--segment-size", "2048", "--json",
         )
         assert proc.returncode == 0, proc.stderr
         summary = json.loads(proc.stdout)
@@ -570,8 +577,8 @@ class TestStoreCLI:
         payload_path.write_bytes(b"recovered index probe " * 120)
         target = tmp_path / "backup.ule"
         proc = self._run(
-            "archive", "-i", str(payload_path), "-o", str(target),
-            "--store", "container", "--media", "test",
+            "archive", "-i", str(payload_path), "-o", f"file:{target}",
+            "--media", "test",
         )
         assert proc.returncode == 0, proc.stderr
 

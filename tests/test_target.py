@@ -1,13 +1,14 @@
-"""The unified target-URI grammar: one parser for every archive spelling.
+"""The target-URI grammar: one parser for every archive spelling.
 
 :func:`repro.store.parse_target` is the single front door through which
 ``open_archive`` / ``open_restore`` / the CLI / the server route every
-target.  These tests pin the grammar itself: each scheme parses to the
-right backend, legacy bare-path spellings keep working behind a
-:class:`DeprecationWarning`, unknown schemes raise the registry-style
-did-you-mean error, contradictions between a URI scheme and an explicit
-``store=`` override fail loudly, and the ``vol:`` sub-grammar validates
-its geometry eagerly.
+target, and the only place a backend or a volume geometry is chosen.  These
+tests pin the grammar itself: each scheme parses to the right backend,
+filesystem paths (strings, Paths and bare ``vol:`` members alike) sniff by
+one silent rule, hostile input is rejected with ``StoreError`` before
+anything touches the disk, unknown schemes raise the registry-style
+did-you-mean error, the retired ``store=``-style keywords point at the URI
+spelling, and the ``vol:`` sub-grammar validates its geometry eagerly.
 """
 
 from __future__ import annotations
@@ -81,33 +82,41 @@ class TestSchemes:
 
 
 # --------------------------------------------------------------------------- #
-# Legacy spellings: bare strings warn, Paths stay silent
+# The pre-URI spellings: strings and Paths are silent filesystem paths, sniffed
+# by one rule that bare vol: members share
 # --------------------------------------------------------------------------- #
 class TestLegacySpellings:
-    def test_bare_string_warns_and_infers_directory(self, tmp_path):
-        target = tmp_path / "archive"
-        target.mkdir()
-        with pytest.warns(DeprecationWarning, match="bare target path"):
-            spec = parse_target(str(target))
-        assert spec.store == "directory"
-        assert spec.target == str(target)
+    #: (what is on disk, the target's name, the backend it sniffs to).
+    CASES = [
+        ("dir", "archive", "directory"),
+        ("file", "archive", "container"),
+        ("dir", "archive.ule", "directory"),
+        ("file", "archive.bin", "container"),
+        (None, "archive", "directory"),
+        (None, "archive.ule", "container"),
+    ]
 
-    def test_bare_string_warns_and_infers_container(self, tmp_path):
-        target = tmp_path / "archive.ule"
-        target.write_bytes(b"stub")
-        with pytest.warns(DeprecationWarning):
-            spec = parse_target(str(target))
-        assert spec.store == "container"
-
-    def test_missing_bare_string_falls_back_to_default_store(self, tmp_path):
-        with pytest.warns(DeprecationWarning):
-            spec = parse_target(str(tmp_path / "new"), default_store="directory")
-        assert spec.store == "directory"
-
-    def test_missing_bare_string_without_default_has_no_store(self, tmp_path):
-        with pytest.warns(DeprecationWarning):
-            spec = parse_target(str(tmp_path / "new"))
-        assert spec.store is None
+    @pytest.mark.parametrize("existing,name,store", CASES, ids=[
+        "existing-dir", "existing-file", "existing-dir-named-ule",
+        "existing-file-without-ule", "new-name", "new-ule",
+    ])
+    def test_paths_sniff_alike(self, tmp_path, existing, name, store):
+        """An existing directory is a directory archive, an existing file a
+        container; a new target is a container exactly when its name ends
+        in .ule.  A str, a Path and a bare vol: member agree, silently."""
+        target = tmp_path / name
+        if existing == "dir":
+            target.mkdir()
+        elif existing == "file":
+            target.write_bytes(b"stub")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            from_str = parse_target(str(target))
+            from_path = parse_target(target)
+            member = parse_member(str(target))
+        assert from_str == from_path == TargetSpec("path", store, str(target))
+        assert member == (store, str(target))
+        assert from_str.uri() == f"{'dir' if store == 'directory' else 'file'}:{target}"
 
     def test_path_objects_do_not_warn(self, tmp_path):
         target = tmp_path / "archive"
@@ -118,38 +127,91 @@ class TestLegacySpellings:
         assert spec.store == "directory"
         assert spec.target == str(target)
 
-    def test_explicit_store_suppresses_the_warning(self, tmp_path):
+    def test_missing_bare_string_falls_back_to_default_store(self, tmp_path):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            spec = parse_target(str(tmp_path / "new"), store="directory")
+            spec = parse_target(str(tmp_path / "new"))
         assert spec.store == "directory"
-
-    def test_store_aliases_resolve(self, tmp_path):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert parse_target(str(tmp_path), store="dir").store == "directory"
-            assert parse_target(str(tmp_path), store="file").store == "container"
 
 
 # --------------------------------------------------------------------------- #
-# store= override interactions
+# The removed store= override: the target URI is the only backend spelling
 # --------------------------------------------------------------------------- #
 class TestStoreOverride:
-    def test_matching_override_is_accepted(self):
-        spec = parse_target("dir:/tmp/archive", store="directory")
-        assert spec.store == "directory"
+    def test_conflicting_override_is_rejected(self, tmp_path):
+        from repro.api import open_archive
+        from repro.errors import ConfigError
 
-    def test_conflicting_override_is_rejected(self):
-        with pytest.raises(StoreError, match="drop one of the two spellings"):
-            parse_target("dir:/tmp/archive", store="container")
+        with pytest.raises(ConfigError, match="scheme of the target URI"):
+            open_archive(target=f"dir:{tmp_path / 'archive'}", store="container")
+        assert not (tmp_path / "archive").exists()
+
+    @pytest.mark.parametrize("key", ["store", "volume_parity", "volume_stripe"])
+    def test_retired_keywords_name_the_target_uri(self, tmp_path, key, make_payload,
+                                                  write_archive):
+        """``store=`` and the volume-geometry keywords are gone: the target
+        URI spells them, and passing one says so instead of a TypeError."""
+        from repro.api import open_archive, open_restore
+        from repro.errors import ConfigError
+
+        with pytest.raises(ConfigError, match="target URI"):
+            open_archive(target=f"dir:{tmp_path / 'new'}", **{key: 1})
+        assert not (tmp_path / "new").exists()
+        existing = f"dir:{tmp_path / 'old'}"
+        write_archive(existing, make_payload(500, seed=80))
+        with pytest.raises(ConfigError, match="target URI"):
+            open_archive(target=existing, append=True, **{key: 1})
+        with pytest.raises(ConfigError, match="target URI"):
+            open_restore(existing, **{key: 1})
 
     def test_remote_target_rejects_any_store(self):
-        with pytest.raises(StoreError, match="served over HTTP"):
-            parse_target("http://localhost/archives/x", store="directory")
+        from repro.store import open_sink, open_source
+
+        spec = parse_target("http://localhost/archives/x")
+        assert spec.is_remote and spec.store is None
+        for opener in (open_sink, open_source):
+            with pytest.raises(StoreError, match="remote target"):
+                opener(spec)
 
     def test_volumes_store_needs_a_vol_uri(self, tmp_path):
+        from repro import registry
+
         with pytest.raises(StoreError, match="needs a vol: target URI"):
-            parse_target(str(tmp_path / "set"), store="volumes")
+            registry.get_store("volumes").create(str(tmp_path / "set"))
+
+
+# --------------------------------------------------------------------------- #
+# Hostile input: validate, then reject with StoreError
+# --------------------------------------------------------------------------- #
+#: (target, message) — each must fail before anything touches the disk.
+HOSTILE_TARGETS = [
+    ("dir:", "names no path"),
+    ("file:", "names no path"),
+    ("mem:", "names no key"),
+    ("", "non-empty path"),
+    ("vol:k=2,m=1:dir:,/b,/c", "names no path"),
+    ("vol:k=3,k=2,m=1:/a,/b,/c", "more than once"),
+    ("vol:k=1_0,m=1:/a,/b", "decimal digits"),
+    ("vol:k= 2,m=1:/a,/b,/c", "decimal digits"),
+    ("vol:k=+2,m=1:/a,/b,/c", "decimal digits"),
+    ("vol:k=2,m=1,stripe=:/a,/b,/c", "decimal digits"),
+]
+
+
+@pytest.mark.parametrize("raw,message", HOSTILE_TARGETS, ids=[
+    "empty-dir", "empty-file", "empty-mem-key", "empty-string", "empty-member",
+    "repeated-option", "underscore-digits", "spaced-digits", "signed-digits",
+    "empty-option",
+])
+def test_hostile_targets_are_rejected(tmp_path, monkeypatch, raw, message):
+    from repro.api import ArchiveConfig, open_archive
+
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(StoreError, match=message):
+        parse_target(raw)
+    with pytest.raises(StoreError, match=message):
+        open_archive(ArchiveConfig(media="test"), target=raw)
+    assert list(tmp_path.iterdir()) == []
 
 
 # --------------------------------------------------------------------------- #
@@ -177,21 +239,23 @@ class TestVolumeGrammar:
         assert spec.volumes.parity is None
         assert spec.volumes.stripe is None
 
-    def test_with_volume_defaults_resolves_geometry(self):
-        spec = parse_target("vol:/mnt/a,/mnt/b,/mnt/c")
-        resolved = spec.with_volume_defaults(parity=1, stripe=2)
-        assert resolved.volumes is not None
-        assert resolved.volumes.data == 2
-        assert resolved.volumes.parity == 1
-        assert resolved.volumes.stripe == 2
+    def test_omitted_geometry_resolves_to_constants(self):
+        volumes = parse_target("vol:/mnt/a,/mnt/b,/mnt/c").volumes
+        assert volumes is not None
+        resolved = volumes.resolved()
+        assert (resolved.data, resolved.parity, resolved.stripe) == (2, 1, 1)
+        assert resolved.members == volumes.members
+        # A spelled-out option is kept; only the omitted ones are filled.
+        resolved = parse_target("vol:stripe=2:/mnt/a,/mnt/b,/mnt/c").volumes.resolved()
+        assert (resolved.data, resolved.parity, resolved.stripe) == (2, 1, 2)
 
     def test_partial_options_fill_from_member_count(self):
-        spec = parse_target("vol:m=2:/a,/b,/c,/d,/e").with_volume_defaults(1, 1)
-        assert spec.volumes is not None
-        assert (spec.volumes.data, spec.volumes.parity) == (3, 2)
-        spec = parse_target("vol:k=3:/a,/b,/c,/d").with_volume_defaults(1, 1)
-        assert spec.volumes is not None
-        assert (spec.volumes.data, spec.volumes.parity) == (3, 1)
+        volumes = parse_target("vol:m=2:/a,/b,/c,/d,/e").volumes
+        assert volumes is not None
+        assert (volumes.resolved().data, volumes.resolved().parity) == (3, 2)
+        volumes = parse_target("vol:k=3:/a,/b,/c,/d").volumes
+        assert volumes is not None
+        assert (volumes.resolved().data, volumes.resolved().parity) == (3, 1)
 
     def test_count_mismatch_is_rejected_eagerly(self):
         with pytest.raises(StoreError, match="must match the member list"):
@@ -255,18 +319,20 @@ class TestApiIntegration:
             with open_restore(uri) as reader:
                 assert reader.read().payload == payload
 
-    def test_legacy_bare_string_still_works_but_warns(self, tmp_path, make_payload):
+    def test_bare_string_paths_round_trip_silently(self, tmp_path, make_payload):
         from repro.api import ArchiveConfig, open_archive, open_restore
 
         payload = make_payload(3_000, seed=78)
-        target = str(tmp_path / "archive")
+        target = tmp_path / "archive.ule"
         config = ArchiveConfig(media="test", segment_size=1024)
-        with pytest.warns(DeprecationWarning, match="bare target path"):
-            with open_archive(config, target=target) as writer:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with open_archive(config, target=str(target)) as writer:
                 writer.write(payload)
-        with pytest.warns(DeprecationWarning, match="bare target path"):
-            with open_restore(target) as reader:
-                assert reader.read().payload == payload
+            assert target.is_file()  # a new *.ule name is a container
+            for spelling in (str(target), f"file:{target}", target):
+                with open_restore(spelling) as reader:
+                    assert reader.read().payload == payload
 
     def test_path_objects_stay_silent_in_open_archive(self, tmp_path, make_payload):
         from repro.api import ArchiveConfig, open_archive, open_restore

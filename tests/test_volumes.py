@@ -322,13 +322,17 @@ class TestSurface:
         with pytest.raises(StoreError, match="original order"):
             open_restore(f"vol:k=2,m=1:{shuffled}")
 
-    def test_config_defaults_supply_geometry(self, tmp_path, make_payload):
-        payload = make_payload(2_000, seed=99)
-        members = ",".join(str(tmp_path / f"vol{index}") for index in range(4))
-        config = ArchiveConfig(media="test", segment_size=1024,
-                               volume_parity=2, volume_stripe=1)
-        with open_archive(config, target=f"vol:{members}") as writer:
-            writer.write(payload)
-        kill_volumes(tmp_path, (0, 3))
-        with open_restore(f"vol:{members}") as reader:
+    def test_omitted_geometry_creates_one_parity_volume(self, tmp_path, make_payload):
+        """A vol: URI without m=/stripe= creates k=N-1, m=1, stripe=1; the
+        set's geometry is then read back from its members, not the URI."""
+        payload = make_payload(3_000, seed=99)
+        uri = "vol:" + ",".join(str(tmp_path / f"vol{index}") for index in range(4))
+        write_volume_archive(uri, payload[:2_000])
+        with open_archive(target=uri, append=True) as writer:
+            writer.write(payload[2_000:])
+        kill_volumes(tmp_path, (1,))
+        with open_restore(uri) as reader:
+            shard_map = reader.manifest.volumes
+            assert shard_map is not None
+            assert (shard_map["data"], shard_map["parity"], shard_map["stripe"]) == (3, 1, 1)
             assert reader.read().payload == payload
