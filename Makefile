@@ -76,8 +76,8 @@ cli-smoke:
 	cmp .cli-smoke/payload.bin .cli-smoke/restored.bin; \
 	$(PYTHON) -m repro profiles --json | $(PYTHON) -c "import json,sys; json.load(sys.stdin)"
 
-## restore smoke: --via-channel through the streaming channel path, with
-## sub-segment parallel decode and readahead partial restore
+## restore smoke: --via-channel through the streaming channel path on a
+## thread pool, and readahead partial restore
 restore-smoke:
 	@set -e; rm -rf .restore-smoke; mkdir .restore-smoke; \
 	trap 'rm -rf .restore-smoke' EXIT; \
@@ -85,7 +85,7 @@ restore-smoke:
 	$(PYTHON) -m repro archive -i .restore-smoke/payload.bin -o file:.restore-smoke/arch.ule \
 		--media test --codec portable --segment-size 2048; \
 	$(PYTHON) -m repro restore -i .restore-smoke/arch.ule -o .restore-smoke/restored.bin \
-		--via-channel --seed 11 --executor thread:2 --decode-parallelism 2; \
+		--via-channel --seed 11 --executor thread:2; \
 	cmp .restore-smoke/payload.bin .restore-smoke/restored.bin; \
 	$(PYTHON) -m repro restore -i .restore-smoke/arch.ule -o .restore-smoke/slice.bin \
 		--offset 1000 --length 2000 --readahead 2; \

@@ -70,6 +70,11 @@ def _make_payload(size: int, seed: int = 20210101) -> bytes:
     return bytes(rng.integers(0, 256, size=size, dtype=np.uint8))
 
 
+#: ``tests/``, whose ``oracles`` package holds the per-emblem renderer and
+#: the LFSR / Horner Reed-Solomon loops the seed-loops row re-installs.
+TESTS_DIR = Path(__file__).resolve().parent.parent / "tests"
+
+
 @contextlib.contextmanager
 def seed_hot_loops():
     """Temporarily restore the seed's implementations of the encode hot loops.
@@ -78,16 +83,22 @@ def seed_hot_loops():
     multiplication-table matrix product, RS syndromes without the Horner
     recurrence, repeat-based emblem rendering, XOR-prefix-scan Manchester);
     this context re-installs seed-equivalent versions so the benchmark can
-    *measure* the optimisation instead of asserting it.
+    *measure* the optimisation instead of asserting it.  The per-emblem
+    renderer, the LFSR encoder and the Horner syndromes are the oracles in
+    ``tests/oracles/``; the kron upscale and the cumulative-sum Manchester
+    encoder are the seed's own.
     """
-    from repro.mocoder import emblem as emblem_mod
+    if str(TESTS_DIR) not in sys.path:
+        sys.path.insert(0, str(TESTS_DIR))
+    from oracles import emblem as emblem_oracle
+    from oracles import reed_solomon as rs_oracle
     from repro.mocoder import mocoder as mocoder_mod
-    from repro.mocoder.emblem import Emblem, WHITE, BLACK
+    from repro.mocoder.emblem import BLACK, WHITE
     from repro.mocoder.reed_solomon import ReedSolomonCode
 
-    def kron_to_image(self):  # the seed's renderer
-        spec = self.spec
-        cells = self._build_cell_grid()
+    def kron_to_image(emblem):  # the seed's renderer
+        spec = emblem.spec
+        cells = emblem_oracle.build_cell_grid(emblem)
         image = np.full((spec.total_cells_y, spec.total_cells_x), WHITE, dtype=np.uint8)
         image[cells == 1] = BLACK
         if spec.cell_pixels > 1:
@@ -110,26 +121,23 @@ def seed_hot_loops():
         return cells
 
     def per_emblem_batch(emblems):  # the seed had no batched renderer
-        return np.stack([emblem.to_image() for emblem in emblems])
+        return np.stack([kron_to_image(emblem) for emblem in emblems])
 
     saved = (
-        Emblem.to_image,
-        emblem_mod.manchester_encode_fast,
+        emblem_oracle.manchester_encode_fast,
         mocoder_mod.render_emblem_batch,
         ReedSolomonCode.encode_blocks,
         ReedSolomonCode.syndromes_blocks,
     )
-    Emblem.to_image = kron_to_image
-    emblem_mod.manchester_encode_fast = cumsum_manchester
+    emblem_oracle.manchester_encode_fast = cumsum_manchester
     mocoder_mod.render_emblem_batch = per_emblem_batch
-    ReedSolomonCode.encode_blocks = ReedSolomonCode._encode_blocks_reference
-    ReedSolomonCode.syndromes_blocks = ReedSolomonCode._syndromes_blocks_reference
+    ReedSolomonCode.encode_blocks = rs_oracle.encode_blocks
+    ReedSolomonCode.syndromes_blocks = rs_oracle.syndromes_blocks
     try:
         yield
     finally:
         (
-            Emblem.to_image,
-            emblem_mod.manchester_encode_fast,
+            emblem_oracle.manchester_encode_fast,
             mocoder_mod.render_emblem_batch,
             ReedSolomonCode.encode_blocks,
             ReedSolomonCode.syndromes_blocks,

@@ -3,10 +3,9 @@
 Measures three restore paths:
 
 1. **sub-segment parallel decode**: a *single huge segment* historically
-   decoded on one core; ``decode_parallelism`` splits its per-image emblem
-   decoding into chunks mapped through the executor, so restore latency for
-   the worst case (one segment = the whole archive) drops toward
-   ``serial / workers``;
+   decoded on one core; a ``thread:N`` executor splits its emblem decoding
+   into up to N chunks, so restore latency for the worst case (one segment
+   = the whole archive) drops toward ``serial / workers``;
 2. **readahead**: ``read_range`` over a store target fetches each covering
    segment's frames lazily, serialising backend I/O in front of decode; a
    prefetching frame source (``readahead`` in :class:`~repro.api.
@@ -85,7 +84,7 @@ class SlowSource(ArchiveSource):
 
 
 def bench_single_segment_decode(payload: bytes, parallelisms: list[int]) -> dict:
-    """One-shot archive (a single huge segment) vs. decode_parallelism."""
+    """One-shot archive (a single huge segment) vs. executor worker count."""
     config = ArchiveConfig(media="test", codec="store", segment_size=None)
     with open_archive(config) as writer:
         writer.write(payload)
@@ -101,12 +100,8 @@ def bench_single_segment_decode(payload: bytes, parallelisms: list[int]) -> dict
         # table construction and allocator warm-up into the one number the
         # regression gate pins.
         elapsed = None
-        with open_restore(
-            archive,
-            config,
-            executor=f"thread:{parallelism}" if parallelism > 1 else "serial",
-            decode_parallelism=parallelism,
-        ) as reader:
+        executor = f"thread:{parallelism}" if parallelism > 1 else "serial"
+        with open_restore(archive, config, executor=executor) as reader:
             for _ in range(_TIMING_RUNS):
                 start = time.perf_counter()
                 result = reader.read()
@@ -114,7 +109,7 @@ def bench_single_segment_decode(payload: bytes, parallelisms: list[int]) -> dict
                 assert result.payload == payload
                 elapsed = run if elapsed is None else min(elapsed, run)
         baseline = baseline if baseline is not None else elapsed
-        label = f"decode_parallelism={parallelism}"
+        label = f"executor={executor}"
         print(f"  {label:<24} {elapsed:6.2f} s  "
               f"{len(payload) / 1e6 / elapsed:5.2f} MB/s  "
               f"({baseline / elapsed:4.2f}x vs serial)")

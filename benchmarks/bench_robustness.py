@@ -11,8 +11,8 @@ from repro.baselines import SimpleBarcode
 from repro.core.profiles import TEST_PROFILE
 from repro.errors import MOCoderError, ReproError
 from repro.media.distortions import DistortionProfile
-from repro.mocoder import Emblem, EmblemKind, MOCoder
-from repro.mocoder.emblem import build_emblem
+from repro.mocoder import EmblemKind, MOCoder
+from repro.mocoder.emblem import build_emblem, decode_image_batch
 from repro.mocoder.reed_solomon import INNER_CODE
 
 from conftest import report
@@ -78,11 +78,8 @@ def test_emblem_vs_barcode_under_scanner_damage(benchmark):
     barcode_image = barcode.encode(payload[:1000])
 
     def emblem_survives(profile):
-        try:
-            decoded, _ = Emblem.from_image(spec, profile.apply(emblem_image))
-            return decoded.payload == payload
-        except MOCoderError:
-            return False
+        [outcome] = decode_image_batch(spec, [profile.apply(emblem_image)])
+        return not isinstance(outcome, MOCoderError) and outcome[0].payload == payload
 
     def barcode_survives(profile):
         try:

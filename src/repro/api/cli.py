@@ -139,7 +139,7 @@ def _cmd_archive(args: argparse.Namespace) -> int:
 
 def _cmd_restore(args: argparse.Namespace) -> int:
     overrides = {}
-    for key in ("decode_mode", "executor", "distortion", "decode_parallelism", "readahead"):
+    for key in ("decode_mode", "executor", "distortion", "readahead"):
         value = getattr(args, key, None)
         if value is not None:
             overrides[key] = value
@@ -519,9 +519,8 @@ def build_parser() -> argparse.ArgumentParser:
     restore.add_argument("--decode-mode", dest="decode_mode",
                          choices=["python", "dynarisc", "nested"],
                          help="restoration fidelity (default: python)")
-    restore.add_argument("--executor", help="executor spec for segmented decode")
-    restore.add_argument("--decode-parallelism", dest="decode_parallelism", type=int,
-                         help="sub-segment decode jobs per segment (default 1)")
+    restore.add_argument("--executor", help="executor spec for segmented decode "
+                                            "(thread:N also splits large segments N ways)")
     restore.add_argument("--readahead", type=int,
                          help="partial restore: segments of frames to prefetch "
                               "from the backend while decoding (default 0)")

@@ -37,6 +37,10 @@ _RETIRED_KEYS = {
     "store": "spell the backend as the scheme of the target URI (dir:, file:, mem:, vol:)",
     "volume_parity": "spell the parity volume count as m= in the vol: target URI",
     "volume_stripe": "spell the stripe depth as stripe= in the vol: target URI",
+    "decode_parallelism": (
+        "a segment's decode now splits across the executor's workers; "
+        'pass executor="thread:N" (or "process:N")'
+    ),
 }
 
 #: Whether a media profile's channel applies raster distortion profiles,
@@ -71,6 +75,8 @@ class ArchiveConfig:
     executor:
         Pipeline executor spec: a registry name optionally suffixed with a
         worker count (``"serial"``, ``"thread:4"``, ``"process"``, ``"auto"``).
+        Restore splits a segment of at least ``2 * MIN_DECODE_CHUNK``
+        frames into up to that many decode jobs.
     outer_code:
         Whether MOCoder adds the 17+3 inter-emblem parity groups.
     segment_size:
@@ -79,11 +85,6 @@ class ArchiveConfig:
     decode_mode:
         Restoration fidelity: ``"python"`` (reference decoders),
         ``"dynarisc"`` or ``"nested"`` (emulated decoders).
-    decode_parallelism:
-        Sub-segment restore parallelism: each segment's emblem-image
-        decoding is split into up to this many contiguous chunks mapped
-        through the executor, so even a single huge segment decodes in
-        parallel.  ``1`` (the default) keeps one decode job per segment.
     readahead:
         Partial-restore prefetch depth: during
         :meth:`~repro.api.ArchiveReader.read_range` /
@@ -112,7 +113,6 @@ class ArchiveConfig:
     outer_code: bool = True
     segment_size: int | None = None
     decode_mode: str = "python"
-    decode_parallelism: int = 1
     readahead: int = 0
     distortion: str | None = None
     scan_seed: int | None = None
@@ -151,10 +151,6 @@ class ArchiveConfig:
             raise ConfigError(
                 f"decode_mode must be one of {DECODE_MODES}, got {self.decode_mode!r}"
             )
-        if self.decode_parallelism < 1:
-            raise ConfigError(
-                f"decode_parallelism must be an integer >= 1, got {self.decode_parallelism!r}"
-            )
         if self.readahead < 0:
             raise ConfigError(
                 f"readahead must be an integer >= 0, got {self.readahead!r}"
@@ -169,7 +165,7 @@ class ArchiveConfig:
         JSON configs arrive untyped: ``"outer_code": "no"`` is truthy, and a
         ``bool`` is an ``int`` to Python, so both are checked explicitly.
         """
-        for name in ("segment_size", "decode_parallelism", "readahead", "scan_seed"):
+        for name in ("segment_size", "readahead", "scan_seed"):
             value = getattr(self, name)
             if value is None and name in ("segment_size", "scan_seed"):
                 continue
@@ -208,10 +204,10 @@ class ArchiveConfig:
     def from_dict(cls, fields: dict[str, Any]) -> "ArchiveConfig":
         """Build (and validate) a config from :meth:`to_dict` output.
 
-        Keys that archives written before the target URI chose the backend
-        and volume geometry still embed (``store``, ``volume_parity``,
-        ``volume_stripe``) are dropped: an existing archive's backend comes
-        from its target and a volume set's geometry from its members.
+        Keys that archives written by earlier releases still embed
+        (:data:`_RETIRED_KEYS`) are dropped: an existing archive's backend
+        comes from its target, a volume set's geometry from its members,
+        and restore chunking from the session's executor.
 
         Raises
         ------
@@ -288,8 +284,6 @@ class ArchiveConfig:
             parts.append(f"distortion={self.distortion}")
         if self.decode_mode != "python":
             parts.append(f"decode_mode={self.decode_mode}")
-        if self.decode_parallelism != 1:
-            parts.append(f"decode_parallelism={self.decode_parallelism}")
         if self.readahead:
             parts.append(f"readahead={self.readahead}")
         return " ".join(parts)

@@ -41,7 +41,6 @@ from repro.pipeline.pipeline import (
     DecodedSegment,
     RestorePipeline,
     merge_reports,
-    resolve_decode_executor,
 )
 from repro.store import (
     BOOTSTRAP_NAME,
@@ -286,15 +285,8 @@ class ArchiveReader:
     def _pipeline(self, channel: ChannelSpec | None = None) -> RestorePipeline:
         """A restore pipeline over the session's executor (built once)."""
         if self._executor is None:
-            self._executor = get_executor(
-                resolve_decode_executor(self.config.executor, self.config.decode_parallelism)
-            )
-        return RestorePipeline(
-            self._profile,
-            executor=self._executor,
-            channel=channel,
-            decode_parallelism=self.config.decode_parallelism,
-        )
+            self._executor = get_executor(self.config.executor)
+        return RestorePipeline(self._profile, executor=self._executor, channel=channel)
 
     def _frames(self, record: SegmentRecord) -> list[np.ndarray]:
         """The data frames of one segment, from the source or the artefact."""

@@ -28,7 +28,7 @@ import numpy as np
 from repro.api.config import ArchiveConfig
 from repro.api.reader import ArchiveReader, RestorationResult, SegmentCacheLike
 from repro.core.archive import ArchiveManifest, MicrOlonysArchive, SegmentRecord
-from repro.errors import ArchiveError, RestorationError
+from repro.errors import ArchiveError, ConfigError, RestorationError
 from repro.pipeline.pipeline import (
     ArchivePipeline,
     EncodedSegment,
@@ -339,16 +339,41 @@ class ArchiveWriter:
 # Facade entry points
 # --------------------------------------------------------------------------- #
 def _resolve_config(
-    config: ArchiveConfig | None, overrides: dict[str, object]
+    config: object,
+    overrides: dict[str, object],
+    manifest: ArchiveManifest | None = None,
 ) -> ArchiveConfig:
-    """Default config + keyword overrides, validated once."""
-    config = config if config is not None else ArchiveConfig()
+    """The session config: ``config`` or a default, plus keyword overrides.
+
+    Without a ``config``, an archive ``manifest`` describes itself: its
+    embedded config is used verbatim, and a manifest that predates embedded
+    configs (v1) supplies the media profile, codec, payload kind and
+    segment size.  With neither, the default :class:`ArchiveConfig` applies.
+    """
+    if config is None:
+        if manifest is None:
+            config = ArchiveConfig()
+        elif manifest.config is not None:
+            config = ArchiveConfig.from_dict(manifest.config)
+        else:
+            config = ArchiveConfig(
+                media=manifest.profile_name,
+                codec=manifest.dbcoder_profile,
+                payload_kind=manifest.payload_kind,
+                segment_size=manifest.segment_size,
+            )
+    elif not isinstance(config, ArchiveConfig):
+        raise ConfigError(
+            f"config must be an ArchiveConfig or None, got {type(config).__name__} "
+            f"{config!r:.60}; pass an archive target to open_archive as target=..., "
+            "and config overrides to open_archive/open_restore as keywords"
+        )
     return config.replace(**overrides) if overrides else config
 
 
 def _resolve_append(
     target: "str | Path | TargetSpec",
-    config: ArchiveConfig | None,
+    config: object,
     overrides: dict[str, object],
 ) -> "tuple[ArchiveConfig, ArchiveManifest]":
     """The session config and superseding base manifest of an append.
@@ -363,18 +388,7 @@ def _resolve_append(
 
     with open_source(target) as source:
         base = source.manifest()
-    if config is None:
-        if base.config is not None:
-            config = ArchiveConfig.from_dict(base.config)
-        else:
-            config = ArchiveConfig(
-                media=base.profile_name,
-                codec=base.dbcoder_profile,
-                payload_kind=base.payload_kind,
-                segment_size=base.segment_size,
-            )
-    if overrides:
-        config = config.replace(**overrides)
+    config = _resolve_config(config, overrides, base)
     if config.media != registry.media.resolve_name(base.profile_name):
         raise ArchiveError(
             f"cannot append with media {config.media!r} to an archive written "
@@ -497,24 +511,19 @@ def open_restore(
     if isinstance(source, MicrOlonysArchive):
         archive = source
         manifest = archive.manifest
+        config = _resolve_config(config, overrides, manifest)
     elif isinstance(source, ArchiveSource):
         archive_source = source
         manifest = archive_source.manifest()
+        config = _resolve_config(config, overrides, manifest)
     else:
         archive_source = open_source(source)
-        manifest = archive_source.manifest()
-    if config is None:
-        if manifest.config is not None:
-            config = ArchiveConfig.from_dict(manifest.config)
-        else:
-            config = ArchiveConfig(
-                media=manifest.profile_name,
-                codec=manifest.dbcoder_profile,
-                payload_kind=manifest.payload_kind,
-                segment_size=manifest.segment_size,
-            )
-    if overrides:
-        config = config.replace(**overrides)
+        try:
+            manifest = archive_source.manifest()
+            config = _resolve_config(config, overrides, manifest)
+        except BaseException:
+            archive_source.close()
+            raise
     reader = ArchiveReader(
         archive, config, source=archive_source, on_segment=on_segment,
         via_channel=via_channel, segment_cache=segment_cache,

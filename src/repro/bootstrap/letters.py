@@ -24,7 +24,7 @@ _IGNORED = set(" \t\r\n")
 
 #: Per-ASCII-character class for the vectorised decoder: the nibble value for
 #: A..P / a..p, ``_CLASS_IGNORED`` for layout whitespace, ``_CLASS_INVALID``
-#: otherwise.  Non-ASCII text falls back to the reference loop (a handful of
+#: otherwise.  Non-ASCII text takes the per-character fallback (a handful of
 #: exotic codepoints, e.g. dotless i, also uppercase into A..P).
 _CLASS_INVALID = np.int8(-1)
 _CLASS_IGNORED = np.int8(-2)
@@ -51,15 +51,6 @@ def bytes_to_letters(data: bytes) -> str:
     return pairs.tobytes().decode("ascii")
 
 
-def _bytes_to_letters_reference(data: bytes) -> str:
-    """The per-byte encoding loop; ground truth for :func:`bytes_to_letters`."""
-    letters = []
-    for byte in data:
-        letters.append(ALPHABET[(byte >> 4) & 0xF])
-        letters.append(ALPHABET[byte & 0xF])
-    return "".join(letters)
-
-
 def letters_to_bytes(text: str) -> bytes:
     """Decode Bootstrap letters back into bytes, ignoring whitespace.
 
@@ -69,20 +60,21 @@ def letters_to_bytes(text: str) -> bytes:
         On characters outside A..P or an odd number of letters.
 
     The hot path classifies every character with one table gather (the
-    Bootstrap document is parsed on each restore, and the reference loop was
-    a measurable slice of restore latency); the reference loop remains the
-    behaviour it is equivalence-tested against.
+    Bootstrap document is parsed on each restore, and a per-character loop
+    was a measurable slice of restore latency).  Text the table cannot
+    classify — non-ASCII characters and lone surrogates — takes
+    :func:`_letters_to_bytes_fallback`, which decodes identically.
     """
     # One uint32 per character keeps error positions aligned with ``text``.
     try:
         encoded = text.encode("utf-32-le")
-    except UnicodeEncodeError:  # lone surrogates: let the reference report them
-        return _letters_to_bytes_reference(text)
+    except UnicodeEncodeError:  # lone surrogates: let the fallback report them
+        return _letters_to_bytes_fallback(text)
     codes = np.frombuffer(encoded, dtype=np.uint32)
     if codes.size == 0:
         return b""
     if codes.max() >= 128:
-        return _letters_to_bytes_reference(text)
+        return _letters_to_bytes_fallback(text)
     classes = _CHAR_CLASS[codes]
     invalid = classes == _CLASS_INVALID
     if invalid.any():
@@ -97,8 +89,8 @@ def letters_to_bytes(text: str) -> bytes:
     return ((values[0::2] << 4) | values[1::2]).tobytes()
 
 
-def _letters_to_bytes_reference(text: str) -> bytes:
-    """The per-character decoding loop; ground truth for :func:`letters_to_bytes`."""
+def _letters_to_bytes_fallback(text: str) -> bytes:
+    """The per-character decoding loop :func:`letters_to_bytes` falls back to."""
     nibbles = []
     for position, char in enumerate(text):
         if char in _IGNORED:

@@ -13,6 +13,7 @@ they parse; :mod:`repro.store.manifest` owns the record names.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -130,8 +131,31 @@ class SegmentRecord:
         return dict(self.__dict__)
 
     @classmethod
-    def from_dict(cls, fields: dict[str, object]) -> "SegmentRecord":
-        return cls(**fields)  # type: ignore[arg-type]
+    def from_dict(cls, fields: object) -> "SegmentRecord":
+        """Build a record from a parsed manifest entry.
+
+        The entry must be an object with exactly the record's keys
+        (``sha256`` may be absent, as in v1 manifests), non-negative
+        non-bool ints for the counts and offsets, and a str or null
+        ``sha256``; anything else raises :class:`~repro.errors.StoreError`.
+        """
+        if not isinstance(fields, dict):
+            raise StoreError(f"segment record must be an object, got {type(fields).__name__}")
+        int_fields = [item.name for item in dataclasses.fields(cls) if item.name != "sha256"]
+        unknown = sorted(map(str, set(fields) - set(int_fields) - {"sha256"}))
+        if unknown:
+            raise StoreError(f"segment record has unknown keys: {', '.join(unknown)}")
+        missing = [name for name in int_fields if name not in fields]
+        if missing:
+            raise StoreError(f"segment record is missing keys: {', '.join(missing)}")
+        for name in int_fields:
+            value = fields[name]
+            if type(value) is not int or value < 0:
+                raise StoreError(f"segment record {name} must be an int >= 0, got {value!r:.40}")
+        sha256 = fields.get("sha256")
+        if sha256 is not None and not isinstance(sha256, str):
+            raise StoreError(f"segment record sha256 must be a string, got {sha256!r:.40}")
+        return cls(**fields)
 
 
 @dataclass(frozen=True)
@@ -212,9 +236,13 @@ class ArchiveManifest:
         *newer* format raise :class:`~repro.errors.StoreError`.
         """
         fields = upgrade_manifest_fields(fields)
-        segments = tuple(
-            SegmentRecord.from_dict(segment) for segment in fields.pop("segments", [])
-        )
+        unknown = sorted(set(fields) - {item.name for item in dataclasses.fields(cls)})
+        if unknown:
+            raise StoreError(f"manifest has unknown keys: {', '.join(unknown)}")
+        entries = fields.pop("segments", [])
+        if not isinstance(entries, list):
+            raise StoreError(f"manifest segments must be a list, got {type(entries).__name__}")
+        segments = tuple(SegmentRecord.from_dict(entry) for entry in entries)
         return cls(segments=segments, **fields)
 
     @classmethod

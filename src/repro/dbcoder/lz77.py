@@ -44,32 +44,6 @@ MAX_MATCH = 18
 #: text/SQL payloads while bounding the worst case on pathological inputs.
 MAX_CHAIN = 128
 
-
-def _find_longest_match(data: bytes, pos: int, limit: int) -> tuple[int, int]:
-    """Return ``(offset, length)`` of the longest window match at ``pos``.
-
-    The exhaustive reference matcher (``bytes.rfind`` per candidate length
-    over the whole 4095-byte window).  The production compressor uses hash
-    chains instead; this stays as the ground truth for the equivalence
-    tests.  Returns ``(0, 0)`` when no match of at least MIN_MATCH exists.
-    """
-    best_offset = 0
-    best_length = 0
-    window_start = max(0, pos - (WINDOW_SIZE - 1))
-    length = MIN_MATCH
-    while length <= limit:
-        # The search region ends at pos + length - 1 so any hit starts at an
-        # index <= pos - 1, i.e. strictly before the current position, while
-        # still allowing matches that overlap the bytes being encoded.
-        index = data.rfind(data[pos:pos + length], window_start, pos + length - 1)
-        if index < 0:
-            break
-        best_offset = pos - index
-        best_length = length
-        length += 1
-    return best_offset, best_length
-
-
 #: Minimum remaining candidates before the matcher switches from scalar to
 #: numpy-batched rejection; below this the array call costs more than it
 #: saves.
@@ -82,9 +56,9 @@ def _build_chains(data: bytes) -> list[int]:
     ``chains[pos]`` is the nearest earlier position whose 3-byte prefix
     equals the one at ``pos`` (or -1).  A stable argsort over the packed
     prefix keys groups equal keys in position order, so each element's
-    predecessor within its group is exactly the chain link the incremental
-    dict-based filing of the reference compressor would produce — the whole
-    ``head``/``prev`` bookkeeping collapses into three array ops.
+    predecessor within its group is exactly the chain link incremental
+    dict-based filing would produce — the whole ``head``/``prev``
+    bookkeeping collapses into three array ops.
     """
     n = len(data)
     if n < MIN_MATCH:
@@ -166,13 +140,12 @@ def lzss_compress(data: bytes, max_chain: int = MAX_CHAIN, lazy: bool = True) ->
 
     The chains over 3-byte prefixes are built up front in one vectorised
     pass (:func:`_build_chains`); matching walks each chain newest-first
-    (so ties keep the smallest offset, like the reference matcher),
+    (so ties keep the smallest offset, like an exhaustive window search),
     stopping early when the maximum encodable length is reached or
     ``max_chain`` candidates were tried.  Long chains batch the one-byte
     candidate rejection test through numpy, skipping straight to the next
-    viable candidate.  Output is bit-identical to
-    :func:`_lzss_compress_reference`, which keeps the incremental
-    dict-filed scan as ground truth.
+    viable candidate.  Output is bit-identical to the incremental
+    dict-filed scan in ``tests/oracles/lz77.py``.
 
     ``max_chain=0`` disables matching entirely — every byte is emitted as a
     literal, in both the greedy and the lazy parse.
@@ -273,123 +246,6 @@ def lzss_compress(data: bytes, max_chain: int = MAX_CHAIN, lazy: bool = True) ->
             # the probe as well as the main scan.
             next_limit = min(MAX_MATCH, n - pos - 1)
             if next_limit > best_length:
-                next_offset, next_length = find_match(
-                    pos + 1,
-                    next_limit,
-                    floor=best_length,
-                    chain=max(1, max_chain // 4) if max_chain else 0,
-                )
-                if next_offset:
-                    flags |= 1 << flag_count
-                    group.append(data[pos])
-                    carried = (next_offset, next_length)
-                    pos += 1
-                    flag_count += 1
-                    if flag_count == 8:
-                        flush_group()
-                    continue
-
-        if best_length >= MIN_MATCH:
-            group.append(best_offset & 0xFF)
-            group.append(((best_offset >> 8) << 4) | (best_length - MIN_MATCH))
-            pos += best_length
-        else:
-            flags |= 1 << flag_count
-            group.append(data[pos])
-            pos += 1
-        flag_count += 1
-        if flag_count == 8:
-            flush_group()
-    flush_group()
-    return bytes(out)
-
-
-def _lzss_compress_reference(
-    data: bytes, max_chain: int = MAX_CHAIN, lazy: bool = True
-) -> bytes:
-    """The incremental dict-filed compressor (pre-vectorisation).
-
-    Files each position under its 3-byte prefix as the scan advances, the
-    classic ``head``/``prev`` hash-chain bookkeeping.  Kept as the ground
-    truth the vectorised :func:`lzss_compress` must match byte for byte,
-    and as the baseline its benchmark is measured against.
-    """
-    data = bytes(data)
-    n = len(data)
-    if n == 0:
-        return b""
-
-    out = bytearray()
-    flags = 0
-    flag_count = 0
-    group = bytearray()
-    head: dict[int, int] = {}
-    prev = [-1] * max(0, n - 2)
-    filed = 0  # positions < filed are already in the hash chains
-
-    def file_through(end: int) -> None:
-        """File positions ``filed .. end-1`` under their 3-byte prefixes.
-
-        Positions in the final two bytes have no full key and are skipped.
-        """
-        nonlocal filed
-        stop = min(end, n - 2)
-        while filed < stop:
-            key = data[filed] | (data[filed + 1] << 8) | (data[filed + 2] << 16)
-            prev[filed] = head.get(key, -1)
-            head[key] = filed
-            filed += 1
-        if end > filed:
-            filed = end
-
-    def find_match(pos: int, limit: int, floor: int = 0, chain: int | None = None) -> tuple[int, int]:
-        best_offset = 0
-        best_length = floor
-        key = data[pos] | (data[pos + 1] << 8) | (data[pos + 2] << 16)
-        candidate = head.get(key, -1)
-        window_start = pos - (WINDOW_SIZE - 1)
-        if chain is None:
-            chain = max_chain
-        while candidate >= 0 and candidate >= window_start and chain > 0:
-            chain -= 1
-            if not best_length or data[candidate + best_length] == data[pos + best_length]:
-                length = 0
-                while length < limit and data[candidate + length] == data[pos + length]:
-                    length += 1
-                if length > best_length:
-                    best_length = length
-                    best_offset = pos - candidate
-                    if length == limit:
-                        break
-            candidate = prev[candidate]
-        return best_offset, best_length
-
-    def flush_group() -> None:
-        nonlocal flags, flag_count, group
-        if flag_count:
-            out.append(flags)
-            out.extend(group)
-            flags = 0
-            flag_count = 0
-            group = bytearray()
-
-    pos = 0
-    carried: tuple[int, int] | None = None
-    while pos < n:
-        limit = min(MAX_MATCH, n - pos)
-        if carried is not None:
-            best_offset, best_length = carried
-            carried = None
-        elif limit >= MIN_MATCH:
-            file_through(pos)
-            best_offset, best_length = find_match(pos, limit)
-        else:
-            best_offset, best_length = 0, 0
-
-        if lazy and MIN_MATCH <= best_length < limit:
-            next_limit = min(MAX_MATCH, n - pos - 1)
-            if next_limit > best_length:
-                file_through(pos + 1)
                 next_offset, next_length = find_match(
                     pos + 1,
                     next_limit,

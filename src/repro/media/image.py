@@ -64,6 +64,14 @@ def read_pgm(path: str | Path) -> GrayImage:
 
 
 def _parse_pgm(data: bytes, path: "str | Path") -> GrayImage:
+    """Parse P5 bytes, rejecting anything but an 8-bit raster that fits.
+
+    The header is ``P5``, then width, height and maxval as ASCII decimal
+    tokens separated by whitespace (``#`` comments allowed), then one
+    whitespace byte; width and height must be at least 1, maxval must be
+    255, and width x height raster bytes must follow.  Any other input
+    raises :class:`~repro.errors.MediaError` naming ``path``.
+    """
     if not data.startswith(b"P5"):
         raise MediaError(f"{path}: not a binary PGM (P5) file")
     # Parse the three header tokens (width, height, maxval), skipping comments.
@@ -79,12 +87,21 @@ def _parse_pgm(data: bytes, path: "str | Path") -> GrayImage:
         start = position
         while position < len(data) and not data[position:position + 1].isspace():
             position += 1
-        if start == position:
-            raise MediaError(f"{path}: malformed PGM header")
-        tokens.append(int(data[start:position]))
+        token = data[start:position]
+        if not token.isdigit():
+            raise MediaError(f"{path}: malformed PGM header token {token[:16]!r}")
+        tokens.append(int(token))
     position += 1  # single whitespace after maxval
     width, height, max_value = tokens
+    if width < 1 or height < 1:
+        raise MediaError(f"{path}: PGM size {width}x{height} is empty")
     if max_value != 255:
         raise MediaError(f"{path}: only 8-bit PGM files are supported (maxval {max_value})")
+    available = max(0, len(data) - position)
+    if available < width * height:
+        raise MediaError(
+            f"{path}: PGM raster holds {available} bytes, {width}x{height} needs "
+            f"{width * height}"
+        )
     pixels = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=position)
     return pixels.reshape(height, width).copy()

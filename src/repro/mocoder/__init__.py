@@ -19,15 +19,15 @@ dust, scratches, fading, lens curvature and unsteady scanner motion.
 """
 
 from repro.mocoder.reed_solomon import ReedSolomonCode
-from repro.mocoder.manchester import manchester_encode, manchester_decode
+from repro.mocoder.manchester import manchester_encode_rows, manchester_decode_rows
 from repro.mocoder.emblem import EmblemSpec, Emblem, EmblemKind
 from repro.mocoder.outer_code import OuterCode
 from repro.mocoder.mocoder import MOCoder, EncodedStream
 
 __all__ = [
     "ReedSolomonCode",
-    "manchester_encode",
-    "manchester_decode",
+    "manchester_encode_rows",
+    "manchester_decode_rows",
     "EmblemSpec",
     "Emblem",
     "EmblemKind",

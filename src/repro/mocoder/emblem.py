@@ -30,27 +30,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import EmblemDetectionError, EmblemFormatError, MOCoderError
-from repro.mocoder.interleave import (
-    deinterleave_blocks,
-    deinterleave_blocks_batch,
-    interleave_blocks,
-)
-from repro.mocoder.manchester import (
-    manchester_decode,
-    manchester_encode_fast,
-    manchester_encode_rows,
-)
+from repro.mocoder.interleave import deinterleave_blocks_batch
+from repro.mocoder.manchester import manchester_decode_rows, manchester_encode_rows
 from repro.mocoder.reed_solomon import ReedSolomonCode, get_code
-from repro.util.bits import bits_to_bytes, bytes_to_bits
 
 #: Pixel value of a dark (inked) cell.
 BLACK = 0
 
 #: Pixel value of a light cell / background.
 WHITE = 255
-
-#: Cell value (0 = light, 1 = dark) -> pixel gray value.
-_PIXEL_LUT = np.array([WHITE, BLACK], dtype=np.uint8)
 
 
 class EmblemKind(enum.IntEnum):
@@ -263,40 +251,9 @@ class Emblem:
                 f"{self.spec.payload_capacity}"
             )
 
-    # ------------------------------------------------------------------ #
-    # Encoding: emblem -> raster image
-    # ------------------------------------------------------------------ #
     def to_image(self) -> np.ndarray:
         """Render the emblem as a grayscale raster (uint8, 0=black)."""
-        return _cells_to_pixels(self._build_cell_grid(), self.spec.cell_pixels)
-
-    def _build_cell_grid(self) -> np.ndarray:
-        """Build the cell grid (1 = dark cell) for this emblem."""
-        spec = self.spec
-        grid = _base_cell_grid(spec).copy()
-        q = spec.quiet_cells
-        b = spec.border_cells
-        g = spec.gap_cells
-        inner_left = q + b + g
-        inner_top = q + b + g
-        # Header band of large dots.
-        header_bits = self._header_dot_bits()
-        for dot_index, bit in enumerate(header_bits):
-            if not bit:
-                continue
-            x0 = inner_left + dot_index * spec.dot_cells
-            grid[
-                inner_top:inner_top + spec.dot_cells * spec.header_dot_rows,
-                x0:x0 + spec.dot_cells,
-            ] = 1
-        # Data area.
-        data_top = inner_top + spec.header_band_cells
-        data_cells = self._data_cells()
-        grid[
-            data_top:data_top + spec.data_cells_y,
-            inner_left:inner_left + spec.data_cells_x,
-        ] = data_cells
-        return grid
+        return render_emblem_batch([self])[0]
 
     def _header_dot_bits(self) -> list[int]:
         bits = list(HEADER_SYNC_PATTERN)
@@ -305,66 +262,6 @@ class Emblem:
         for shift in range(7, -1, -1):
             bits.append((self.header.index >> shift) & 1)
         return bits
-
-    def _data_cells(self) -> np.ndarray:
-        """RS-encode, interleave and Manchester-encode the protected bytes."""
-        spec = self.spec
-        protected = bytearray(self.header.pack())
-        protected.extend(self.payload)
-        used = len(protected)
-        protected.extend(b"\x00" * (spec.protected_byte_capacity - len(protected)))
-        code = spec.inner_code()
-        data_blocks = np.frombuffer(bytes(protected), dtype=np.uint8).astype(np.int32)
-        data_blocks = data_blocks.reshape(spec.rs_block_count, spec.rs_data)
-        # Trailing all-zero padding blocks encode to all-zero codewords (the
-        # code is linear and systematic), so only blocks that carry header or
-        # payload bytes go through the encoder.
-        used_blocks = max(1, -(-used // spec.rs_data))
-        codewords = np.zeros((spec.rs_block_count, spec.rs_codeword), dtype=np.int32)
-        codewords[:used_blocks] = code.encode_blocks(data_blocks[:used_blocks])
-        stream = interleave_blocks(codewords.astype(np.uint8))
-        bits = bytes_to_bits(stream)
-        cells = manchester_encode_fast(bits)
-        grid = np.zeros(spec.data_cell_count, dtype=np.uint8)
-        grid[: cells.size] = cells
-        return grid.reshape(spec.data_cells_y, spec.data_cells_x)
-
-    # ------------------------------------------------------------------ #
-    # Decoding: scanned raster -> emblem
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_image(cls, spec: EmblemSpec, image: np.ndarray) -> tuple["Emblem", int]:
-        """Decode a scanned emblem image.
-
-        Returns the emblem and the number of RS symbol corrections that were
-        required (0 for a pristine scan).
-
-        Raises
-        ------
-        EmblemDetectionError
-            If the frame or the header-band sync pattern cannot be located.
-        UncorrectableBlockError
-            If the scan is damaged beyond the inner code's capability.
-        """
-        sampler = EmblemSampler(spec, image)
-        cell_values = sampler.sample_data_cells()
-        threshold = sampler.threshold
-        cells = (cell_values < threshold).astype(np.uint8)
-        bits = manchester_decode(cells)
-        stream = bits_to_bytes(bits)[: spec.coded_byte_capacity]
-        codewords = deinterleave_blocks(stream, spec.rs_block_count, spec.rs_codeword)
-        code = spec.inner_code()
-        data_blocks, corrections = code.decode_blocks(codewords.astype(np.int32))
-        protected = data_blocks.astype(np.uint8).tobytes()
-        header = EmblemHeader.unpack(protected[: EmblemHeader.SIZE])
-        payload = protected[
-            EmblemHeader.SIZE:EmblemHeader.SIZE + header.payload_length
-        ]
-        if header.payload_length > spec.payload_capacity:
-            raise EmblemFormatError(
-                f"decoded payload length {header.payload_length} exceeds capacity"
-            )
-        return cls(spec=spec, header=header, payload=payload), corrections
 
 
 @functools.lru_cache(maxsize=None)
@@ -391,7 +288,7 @@ def _cells_to_pixels(cells: np.ndarray, cell_pixels: int) -> np.ndarray:
 
     ``cells`` may be one grid (Y, X) or a batch (count, Y, X).  Cell values
     map to pixel levels arithmetically (``(cell ^ 1) * 255`` in uint8 — the
-    table gather `_PIXEL_LUT[cells]` used to dominate the whole render at
+    table gather ``[WHITE, BLACK][cells]`` used to dominate the whole render at
     raster sizes).  The upscale then doubles columns into strided slots and
     duplicates rows with contiguous copies; both run at memcpy-like speed,
     unlike a broadcast + reshape (whose zero-stride gather is an order of
@@ -416,12 +313,11 @@ def _cells_to_pixels(cells: np.ndarray, cell_pixels: int) -> np.ndarray:
 def render_emblem_batch(emblems: "list[Emblem]") -> np.ndarray:
     """Render many same-spec emblems in one vectorised pass.
 
-    Returns a ``(count, pixels_y, pixels_x)`` uint8 array whose slices are
-    bit-identical to each emblem's :meth:`Emblem.to_image`.  The RS encode,
-    interleave, bit unpacking, Manchester encode and pixel upscale each run
-    once across the whole batch: a test-profile emblem carries only ~200
-    payload bytes, so rendering emblems one at a time spends its time in
-    numpy dispatch overhead rather than arithmetic.
+    Returns a ``(count, pixels_y, pixels_x)`` uint8 array, one raster per
+    emblem.  The RS encode, interleave, bit unpacking, Manchester encode and
+    pixel upscale each run once across the whole batch: a test-profile
+    emblem carries only ~200 payload bytes, so rendering emblems one at a
+    time spends its time in numpy dispatch overhead rather than arithmetic.
     """
     if not emblems:
         return np.zeros((0, 0, 0), dtype=np.uint8)
@@ -484,147 +380,13 @@ def render_emblem_batch(emblems: "list[Emblem]") -> np.ndarray:
     return _cells_to_pixels(grids, spec.cell_pixels)
 
 
-class EmblemSampler:
-    """Locates an emblem in a scanned image and samples its cells."""
-
-    def __init__(self, spec: EmblemSpec, image: np.ndarray):
-        self.spec = spec
-        raw = np.asarray(image)
-        self.image = raw.astype(np.float64)
-        if self.image.ndim != 2:
-            raise EmblemDetectionError("expected a single-channel grayscale scan")
-        # Threshold from the raw array: uint8 scans take the fast
-        # bincount-based histogram path inside otsu_threshold.
-        self.threshold = otsu_threshold(raw)
-        self._locate_frame()
-        self._verify_header_band()
-
-    # ------------------------------------------------------------------ #
-    def _locate_frame(self) -> None:
-        """Find the black frame from ink profiles.
-
-        The frame's horizontal and vertical bands produce near-full-width runs
-        of dark rows/columns.  The grid is derived from the *centres* of the
-        first and last band (averaging over the band thickness), which is far
-        less sensitive to single-pixel edge noise than the outermost dark
-        row/column — on large emblems a one-pixel edge error would otherwise
-        accumulate to a whole cell of drift at the far side of the grid.
-        """
-        dark = self.image < self.threshold
-        row_ink = dark.sum(axis=1)
-        column_ink = dark.sum(axis=0)
-        if row_ink.max() == 0 or column_ink.max() == 0:
-            raise EmblemDetectionError("no dark structure found in the scan")
-        top_center, bottom_center = self._band_centers(row_ink)
-        left_center, right_center = self._band_centers(column_ink)
-        # Distance between the band centres spans (frame_cells - border_cells).
-        span_y = self.spec.frame_cells_y - self.spec.border_cells
-        span_x = self.spec.frame_cells_x - self.spec.border_cells
-        if bottom_center - top_center < span_y or right_center - left_center < span_x:
-            raise EmblemDetectionError("detected frame is too small for this emblem spec")
-        self.cell_height = (bottom_center - top_center) / span_y
-        self.cell_width = (right_center - left_center) / span_x
-        half_border_y = self.spec.border_cells / 2.0 * self.cell_height
-        half_border_x = self.spec.border_cells / 2.0 * self.cell_width
-        self.top = top_center - half_border_y
-        self.bottom = bottom_center + half_border_y
-        self.left = left_center - half_border_x
-        self.right = right_center + half_border_x
-
-    @staticmethod
-    def _band_centers(ink_profile: np.ndarray) -> tuple[float, float]:
-        """Centres of the first and last thick dark band of an ink profile.
-
-        The reference ink level is the 8th-largest profile value rather than
-        the maximum, so a single thin full-length scratch (which can out-ink
-        every genuine frame row/column) cannot hide the real frame bands.
-        """
-        reference_rank = min(8, ink_profile.size)
-        reference = np.sort(ink_profile)[-reference_rank]
-        if reference == 0:
-            reference = ink_profile.max()
-        candidates = np.nonzero(ink_profile > 0.8 * reference)[0]
-        if candidates.size == 0:
-            raise EmblemDetectionError("emblem frame not found in the scan")
-        # Group candidate indices into consecutive runs.
-        splits = np.nonzero(np.diff(candidates) > 1)[0] + 1
-        runs = np.split(candidates, splits)
-        longest = max(len(run) for run in runs)
-        # Ignore thin spurious runs (scratches, dust lines); keep real bands.
-        bands = [run for run in runs if len(run) >= max(2, longest // 2)]
-        if not bands:
-            bands = runs
-        first, last = bands[0], bands[-1]
-        return float(np.mean(first)), float(np.mean(last))
-
-    def _cell_centers(self, cell_x: np.ndarray, cell_y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Pixel coordinates of cell centers, for frame-relative cell indices."""
-        xs = self.left + (cell_x + 0.5) * self.cell_width
-        ys = self.top + (cell_y + 0.5) * self.cell_height
-        return xs, ys
-
-    def _sample_at(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Sample the image at the given positions (mean of a small cross).
-
-        The +-1-pixel cross is only averaged in when a cell spans at least
-        3 pixels in the scan; on finer grids (e.g. 2 px/cell emblems read
-        without scanner upsampling) the cross arms would land in the
-        *neighbouring* cells and corrupt every sample.
-        """
-        height, width = self.image.shape
-        xs = np.clip(np.round(xs).astype(np.int64), 0, width - 1)
-        ys = np.clip(np.round(ys).astype(np.int64), 0, height - 1)
-        if min(self.cell_width, self.cell_height) < 3.0:
-            return self.image[ys, xs]
-        total = np.zeros(xs.shape, dtype=np.float64)
-        for dx, dy in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)):
-            sample_x = np.clip(xs + dx, 0, width - 1)
-            sample_y = np.clip(ys + dy, 0, height - 1)
-            total += self.image[sample_y, sample_x]
-        return total / 5.0
-
-    # ------------------------------------------------------------------ #
-    def _verify_header_band(self) -> None:
-        """Check the large-dot sync pattern; a mismatch means misdetection."""
-        spec = self.spec
-        inner_left = spec.border_cells + spec.gap_cells
-        inner_top = spec.border_cells + spec.gap_cells
-        dot_centers_x = []
-        dot_centers_y = []
-        for dot_index in range(HEADER_DOT_COUNT):
-            dot_centers_x.append(inner_left + dot_index * spec.dot_cells + spec.dot_cells / 2.0 - 0.5)
-            dot_centers_y.append(inner_top + (spec.dot_cells * spec.header_dot_rows) / 2.0 - 0.5)
-        xs, ys = self._cell_centers(np.array(dot_centers_x), np.array(dot_centers_y))
-        values = self._sample_at(xs, ys)
-        bits = (values < self.threshold).astype(int)
-        observed_sync = tuple(bits[: len(HEADER_SYNC_PATTERN)])
-        if observed_sync != HEADER_SYNC_PATTERN:
-            raise EmblemDetectionError(
-                f"header-band sync mismatch: expected {HEADER_SYNC_PATTERN}, got {observed_sync}"
-            )
-        kind_bits = bits[len(HEADER_SYNC_PATTERN):len(HEADER_SYNC_PATTERN) + 2]
-        index_bits = bits[len(HEADER_SYNC_PATTERN) + 2:HEADER_DOT_COUNT]
-        self.header_band_kind = (kind_bits[0] << 1) | kind_bits[1]
-        self.header_band_index_low = 0
-        for bit in index_bits:
-            self.header_band_index_low = (self.header_band_index_low << 1) | int(bit)
-
-    # ------------------------------------------------------------------ #
-    def sample_data_cells(self) -> np.ndarray:
-        """Sample every data-area cell; returns a flat array of gray values."""
-        spec = self.spec
-        inner_left = spec.border_cells + spec.gap_cells
-        data_top = spec.border_cells + spec.gap_cells + spec.header_band_cells
-        cell_x = np.arange(spec.data_cells_x)
-        cell_y = np.arange(spec.data_cells_y)
-        grid_x, grid_y = np.meshgrid(cell_x, cell_y)
-        xs, ys = self._cell_centers(grid_x + inner_left, grid_y + data_top)
-        values = self._sample_at(xs, ys)
-        return values.reshape(-1)
-
-
 def otsu_threshold(image: np.ndarray) -> float:
-    """Otsu's threshold on a grayscale image (used to binarise scans)."""
+    """Otsu's threshold on a grayscale image (used to binarise scans).
+
+    The decoder's batched :func:`_otsu_threshold_stack` hands this the scans
+    it cannot threshold itself: non-uint8 stacks and degenerate
+    (single-valued) histograms, whose threshold is the image mean.
+    """
     raw = np.asarray(image)
     if raw.dtype == np.uint8:
         # Same bins as np.histogram(range=(0, 256), bins=256) — every uint8
@@ -659,10 +421,6 @@ def otsu_threshold(image: np.ndarray) -> float:
 # --------------------------------------------------------------------------- #
 # Batched decode: many scanned rasters -> emblems in vectorised passes
 # --------------------------------------------------------------------------- #
-#: Minimum number of same-shape scans for which ``decode_image_batch`` takes
-#: the vectorised stack path; below it ``Emblem.from_image`` is just as fast.
-_DECODE_BATCH_MIN = 2
-
 #: Pixel budget per decoded sub-batch: bounds the (count, H, W) stack and its
 #: boolean binarisation so the temporaries stay cache-friendly; measured on
 #: the committed restore benchmark, smaller sub-batches beat one huge stack.
@@ -676,16 +434,10 @@ def decode_image_batch(
 
     Returns one entry per image, in input order: either ``(emblem,
     rs_corrections)`` or the :class:`~repro.errors.MOCoderError` that image's
-    decode raised.  Entry ``i`` matches ``Emblem.from_image(spec, images[i])``
-    exactly — bit-identical emblem bytes and correction counts, identical
-    error types and messages — but same-shape scans share one pass each for
-    thresholding, frame location, cell sampling, Manchester decode,
-    deinterleave and RS syndromes, so a chunk of pristine test-profile scans
-    decodes several times faster than the image-at-a-time reference.
-
-    ``Emblem.from_image`` (via :class:`EmblemSampler`) is retained as the
-    per-image reference implementation this path is equivalence-tested
-    against.
+    decode raised, so one bad scan never disturbs the others.  Scans are
+    grouped by shape and dtype, and every group — a group of one included —
+    shares one pass each for thresholding, frame location, cell sampling,
+    Manchester decode, deinterleave and RS syndromes.
     """
     results: "list[tuple[Emblem, int] | MOCoderError | None]" = [None] * len(images)
     groups: "dict[tuple, list[int]]" = {}
@@ -696,10 +448,6 @@ def decode_image_batch(
             continue
         groups.setdefault((array.shape, array.dtype), []).append(index)
     for (shape, _dtype), members in groups.items():
-        if len(members) < _DECODE_BATCH_MIN:
-            for index in members:
-                results[index] = _decode_single(spec, images[index])
-            continue
         step = max(1, _DECODE_PIXEL_BUDGET // max(1, shape[0] * shape[1]))
         for start in range(0, len(members), step):
             chosen = members[start:start + step]
@@ -709,34 +457,35 @@ def decode_image_batch(
     return results  # type: ignore[return-value]  # every slot is filled above
 
 
-def _decode_single(spec: EmblemSpec, image: np.ndarray) -> "tuple[Emblem, int] | MOCoderError":
-    """Reference per-image decode with the error captured instead of raised."""
-    try:
-        return Emblem.from_image(spec, image)
-    except MOCoderError as error:
-        return error
-
-
 def _decode_stack(spec: EmblemSpec, stack: np.ndarray) -> "list[tuple[Emblem, int] | MOCoderError]":
     """Decode a (count, H, W) stack of same-shape scans; one entry per scan.
 
-    Every stage mirrors :meth:`Emblem.from_image` / :class:`EmblemSampler`
-    exactly, with per-image failures captured so one bad scan never disturbs
-    its batch-mates.
+    Per-image failures are captured, so one bad scan never disturbs its
+    batch-mates.  The stages, per scan:
+
+    1. binarise at the scan's Otsu threshold;
+    2. locate the black frame from the row and column ink profiles (the
+       centres of the first and last thick dark band), which fixes the cell
+       pitch and origin;
+    3. check the header band's sync dots;
+    4. sample every data cell (a 5-pixel cross when cells span >= 3 pixels)
+       and binarise the samples;
+    5. Manchester-decode, deinterleave and RS-correct the codewords, then
+       parse the emblem header.
     """
     count = stack.shape[0]
     outcomes: "list[tuple[Emblem, int] | MOCoderError | None]" = [None] * count
     code = spec.inner_code()
 
-    # Per-image binarisation thresholds (EmblemSampler.__init__).
+    # Per-image binarisation thresholds.
     if stack.dtype == np.uint8:
         thresholds = _otsu_threshold_stack(stack)
     else:
         thresholds = np.array([otsu_threshold(stack[i]) for i in range(count)], dtype=np.float64)
 
-    # Ink profiles of every scan in one pass (EmblemSampler._locate_frame).
-    # int32 accumulators: same counts as the reference's default int64 (a
-    # profile entry is at most one scan dimension), half the memory traffic.
+    # Ink profiles of every scan in one pass.  int32 accumulators: a profile
+    # entry is at most one scan dimension, and int32 halves the memory
+    # traffic of the default int64.
     floors = np.floor(thresholds)
     if (
         stack.dtype == np.uint8
@@ -776,7 +525,7 @@ def _decode_stack(spec: EmblemSpec, stack: np.ndarray) -> "list[tuple[Emblem, in
     left = left_center - spec.border_cells / 2.0 * cell_width
     use_cross = np.minimum(cell_width, cell_height) >= 3.0
 
-    # Header-band sync verification (EmblemSampler._verify_header_band).
+    # Header-band sync verification.
     inner_left = spec.border_cells + spec.gap_cells
     inner_top = spec.border_cells + spec.gap_cells
     dot_centers_x = np.array([
@@ -808,7 +557,7 @@ def _decode_stack(spec: EmblemSpec, stack: np.ndarray) -> "list[tuple[Emblem, in
     cell_width, cell_height = cell_width[synced], cell_height[synced]
     use_cross = use_cross[synced]
 
-    # Data-area sampling (EmblemSampler.sample_data_cells) and binarisation.
+    # Data-area sampling and binarisation.
     data_top = spec.border_cells + spec.gap_cells + spec.header_band_cells
     grid_x, grid_y = np.meshgrid(np.arange(spec.data_cells_x), np.arange(spec.data_cells_y))
     base_x = (grid_x + inner_left) + 0.5
@@ -819,8 +568,7 @@ def _decode_stack(spec: EmblemSpec, stack: np.ndarray) -> "list[tuple[Emblem, in
     cells = (cell_values.reshape(alive.size, -1) < thresholds[alive][:, None]).astype(np.uint8)
 
     # Row-batched Manchester decode, bit packing and deinterleave.
-    usable = (spec.data_cell_count // 2) * 2
-    bits = (cells[:, 0:usable:2] == cells[:, 1:usable:2]).astype(np.uint8)
+    bits = manchester_decode_rows(cells)
     streams = np.packbits(bits, axis=1)[:, : spec.coded_byte_capacity]
     codewords = deinterleave_blocks_batch(streams, spec.rs_block_count, spec.rs_codeword)
 
@@ -884,11 +632,13 @@ def _sample_stack(
     """Sample many images of a stack at per-image positions in one gather.
 
     ``xs``/``ys`` carry one leading row per entry of ``image_rows`` (an index
-    into ``stack``).  Matches :meth:`EmblemSampler._sample_at` bit-for-bit:
-    gathered samples are exact in float64 (uint8 values are integers), and
-    the 5-point cross accumulates in the same order, so converting *after*
-    the gather instead of converting the whole image up front changes
-    nothing but the amount of work.
+    into ``stack``).  Positions round to the nearest pixel; with
+    ``use_cross`` a sample is the mean of a +-1-pixel cross, clipped at the
+    scan edges (on cells under 3 pixels the cross arms would land in the
+    neighbouring cells, so callers only ask for it on coarser grids).
+    Gathered samples are exact in float64, so converting *after* the gather
+    instead of converting the whole image up front changes nothing but the
+    amount of work.
     """
     height, width = stack.shape[1], stack.shape[2]
     # int32 indices halve the gather's index bandwidth; the pixel budget
@@ -932,9 +682,9 @@ def _otsu_threshold_stack(stack: np.ndarray) -> np.ndarray:
 
     Entry ``i`` equals ``otsu_threshold(stack[i])`` exactly: the histogram is
     still one bincount per image (that part is intrinsic), but the whole
-    inter-class-variance sweep — a dozen-plus numpy passes per image in the
-    reference — runs once across the stack.  Degenerate histograms (empty or
-    single-valued images) fall back to the reference per image.
+    inter-class-variance sweep — a dozen-plus numpy passes per image — runs
+    once across the stack.  Degenerate histograms (empty or single-valued
+    images) fall back to :func:`otsu_threshold` per image.
 
     The per-image histogram counts byte *pairs* (the scan viewed as uint16)
     and folds the 256x256 pair matrix back to two byte histograms.  Emblem
@@ -987,13 +737,16 @@ def _otsu_threshold_stack(stack: np.ndarray) -> np.ndarray:
 def _band_centers_rows(profiles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First/last band centres for every row of an ink-profile matrix.
 
-    Row ``r`` equals ``EmblemSampler._band_centers(profiles[r])`` exactly
-    (the centre of a run of consecutive indices is ``(first + last) / 2``,
-    which ``np.mean`` also returns exactly in float64), but run extraction
-    uses one edge-transition pass plus segmented ``reduceat`` reductions for
-    the whole batch instead of a sort/split per profile.  Callers must have
-    checked ``profiles.max(axis=1) > 0`` (the reference's "no dark
-    structure" guard), which guarantees every row has at least one band.
+    A row's candidate indices are those whose ink exceeds 80 % of its
+    8th-largest value (the maximum when that is 0), so one thin full-length
+    scratch cannot hide the real frame bands.  Candidates group into runs
+    of consecutive indices; runs thinner than ``max(2, longest // 2)`` are
+    dropped unless none is left, and the result is the centre
+    ``(first + last) / 2`` of the first and of the last remaining run.  Run
+    extraction is one edge-transition pass plus segmented ``reduceat``
+    reductions for the whole batch.  Callers must have checked
+    ``profiles.max(axis=1) > 0`` (the "no dark structure" guard), which
+    guarantees every row has at least one band.
     """
     profiles = np.asarray(profiles)
     count, size = profiles.shape
@@ -1017,7 +770,7 @@ def _band_centers_rows(profiles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     longest = np.maximum.reduceat(lengths, offsets)
     kept = lengths >= np.repeat(np.maximum(2, longest // 2), runs_per_row)
     any_kept = np.logical_or.reduceat(kept, offsets)
-    # The reference falls back to *all* runs when none is thick enough.
+    # Fall back to *all* runs when none is thick enough.
     kept |= ~np.repeat(any_kept, runs_per_row)
     run_index = np.arange(lengths.size)
     first_run = np.minimum.reduceat(np.where(kept, run_index, lengths.size), offsets)

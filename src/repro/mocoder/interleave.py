@@ -11,33 +11,16 @@ from __future__ import annotations
 import numpy as np
 
 
-def interleave_blocks(codewords: np.ndarray) -> bytes:
-    """Serialise an (blocks, n) codeword array column-major."""
-    codewords = np.asarray(codewords, dtype=np.uint8)
-    if codewords.ndim != 2:
-        raise ValueError(f"expected a 2-D codeword array, got shape {codewords.shape}")
-    return codewords.T.reshape(-1).tobytes()
-
-
-def deinterleave_blocks(stream: bytes, block_count: int, codeword_length: int) -> np.ndarray:
-    """Rebuild the (blocks, n) codeword array from a column-major stream."""
-    expected = block_count * codeword_length
-    if len(stream) < expected:
-        raise ValueError(
-            f"interleaved stream holds {len(stream)} bytes, expected at least {expected}"
-        )
-    flat = np.frombuffer(bytes(stream[:expected]), dtype=np.uint8)
-    return flat.reshape(codeword_length, block_count).T.copy()
-
-
 def deinterleave_blocks_batch(streams: np.ndarray, block_count: int, codeword_length: int) -> np.ndarray:
     """Deinterleave many streams at once: (count, bytes) -> (count, blocks, n).
 
-    Row ``i`` of the result equals
-    ``deinterleave_blocks(streams[i].tobytes(), block_count, codeword_length)``
-    exactly.  The whole batch is one strided reshape/transpose over the
-    stacked streams — no per-stream (let alone per-codeword) gathers — so a
-    chunk of emblems deinterleaves in a single numpy pass.
+    Each stream carries its emblem's codewords column-major (byte ``j`` of
+    every block, then byte ``j + 1``; see
+    :func:`~repro.mocoder.emblem.render_emblem_batch`), and any bytes past
+    ``block_count * codeword_length`` are ignored.  The whole batch is one
+    strided reshape/transpose over the stacked streams — no per-stream (let
+    alone per-codeword) gathers — so a chunk of emblems deinterleaves in a
+    single numpy pass.
     """
     streams = np.asarray(streams, dtype=np.uint8)
     if streams.ndim != 2:

@@ -21,55 +21,19 @@ import numpy as np
 from repro.util.nptypes import BitArray
 
 
-def manchester_encode(bits: BitArray, initial_level: int = 0) -> BitArray:
-    """Encode a 0/1 bit array into a cell array twice as long.
-
-    ``initial_level`` is the signal level *before* the first clock transition;
-    cells use 1 for a dark cell and 0 for a light cell.
-    """
-    bits = np.asarray(bits, dtype=np.uint8).ravel()
-    cells = np.zeros(2 * bits.size, dtype=np.uint8)
-    level = 1 if initial_level else 0
-    for index, bit in enumerate(bits):
-        level ^= 1                      # clock transition at the bit boundary
-        cells[2 * index] = level
-        if bit == 0:
-            level ^= 1                  # mid-bit transition encodes a zero
-        cells[2 * index + 1] = level
-    return cells
-
-
-def manchester_encode_fast(bits: BitArray, initial_level: int = 0) -> BitArray:
-    """Vectorised equivalent of :func:`manchester_encode`.
-
-    Every half-cell either toggles the level or does not: the first half of a
-    bit always toggles (the clock), the second half toggles exactly when the
-    bit is 0.  The cell stream is therefore the XOR prefix scan of that
-    toggle stream, computed in uint8 — much cheaper than the int64 cumulative
-    sums this function used before.
-    """
-    bits = np.asarray(bits, dtype=np.uint8).ravel()
-    if bits.size == 0:
-        return np.zeros(0, dtype=np.uint8)
-    toggles = np.empty(2 * bits.size, dtype=np.uint8)
-    toggles[0::2] = 1                       # clock transition at every bit boundary
-    toggles[1::2] = bits == 0               # mid-bit transition encodes a zero
-    cells = np.bitwise_xor.accumulate(toggles)
-    if initial_level:
-        cells ^= 1
-    return cells
-
-
 def manchester_encode_rows(bits: BitArray, initial_level: int = 0) -> BitArray:
-    """Row-batched :func:`manchester_encode_fast`: (rows, bits) -> (rows, 2*bits).
+    """Encode each row of 0/1 bits: (rows, bits) -> (rows, 2*bits) cells.
 
-    Each row is an independent cell stream starting from ``initial_level``;
-    row ``r`` equals ``manchester_encode_fast(bits[r], initial_level)``
-    exactly.  Instead of scanning the full-length toggle stream, this runs
-    the (sequential) prefix scan over the *bit* stream only — half the
-    elements — and derives both half-cells from it: with ``S(i)`` the number
-    of ones among ``bits[0..i]``, the second half-cell of bit ``i`` is
-    ``S(i) & 1`` and the first is its complement XOR ``bits[i]``.
+    Each row is an independent cell stream; ``initial_level`` is the signal
+    level *before* its first clock transition, and cells use 1 for a dark
+    cell and 0 for a light one.  Every half-cell either toggles the level
+    or not — the first half of a bit always (the clock), the second half
+    exactly when the bit is 0 — so a cell stream is the XOR prefix scan of
+    its toggles.  This runs the (sequential) prefix scan over the *bit*
+    stream only — half the elements — and derives both half-cells from it:
+    with ``S(i)`` the number of ones among ``bits[0..i]``, the second
+    half-cell of bit ``i`` is ``S(i) & 1`` and the first is its complement
+    XOR ``bits[i]``.
     """
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.ndim != 2:
@@ -90,39 +54,16 @@ def manchester_encode_rows(bits: BitArray, initial_level: int = 0) -> BitArray:
     return cells
 
 
-def manchester_decode(cells: BitArray) -> BitArray:
-    """Decode a binarised cell array (0/1) back into bits.
+def manchester_decode_rows(cells: BitArray) -> BitArray:
+    """Decode each row of binarised cells: (rows, cells) -> (rows, cells // 2) bits.
 
     A bit is 1 when its two half-cells carry the same level (no mid-bit
-    transition) and 0 otherwise.  A trailing odd half-cell is ignored.
+    transition) and 0 otherwise; only the comparison *within* a bit matters,
+    so no absolute level or running clock is needed.  A trailing odd
+    half-cell is ignored.
     """
-    cells = np.asarray(cells).ravel()
-    usable = (cells.size // 2) * 2
-    cells = cells[:usable].astype(np.int16)
-    first_half = cells[0::2]
-    second_half = cells[1::2]
-    return (first_half == second_half).astype(np.uint8)
-
-
-def manchester_decode_analog(cell_values: BitArray) -> BitArray:
-    """Decode *grayscale* cell samples without a global threshold.
-
-    The decision for each bit compares the difference between its two
-    half-cells against the transition observed at the preceding bit boundary
-    (which by construction always carries a transition); this keeps the
-    decoder robust to smooth intensity drift across the emblem.
-    """
-    values = np.asarray(cell_values, dtype=np.float64).ravel()
-    usable = (values.size // 2) * 2
-    values = values[:usable]
-    first_half = values[0::2]
-    second_half = values[1::2]
-    mid_step = np.abs(second_half - first_half)
-    previous_half = np.concatenate([[first_half[0]], second_half[:-1]]) if values.size else first_half
-    boundary_step = np.abs(first_half - previous_half)
-    # The first bit has no preceding boundary; use the global contrast instead.
-    if boundary_step.size:
-        global_contrast = float(np.median(boundary_step[1:])) if boundary_step.size > 1 else 0.0
-        boundary_step[0] = max(boundary_step[0], global_contrast, 1.0)
-    reference = np.maximum(boundary_step, 1e-6)
-    return (mid_step < reference * 0.5).astype(np.uint8)
+    cells = np.asarray(cells)
+    if cells.ndim != 2:
+        raise ValueError(f"expected a (rows, cells) array, got shape {cells.shape}")
+    usable = (cells.shape[1] // 2) * 2
+    return (cells[:, 0:usable:2] == cells[:, 1:usable:2]).astype(np.uint8)

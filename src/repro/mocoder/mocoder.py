@@ -187,8 +187,7 @@ class MOCoder:
         :meth:`assemble`.
 
         Decoding runs through the vectorised
-        :func:`~repro.mocoder.emblem.decode_image_batch` (bit-identical to
-        per-image ``Emblem.from_image``, including failure messages).
+        :func:`~repro.mocoder.emblem.decode_image_batch`.
         """
         decoded: dict[int, Emblem] = {}
         for image_index, outcome in enumerate(decode_image_batch(self.spec, images)):

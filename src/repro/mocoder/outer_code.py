@@ -198,11 +198,10 @@ def _gf_matrix_multiply(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
     One multiplication-table gather and XOR reduction per column chunk —
     the same log/exp-table product the inner code's ``encode_parity`` uses —
-    instead of the per-(row, column) ``gf_mul_array`` sweep of
-    :func:`_gf_matrix_multiply_reference`.  For a K-data volume set this is
-    the whole of the degraded-read stripe reconstruction, so the reference's
-    ``K * K`` numpy passes over every stripe byte were the measured ~6x
-    degraded-read penalty.  Bit-identical to the reference.
+    instead of a per-(row, column) ``gf_mul_array`` sweep.  For a K-data
+    volume set this is the whole of the degraded-read stripe
+    reconstruction, so the sweep's ``K * K`` numpy passes over every stripe
+    byte were the measured ~6x degraded-read penalty.
     """
     left8 = np.asarray(left).astype(np.uint8)
     right8 = np.asarray(right).astype(np.uint8)
@@ -216,20 +215,3 @@ def _gf_matrix_multiply(left: np.ndarray, right: np.ndarray) -> np.ndarray:
         result[:, start:start + chunk] = np.bitwise_xor.reduce(terms, axis=1)
     return result.astype(np.int32)
 
-
-def _gf_matrix_multiply_reference(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """The row-at-a-time GF(256) matrix product (the pre-vectorisation loop).
-
-    Retained as the ground truth :func:`_gf_matrix_multiply` is equivalence-
-    tested against, and as the degraded-read benchmark baseline.
-    """
-    rows = left.shape[0]
-    result = np.zeros((rows, right.shape[1]), dtype=np.int32)
-    for row in range(rows):
-        accumulator = np.zeros(right.shape[1], dtype=np.int32)
-        for column in range(left.shape[1]):
-            coefficient = int(left[row, column])
-            if coefficient:
-                accumulator ^= gf_mul_array(right[column], coefficient)
-        result[row] = accumulator
-    return result

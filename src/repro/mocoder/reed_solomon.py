@@ -26,7 +26,6 @@ import numpy as np
 from repro.errors import UncorrectableBlockError
 from repro.mocoder.galois import (
     EXP_TABLE,
-    LOG_TABLE,
     MUL_TABLE,
     gf_inverse,
     gf_mul,
@@ -60,16 +59,9 @@ class ReedSolomonCode:
         self.k = k
         self.parity = n - k
         self.generator = self._build_generator(self.parity)
-        # Parity-feedback coefficients (generator without its leading 1),
-        # kept as a numpy row for the vectorised encoder.
-        self._feedback = np.array(self.generator[1:], dtype=np.int32)
-        # alpha**j for j = 1..parity, used by the vectorised syndrome loop.
-        self._syndrome_roots = np.array(
-            [gf_pow(2, j) for j in range(1, self.parity + 1)], dtype=np.int32
-        )
         # Lazily built vectorisation tables (see _parity_matrix_table /
-        # _syndrome_root_powers): building them costs one k x k reference
-        # encode, so codes that are constructed but never used stay cheap.
+        # _syndrome_root_powers), so codes that are constructed but never
+        # used stay cheap.
         self._parity_matrix: SymbolArray | None = None
         self._syndrome_powers: SymbolArray | None = None
         self._chien_powers: SymbolArray | None = None
@@ -95,8 +87,8 @@ class ReedSolomonCode:
 
         Systematic RS encoding is linear over GF(256), so the parity symbols
         are a matrix product ``data @ P`` where row ``i`` of ``P`` is the
-        parity of the ``i``-th unit vector.  ``P`` is built once (with the
-        reference LFSR encoder).  Small batches run the product as one
+        parity of the ``i``-th unit vector.  ``P`` is built once (see
+        ``_parity_matrix_table``).  Small batches run the product as one
         multiplication-table gather and XOR reduction; large batches switch
         to a bit-sliced GF(2) product (see ``_encode_remainder_bitslice``)
         that replaces the per-symbol table gathers with word-wide XORs.
@@ -173,36 +165,24 @@ class ReedSolomonCode:
             ]
         return self._bitslice_supports
 
-    def _encode_blocks_reference(self, data_blocks: SymbolArray) -> SymbolArray:
-        """The LFSR (polynomial-division) encoder; column-at-a-time.
-
-        Kept as the ground truth the vectorised encoder is derived from: it
-        builds the systematic parity matrix and anchors the equivalence tests
-        and the benchmark baseline.
-        """
-        data_blocks = np.asarray(data_blocks, dtype=np.int32)
-        blocks = data_blocks.shape[0]
-        remainder = np.zeros((blocks, self.parity), dtype=np.int32)
-        feedback_log = LOG_TABLE[self._feedback]
-        for column in range(self.k):
-            feedback = data_blocks[:, column] ^ remainder[:, 0]
-            remainder[:, :-1] = remainder[:, 1:]
-            remainder[:, -1] = 0
-            nonzero = feedback != 0
-            if np.any(nonzero):
-                contribution = EXP_TABLE[
-                    LOG_TABLE[feedback[nonzero]][:, None] + feedback_log[None, :]
-                ]
-                remainder[nonzero] ^= contribution
-        return np.concatenate([data_blocks, remainder], axis=1)
-
     def _parity_matrix_table(self) -> SymbolArray:
-        """The systematic (k, parity) parity matrix as uint8."""
+        """The systematic (k, parity) parity matrix ``P`` as uint8.
+
+        Row ``i`` is the parity of the ``i``-th unit vector, i.e. the LFSR
+        remainder after feeding a single 1 at data column ``i`` and then
+        ``k - 1 - i`` zeros.  Row ``k - 1`` is therefore the generator
+        without its leading 1, and each earlier row is one LFSR step (shift
+        left, then add the shifted-out symbol times the feedback) of the
+        row after it.
+        """
         if self._parity_matrix is None:
-            identity = np.eye(self.k, dtype=np.int32)
-            self._parity_matrix = (
-                self._encode_blocks_reference(identity)[:, self.k:].astype(np.uint8)
-            )
+            feedback = np.array(self.generator[1:], dtype=np.uint8)
+            matrix = np.empty((self.k, self.parity), dtype=np.uint8)
+            row = feedback
+            for index in range(self.k - 1, -1, -1):
+                matrix[index] = row
+                row = np.append(row[1:], np.uint8(0)) ^ MUL_TABLE[row[0], feedback]
+            self._parity_matrix = matrix
         return self._parity_matrix
 
     def encode(self, data: bytes) -> tuple[bytes, int]:
@@ -244,29 +224,6 @@ class ReedSolomonCode:
             syndromes[start:start + chunk] = np.bitwise_xor.reduce(terms, axis=2)
         return syndromes
 
-    def _syndromes_blocks_reference(self, codewords: SymbolArray) -> SymbolArray:
-        """Horner-recurrence syndromes (the pre-vectorisation hot loop).
-
-        Retained as ground truth for the equivalence tests and as the
-        benchmark baseline.
-        """
-        codewords = np.asarray(codewords, dtype=np.int32)
-        blocks = codewords.shape[0]
-        syndromes = np.zeros((blocks, self.parity), dtype=np.int32)
-        root_logs = LOG_TABLE[self._syndrome_roots]
-        for column in range(self.n):
-            # Horner step: s = s * alpha^j + c[column]
-            nonzero = syndromes != 0
-            if np.any(nonzero):
-                stepped = np.zeros_like(syndromes)
-                stepped[nonzero] = EXP_TABLE[
-                    LOG_TABLE[syndromes[nonzero]]
-                    + np.broadcast_to(root_logs[None, :], syndromes.shape)[nonzero]
-                ]
-                syndromes = stepped
-            syndromes ^= codewords[:, column][:, None]
-        return syndromes
-
     def _syndrome_root_powers(self) -> SymbolArray:
         """``powers[j, i] = alpha^((j+1) * (n-1-i))`` as uint8; shape (parity, n)."""
         if self._syndrome_powers is None:
@@ -286,7 +243,7 @@ class ReedSolomonCode:
         Chien-search gather evaluates all the error locators at once, and one
         batched syndrome re-check replaces the per-block guards.  Only
         Berlekamp-Massey and Forney (loops over <= ``parity`` coefficients)
-        run per block.  Bit-identical to :meth:`_decode_blocks_reference`.
+        run per block.
 
         ``syndromes`` may carry precomputed :meth:`syndromes_blocks` output
         for these codewords (shape ``(blocks, parity)``): the batched decode
@@ -353,24 +310,6 @@ class ReedSolomonCode:
             )
         return codewords[:, : self.k], corrected_symbols
 
-    def _decode_blocks_reference(self, codewords: SymbolArray) -> tuple[SymbolArray, int]:
-        """The per-block decode loop (the pre-batching implementation).
-
-        Retained as the ground truth :meth:`decode_blocks` is equivalence-
-        tested against, and as the benchmark baseline.
-        """
-        codewords = np.array(codewords, dtype=np.int32, copy=True)
-        if codewords.ndim != 2 or codewords.shape[1] != self.n:
-            raise ValueError(f"expected shape (blocks, {self.n}), got {codewords.shape}")
-        syndromes = self.syndromes_blocks(codewords)
-        damaged = np.nonzero(np.any(syndromes != 0, axis=1))[0]
-        corrected_symbols = 0
-        for block_index in damaged:
-            corrected_symbols += self._correct_block(
-                codewords[block_index], syndromes[block_index].tolist(), int(block_index)
-            )
-        return codewords[:, : self.k], corrected_symbols
-
     def decode(self, codeword_bytes: bytes, original_length: int | None = None) -> tuple[bytes, int]:
         """Decode concatenated codewords back into data bytes."""
         if len(codeword_bytes) % self.n:
@@ -388,35 +327,8 @@ class ReedSolomonCode:
         return data, corrected
 
     # ------------------------------------------------------------------ #
-    # Per-block error correction (Berlekamp-Massey + Chien + Forney)
+    # Error correction helpers (Berlekamp-Massey + Chien + Forney)
     # ------------------------------------------------------------------ #
-    def _correct_block(self, codeword: SymbolArray, syndromes: list[int], block_index: int) -> int:
-        sigma = self._berlekamp_massey(syndromes)
-        error_count = len(sigma) - 1
-        if error_count > self.max_correctable_errors:
-            raise UncorrectableBlockError(
-                f"block {block_index}: {error_count} errors exceed the "
-                f"{self.max_correctable_errors}-error capability of RS({self.n},{self.k})"
-            )
-        error_positions = self._chien_search(sigma)
-        if len(error_positions) != error_count:
-            raise UncorrectableBlockError(
-                f"block {block_index}: error locator polynomial is inconsistent "
-                f"(degree {error_count}, {len(error_positions)} roots)"
-            )
-        magnitudes = self._forney(syndromes, sigma, error_positions)
-        for position, magnitude in zip(error_positions, magnitudes):
-            codeword[position] ^= magnitude
-        # A decode that "corrects" onto a different codeword is detectable by
-        # re-checking the syndromes; this guards against miscorrection when a
-        # block is damaged beyond the design distance.
-        check = self.syndromes_blocks(codeword[None, :])
-        if np.any(check != 0):
-            raise UncorrectableBlockError(
-                f"block {block_index}: residual syndromes after correction"
-            )
-        return error_count
-
     @staticmethod
     def _berlekamp_massey(syndromes: list[int]) -> list[int]:
         """Return the error-locator polynomial sigma (lowest degree first)."""
@@ -455,7 +367,7 @@ class ReedSolomonCode:
         """``powers[j, p] = x_inverse_p ** j`` as uint8; shape (degree_bound, n).
 
         ``x_inverse_p = alpha^-(n-1-p)`` is the candidate locator root of
-        codeword position ``p`` (see :meth:`_chien_search`).
+        codeword position ``p``, which holds the coefficient of x^(n-1-p).
         """
         cached = self._chien_powers
         if cached is None or cached.shape[0] < degree_bound:
@@ -476,8 +388,7 @@ class ReedSolomonCode:
         position as a single multiplication-table gather and XOR reduction
         (``values[b, p] = XOR_j sigma_b[j] * x_inverse_p ** j``), mirroring
         the batched encoder instead of looping numpy passes per block.
-        Returns the in-error positions of each block, matching
-        :meth:`_chien_search` exactly.
+        Returns the in-error positions of each block.
         """
         max_len = max(len(sigma) for sigma in sigmas)
         sigma_matrix = np.zeros((len(sigmas), max_len), dtype=np.uint8)
@@ -487,30 +398,6 @@ class ReedSolomonCode:
         terms = MUL_TABLE[sigma_matrix[:, :, None], powers[None, :, :]]
         values = np.bitwise_xor.reduce(terms, axis=1)  # (blocks, n)
         return [np.nonzero(values[row] == 0)[0].tolist() for row in range(len(sigmas))]
-
-    def _chien_search(self, sigma: list[int]) -> list[int]:
-        """Return codeword positions whose symbols are in error.
-
-        The locator root associated with codeword position ``p`` (which holds
-        the coefficient of x^(n-1-p)) is alpha^-(n-1-p); sigma is evaluated at
-        every candidate root at once with numpy.
-        """
-        exponents = np.arange(self.n - 1, -1, -1, dtype=np.int64)  # n-1-p for p=0..n-1
-        x_inverse = EXP_TABLE[(255 - exponents) % 255].astype(np.int64)
-        values = np.zeros(self.n, dtype=np.int64)
-        power = np.ones(self.n, dtype=np.int64)
-        for coefficient in sigma:
-            if coefficient:
-                term = np.zeros(self.n, dtype=np.int64)
-                nonzero = power != 0
-                term[nonzero] = EXP_TABLE[LOG_TABLE[power[nonzero]] + LOG_TABLE[coefficient]]
-                values ^= term
-            # power *= x_inverse (x_inverse is never zero)
-            nonzero = power != 0
-            stepped = np.zeros(self.n, dtype=np.int64)
-            stepped[nonzero] = EXP_TABLE[LOG_TABLE[power[nonzero]] + LOG_TABLE[x_inverse[nonzero]]]
-            power = stepped
-        return np.nonzero(values == 0)[0].tolist()
 
     def _forney(self, syndromes: list[int], sigma: list[int], positions: list[int]) -> list[int]:
         """Compute error magnitudes for the located positions."""

@@ -9,7 +9,6 @@ makes segments independently restorable.
 """
 
 from repro.pipeline.executors import (
-    EXECUTOR_NAMES,
     ProcessPoolSegmentExecutor,
     SegmentExecutor,
     SerialExecutor,
@@ -24,7 +23,6 @@ from repro.pipeline.pipeline import (
     RestorePipeline,
     build_system_artifacts,
     merge_reports,
-    resolve_decode_executor,
 )
 from repro.pipeline.segmenter import DEFAULT_SEGMENT_SIZE, Segment, iter_segments, segment_count
 
@@ -36,13 +34,11 @@ __all__ = [
     "DecodedSegment",
     "build_system_artifacts",
     "merge_reports",
-    "resolve_decode_executor",
     "SegmentExecutor",
     "SerialExecutor",
     "ThreadPoolSegmentExecutor",
     "ProcessPoolSegmentExecutor",
     "get_executor",
-    "EXECUTOR_NAMES",
     "DEFAULT_SEGMENT_SIZE",
     "Segment",
     "iter_segments",

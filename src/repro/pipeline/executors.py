@@ -29,22 +29,16 @@ from typing import Callable, Iterable, Iterator, TypeVar
 ItemT = TypeVar("ItemT")
 ResultT = TypeVar("ResultT")
 
-#: Names accepted by :func:`get_executor`.
-EXECUTOR_NAMES = ("serial", "thread", "process", "auto")
-
 
 class SegmentExecutor:
     """Base class: ordered, bounded mapping of a function over segments."""
 
     name = "base"
 
-    #: True when jobs run in the caller's address space (serial/thread):
-    #: results hand numpy buffers over by reference, so the pipeline's
-    #: per-segment raster batches reach the consumer zero-copy.  Process
-    #: pools set this False — results cross a pickle boundary, which is why
-    #: a segment's rasters travel as one contiguous (count, H, W) array
-    #: (one buffer to serialise) rather than a list of per-frame arrays.
-    shares_address_space = True
+    #: How many jobs run at once.  The restore pipeline splits a large
+    #: segment's decode into up to this many jobs, so an executor that runs
+    #: one job at a time never pays for a split.
+    workers = 1
 
     def map_ordered(
         self, function: Callable[[ItemT], ResultT], items: Iterable[ItemT]
@@ -146,7 +140,6 @@ class ProcessPoolSegmentExecutor(_PoolExecutor):
     """
 
     name = "process"
-    shares_address_space = False
 
     def _make_pool(self) -> Executor:
         return ProcessPoolExecutor(max_workers=self.workers)

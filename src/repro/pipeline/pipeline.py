@@ -105,22 +105,6 @@ class ChannelSpec:
         ).images
 
 
-def resolve_decode_executor(
-    executor: "str | SegmentExecutor | None", decode_parallelism: int
-) -> "str | SegmentExecutor | None":
-    """The executor sub-segment decoding should actually run on.
-
-    ``decode_parallelism`` > 1 over the default ``"serial"`` executor would
-    be a silent no-op (chunks would still decode one after another), so the
-    combination upgrades to a thread pool sized to the parallelism.  Any
-    explicit executor choice — another name, a ``name:N`` spec, or an
-    instance — is respected as given.
-    """
-    if decode_parallelism > 1 and (executor is None or executor == "serial"):
-        return f"thread:{decode_parallelism}"
-    return executor
-
-
 # --------------------------------------------------------------------------- #
 # Per-segment jobs (module-level and plain-data so process pools can use them)
 # --------------------------------------------------------------------------- #
@@ -429,19 +413,17 @@ class RestorePipeline:
     profile:
         Media profile whose emblem spec the scans were produced with.
     executor:
-        Executor spec or instance mapping the per-segment (or per-chunk)
-        decode jobs.
+        Executor spec or instance mapping the per-segment decode jobs.  A
+        segment of at least ``2 * MIN_DECODE_CHUNK`` scans splits into up
+        to ``executor.workers`` contiguous chunks decoded as independent
+        jobs (the group reassembly runs on the consuming thread), so one
+        huge segment does not bound restore latency; ``serial`` runs one
+        job at a time and never splits.
     channel:
         Optional :class:`ChannelSpec`.  When set, every decode job *records*
         its emblem rasters onto the named medium and *scans* them back
         (per-frame seeded) before decoding — streaming channel simulation,
         batch by batch through the executor.
-    decode_parallelism:
-        Sub-segment parallelism: when > 1, each segment's scans are split
-        into up to that many contiguous chunks decoded as independent
-        executor jobs (the serial group reassembly runs on the consuming
-        thread), so one huge segment no longer bounds restore latency.
-        Chunks never shrink below :data:`MIN_DECODE_CHUNK` scans.
     """
 
     def __init__(
@@ -449,11 +431,9 @@ class RestorePipeline:
         profile: MediaProfile = TEST_PROFILE,
         executor: str | SegmentExecutor = "serial",
         channel: ChannelSpec | None = None,
-        decode_parallelism: int = 1,
     ):
         self.profile = profile
-        self.decode_parallelism = max(1, int(decode_parallelism))
-        self.executor = resolve_decode_executor(executor, self.decode_parallelism)
+        self.executor = executor
         self.channel = channel
         self._owns_executor = not isinstance(self.executor, SegmentExecutor)
 
@@ -480,6 +460,7 @@ class RestorePipeline:
         spec = self.profile.spec
         mocoder = MOCoder(spec)
         codec = (manifest.dbcoder_profile or "portable") if decode_payload else None
+        executor = get_executor(self.executor)
 
         def jobs() -> Iterator[_DecodeJob]:
             for record in records:
@@ -487,7 +468,7 @@ class RestorePipeline:
                 # Floored chunks: a small segment is one vectorised decode
                 # call, so fanning it out would only add executor round-trips.
                 bounds = chunk_bounds(
-                    len(images), self.decode_parallelism, min_chunk=MIN_DECODE_CHUNK
+                    len(images), executor.workers, min_chunk=MIN_DECODE_CHUNK
                 )
                 for start, end in bounds:
                     yield _DecodeJob(
@@ -500,7 +481,6 @@ class RestorePipeline:
                         channel=self.channel,
                     )
 
-        executor = get_executor(self.executor)
         chunks: list[_DecodedChunk] = []
         try:
             for result in executor.map_ordered(_decode_job, jobs()):
@@ -526,9 +506,9 @@ class RestorePipeline:
 #: Floor on scans per decode chunk.  The batched decode path amortises its
 #: per-call numpy dispatch across a whole chunk, so splitting a small segment
 #: across executor workers costs more (job pickling, thread wake-ups, a GIL'd
-#: merge) than it saves — ``decode_parallelism=2`` measured *0.89x of serial*
-#: on the 287-frame bench smoke payload before this floor collapsed such
-#: segments to one chunk.
+#: merge) than it saves — a 2-way split measured *0.89x of serial* on the
+#: 287-frame bench smoke payload before this floor collapsed such segments
+#: to one chunk.
 MIN_DECODE_CHUNK = 160
 
 

@@ -681,6 +681,33 @@ class _ContainerSink(ArchiveSink):
 _SOURCE_POOL_MAX = 8
 
 
+def _checked_index(entries: object, records_end: int) -> dict[str, tuple[int, int]]:
+    """A parsed trailer index as ``{name: (payload start, length)}``.
+
+    Every entry must be ``[name, start, length]`` with a ``str`` name and
+    non-bool ``int`` bounds, and its span must lie between the file magic
+    and ``records_end`` (where the index record itself begins): the bounds
+    later size and position a ``read()``.  Raises :class:`ValueError` on
+    the first entry that breaks this.
+    """
+    if not isinstance(entries, list):
+        raise ValueError("the index is not a list")
+    index: dict[str, tuple[int, int]] = {}
+    for entry in entries:
+        if not (isinstance(entry, list) and len(entry) == 3):
+            raise ValueError(f"bad index entry {entry!r:.80}")
+        name, start, length = entry
+        if not (
+            isinstance(name, str)
+            and all(type(value) is int for value in (start, length))
+            and len(CONTAINER_MAGIC) <= start
+            and 0 <= length <= records_end - start
+        ):
+            raise ValueError(f"bad index entry {entry!r:.80}")
+        index[name] = (start, length)
+    return index
+
+
 class _ContainerSource(ArchiveSource):
     """Read side of the container backend — safe for *concurrent* readers.
 
@@ -731,7 +758,8 @@ class _ContainerSource(ArchiveSource):
                 payload = stream.read(size - _TRAILER.size - offset)
                 try:
                     entries = json.loads(payload.decode("utf-8"))
-                    return {name: (start, length) for name, start, length in entries}
+                    records_end = offset - _record_header_size(_INDEX_NAME)
+                    return _checked_index(entries, records_end)
                 except (ValueError, TypeError):
                     reason = "trailer index record is corrupt"
         index = _scan_stream(stream, size).index()

@@ -100,7 +100,6 @@ class TestArchiveConfig:
         {"segment_size": True},
         {"scan_seed": "abc"},
         {"payload_kind": 7},
-        {"decode_parallelism": True},
         {"readahead": 1.5},
     ], ids=lambda fields: "-".join(f"{k}={v!r}" for k, v in fields.items()))
     def test_values_of_the_wrong_type_rejected(self, fields):
@@ -115,7 +114,7 @@ class TestArchiveConfig:
         """Stored configs drop the keys the target URI took over; live calls
         are told where each one went."""
         old = {"media": "test", "store": "container", "volume_parity": 2,
-               "volume_stripe": 3}
+               "volume_stripe": 3, "decode_parallelism": True}
         assert ArchiveConfig.from_dict(old) == ArchiveConfig(media="test")
         for key, spelling in (("store", "scheme"), ("volume_parity", "m="),
                               ("volume_stripe", "stripe=")):
@@ -233,6 +232,47 @@ class TestSessions:
             assert writer.config.codec == "store"
         finally:
             writer.abort()
+
+    @pytest.mark.parametrize("call", [
+        lambda: open_archive("mem:positional-target"),
+        lambda: open_archive({"media": "test"}),
+        lambda: run_end_to_end("test", b"payload"),
+    ], ids=["target-as-config", "dict-as-config", "end-to-end"])
+    def test_non_config_argument_rejected(self, call):
+        """A positional target (or any non-config) is a ConfigError that
+        says where the target and the overrides go."""
+        with pytest.raises(ConfigError, match="target=.*keywords"):
+            call()
+
+    def test_open_restore_closes_what_it_opened_on_a_bad_config(self, tmp_path,
+                                                               monkeypatch):
+        from repro.api import session
+        from repro.errors import StoreError
+        from repro.store import open_source
+
+        target = f"file:{tmp_path / 'backup.ule'}"
+        with open_archive(ArchiveConfig(media="test"), target=target) as writer:
+            writer.write(b"restore me")
+        opened = []
+
+        def recording_open_source(spec):
+            opened.append(open_source(spec))
+            return opened[-1]
+
+        monkeypatch.setattr(session, "open_source", recording_open_source)
+        with pytest.raises(ConfigError, match="target=.*keywords"):
+            open_restore(target, "not-a-config")
+        with pytest.raises(ConfigError, match="decode_mode"):
+            open_restore(target, decode_mode="bogus")
+        assert len(opened) == 2
+        for source in opened:
+            with pytest.raises(StoreError, match="closed"):
+                source.get_text("config.json")
+        # A source the caller opened stays the caller's to close.
+        with open_source(target) as source:
+            with pytest.raises(ConfigError):
+                open_restore(source, decode_mode="bogus")
+            assert source.get_text("config.json")
 
 
 # --------------------------------------------------------------------------- #

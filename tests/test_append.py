@@ -216,8 +216,9 @@ class TestManifestLineage:
 
     #: The config an archive written with ``write_archive``'s defaults
     #: embedded before the target URI became the only place a backend or a
-    #: volume geometry is chosen: it still carries ``store``,
-    #: ``volume_parity`` and ``volume_stripe``.
+    #: volume geometry is chosen, and before restore chunking followed the
+    #: executor: it still carries ``store``, ``volume_parity``,
+    #: ``volume_stripe`` and ``decode_parallelism``.
     OLD_CONFIG = {
         "codec": "portable", "decode_mode": "python", "decode_parallelism": 1,
         "distortion": None, "executor": "serial", "media": "test-small",
@@ -228,7 +229,8 @@ class TestManifestLineage:
 
     @pytest.mark.parametrize("retired", [
         {},
-        {"store": "container", "volume_parity": 2, "volume_stripe": 3},
+        {"store": "container", "volume_parity": 2, "volume_stripe": 3,
+         "decode_parallelism": 4},
     ], ids=["as-written", "non-default-values"])
     def test_archive_with_retired_config_keys(self, tmp_path, make_payload,
                                               write_archive, retired):
@@ -259,7 +261,9 @@ class TestManifestLineage:
         assert report.active_generation == 1
         new_config = open_source(target).manifest().config
         assert new_config is not None
-        assert not {"store", "volume_parity", "volume_stripe"} & set(new_config)
+        assert not {"store", "volume_parity", "volume_stripe", "decode_parallelism"} & set(
+            new_config
+        )
 
 
 # --------------------------------------------------------------------------- #

@@ -10,8 +10,9 @@ contract:
 * the streaming per-batch record/scan path restores bit-identically to a
   whole-frame ``MediaChannel.roundtrip`` of every frame across media ×
   executors,
-* ``decode_parallelism`` > 1 restores bit-identically to the serial decode,
-  for segmented and one-shot (single huge segment) archives alike, with the
+* a multi-worker executor, which splits a large segment's decode into one
+  chunk per worker, restores bit-identically to the serial decode, for
+  segmented and one-shot (single huge segment) archives alike, with the
   same ``DecodeReport`` counts when segments really split into chunks,
 * ``readahead`` prefetching returns the same bytes as lazy fetching.
 
@@ -146,21 +147,35 @@ class TestStreamingChannelEquivalence:
 
 
 # --------------------------------------------------------------------------- #
-# decode_parallelism: chunked sub-segment decode == serial decode
+# Executor-driven chunking: chunked sub-segment decode == serial decode
 # --------------------------------------------------------------------------- #
+def _count_decode_jobs(monkeypatch) -> list[int]:
+    """Record the scan count of every ``MOCoder.decode_images`` call."""
+    from repro.mocoder import MOCoder
+
+    chunk_sizes: list[int] = []
+    decode_images = MOCoder.decode_images
+
+    def counting(self, images, report, image_offset=0):
+        chunk_sizes.append(len(images))
+        return decode_images(self, images, report, image_offset)
+
+    monkeypatch.setattr(MOCoder, "decode_images", counting)
+    return chunk_sizes
+
+
 class TestDecodeParallelism:
     @pytest.mark.parametrize("executor", ["serial", "thread:3"])
     def test_one_shot_archive_matches_serial(self, executor: str, make_payload,
                                              build_archive) -> None:
-        """A single huge segment decodes chunk-parallel to the same bytes."""
+        """A single huge segment decodes to the same bytes on any executor."""
         payload = make_payload(9000)
         config = ArchiveConfig(media="test", segment_size=None)
         archive = build_archive(config, payload)
         assert len(archive.manifest.segments) == 1
         with open_restore(archive, config) as reader:
             serial = reader.read()
-        with open_restore(archive, config, executor=executor,
-                          decode_parallelism=3) as reader:
+        with open_restore(archive, config, executor=executor) as reader:
             chunked = reader.read()
         assert chunked.payload == serial.payload == payload
         assert chunked.data_report.emblems_decoded == serial.data_report.emblems_decoded
@@ -171,8 +186,7 @@ class TestDecodeParallelism:
         config = ArchiveConfig(media="test", segment_size=2048)
         archive = build_archive(config, payload)
         serial = open_restore(archive, config).read()
-        with open_restore(archive, config, executor="thread:2",
-                          decode_parallelism=2) as reader:
+        with open_restore(archive, config, executor="thread:2") as reader:
             parallel = reader.read()
         assert parallel.payload == serial.payload == payload
 
@@ -181,7 +195,7 @@ class TestDecodeParallelism:
                                         make_payload, build_archive) -> None:
         """Segments really split into chunks restore what serial restores.
 
-        Lowering the pipeline's chunk floor makes ``decode_parallelism=3``
+        Lowering the pipeline's chunk floor makes a ``thread:3`` executor
         split every segment into three jobs that finish on the consuming
         thread; the bytes and every ``DecodeReport`` count (including the
         failure of a blanked frame in a later chunk, numbered by its
@@ -189,7 +203,6 @@ class TestDecodeParallelism:
         ``dynarisc`` runs the archived decoder over each reassembled
         container, so a corrupted chunk merge cannot slip through.
         """
-        from repro.mocoder import MOCoder
         from repro.pipeline import pipeline as pipeline_module
 
         payload = make_payload(3000)
@@ -205,16 +218,8 @@ class TestDecodeParallelism:
             serial = reader.read()
 
         monkeypatch.setattr(pipeline_module, "MIN_DECODE_CHUNK", 1)
-        chunk_sizes: list[int] = []
-        decode_images = MOCoder.decode_images
-
-        def counting(self, images, report, image_offset=0):
-            chunk_sizes.append(len(images))
-            return decode_images(self, images, report, image_offset)
-
-        monkeypatch.setattr(MOCoder, "decode_images", counting)
-        with open_restore(damaged, config, executor="thread:3",
-                          decode_parallelism=3) as reader:
+        chunk_sizes = _count_decode_jobs(monkeypatch)
+        with open_restore(damaged, config, executor="thread:3") as reader:
             chunked = reader.read()
         segments = archive.manifest.segments
         # Three chunks per segment, plus the one system-stream decode.
@@ -229,41 +234,55 @@ class TestDecodeParallelism:
 
     def test_streaming_channel_with_decode_parallelism(self, make_payload,
                                                        build_archive) -> None:
-        """Both tentpole halves composed: per-batch channel + chunked decode."""
+        """Both tentpole halves composed: per-batch channel + a thread pool."""
         payload = make_payload(6000)
         config = ArchiveConfig(
-            media="test", segment_size=1500, executor="thread:2",
-            decode_parallelism=2, scan_seed=17,
+            media="test", segment_size=1500, executor="thread:2", scan_seed=17,
         )
         archive = build_archive(config, payload)
         result = open_restore(archive, config).read_via_channel(seed=17)
         assert result.payload == payload
 
-    def test_serial_executor_upgrades_for_chunked_decode(self, make_payload,
-                                                         build_archive) -> None:
-        """decode_parallelism > 1 over the default serial executor must not
-        be a silent no-op: chunk decoding upgrades to a thread pool."""
-        from repro.pipeline import RestorePipeline, resolve_decode_executor
+    def test_serial_executor_never_splits(self, monkeypatch, make_payload,
+                                          build_archive) -> None:
+        """Chunking follows the executor's worker count, at the real floor.
 
-        assert resolve_decode_executor("serial", 4) == "thread:4"
-        assert resolve_decode_executor("serial", 1) == "serial"
-        assert resolve_decode_executor("process:2", 4) == "process:2"
-        pipeline = RestorePipeline(decode_parallelism=3)
-        assert pipeline.executor == "thread:3"
-        payload = make_payload(5000)
-        config = ArchiveConfig(media="test", segment_size=None)
+        A one-segment archive of at least ``2 * MIN_DECODE_CHUNK`` frames
+        decodes in one job under ``serial`` and in two under ``thread:2``,
+        to the same bytes and the same ``DecodeReport``.
+        """
+        from repro.pipeline.pipeline import MIN_DECODE_CHUNK
+
+        payload = make_payload(56_000)
+        config = ArchiveConfig(media="test", codec="store", segment_size=None)
         archive = build_archive(config, payload)
-        with open_restore(archive, config, decode_parallelism=3) as reader:
-            assert reader.read().payload == payload
+        [record] = archive.manifest.segments
+        assert record.emblem_count >= 2 * MIN_DECODE_CHUNK
+        chunk_sizes = _count_decode_jobs(monkeypatch)
+        results, jobs = {}, {}
+        for executor in ("serial", "thread:2"):
+            chunk_sizes.clear()
+            with open_restore(archive, config, executor=executor) as reader:
+                results[executor] = reader.read()
+            # The data segment's jobs, then the one system-stream decode.
+            jobs[executor] = len(chunk_sizes) - 1
+        assert jobs == {"serial": 1, "thread:2": 2}
+        assert results["serial"].payload == results["thread:2"].payload == payload
+        assert results["serial"].data_report == results["thread:2"].data_report
 
     def test_config_validates_parallelism(self) -> None:
+        """Sub-segment parallelism is the executor's worker count: the old
+        ``decode_parallelism`` key is dropped from stored configs and names
+        its replacement when set on a live one."""
         from repro.errors import ConfigError
 
-        with pytest.raises(ConfigError):
-            ArchiveConfig(decode_parallelism=0)
+        with pytest.raises(ConfigError, match='decode_parallelism.*executor="thread:N"'):
+            ArchiveConfig().replace(decode_parallelism=2)
+        stored = {"media": "test", "executor": "thread:2", "decode_parallelism": 4}
+        assert ArchiveConfig.from_dict(stored) == ArchiveConfig(media="test", executor="thread:2")
         with pytest.raises(ConfigError):
             ArchiveConfig(readahead=-1)
-        config = ArchiveConfig(decode_parallelism=4, readahead=2)
+        config = ArchiveConfig(executor="thread:4", readahead=2)
         assert ArchiveConfig.from_json(config.to_json()) == config
 
 
@@ -283,8 +302,7 @@ class TestReadahead:
                     expected = payload[offset:offset + length]
                     assert lazy.read_range(offset, length) == expected
                     assert eager.read_range(offset, length) == expected
-            with open_restore(target, readahead=2, decode_parallelism=2,
-                              executor="thread:2") as reader:
+            with open_restore(target, readahead=2, executor="thread:2") as reader:
                 assert reader.read_range(1000, 9000) == payload[1000:10000]
         finally:
             MemoryBackend.discard(target)

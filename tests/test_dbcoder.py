@@ -59,7 +59,8 @@ class TestLZSS:
         ``lazy=False`` pins the greedy parse; the default lazy parse is
         covered by :class:`TestLazyMatching`.
         """
-        from repro.dbcoder.lz77 import MAX_MATCH, MIN_MATCH, _find_longest_match
+        from oracles.lz77 import find_longest_match
+        from repro.dbcoder.lz77 import MAX_MATCH, MIN_MATCH
 
         reference = bytearray()
         flags = 0
@@ -70,7 +71,7 @@ class TestLZSS:
             limit = min(MAX_MATCH, len(data) - pos)
             offset, length = (0, 0)
             if limit >= MIN_MATCH:
-                offset, length = _find_longest_match(data, pos, limit)
+                offset, length = find_longest_match(data, pos, limit)
             if length >= MIN_MATCH:
                 group.append(offset & 0xFF)
                 group.append(((offset >> 8) << 4) | (length - MIN_MATCH))
@@ -121,7 +122,7 @@ class TestVectorisedScan:
     """The numpy candidate scan must stay bit-identical to the reference.
 
     ``lzss_compress`` precomputes the hash chains with an argsort and hands
-    long rejection streaks to a batched tail scan; ``_lzss_compress_reference``
+    long rejection streaks to a batched tail scan; ``oracles.lz77.lzss_compress``
     is the incremental dict-filed implementation it was derived from.  Any
     divergence — under any (max_chain, lazy) combination — is a bug, because
     archives written by one build must reproduce bit-exactly under another.
@@ -130,21 +131,21 @@ class TestVectorisedScan:
     @given(st.binary(max_size=2500))
     @settings(max_examples=40, deadline=None)
     def test_bit_identical_to_reference(self, data):
-        from repro.dbcoder.lz77 import _lzss_compress_reference
+        from oracles import lz77 as lz77_oracle
 
         for max_chain in (0, 1, 8, 128):
             for lazy in (False, True):
                 got = lzss_compress(data, max_chain=max_chain, lazy=lazy)
-                want = _lzss_compress_reference(data, max_chain=max_chain, lazy=lazy)
+                want = lz77_oracle.lzss_compress(data, max_chain=max_chain, lazy=lazy)
                 assert got == want, (max_chain, lazy)
                 assert lzss_decompress(got) == data
 
     def test_bit_identical_on_realistic_text(self, sql_sample):
-        from repro.dbcoder.lz77 import _lzss_compress_reference
+        from oracles import lz77 as lz77_oracle
 
         payload = sql_sample * 3
         for lazy in (False, True):
-            assert lzss_compress(payload, lazy=lazy) == _lzss_compress_reference(
+            assert lzss_compress(payload, lazy=lazy) == lz77_oracle.lzss_compress(
                 payload, lazy=lazy
             )
 

@@ -1,14 +1,16 @@
 """Bit-identity proofs for the vectorised decode hot paths.
 
-Every fast path added by the decode-throughput work keeps its reference
-implementation in the tree; this suite pins them together with hypothesis:
+Every fast path in ``src/`` is pinned with hypothesis against an oracle in
+``tests/oracles/`` (or, for the Otsu threshold and the letter decoder,
+against the fallback the fast path itself hands degenerate input to):
 
-- ``decode_image_batch`` vs per-image ``Emblem.from_image`` across a grid of
-  scan damage (pixel flips, blanks, noise, truncation, wrong rank);
+- ``decode_image_batch`` vs the per-image ``oracles.emblem.decode_image``
+  across a grid of scan damage (pixel flips, blanks, noise, truncation,
+  wrong rank), groups of one included;
 - ``deinterleave_blocks_batch`` vs the per-stream ``deinterleave_blocks``;
 - ``decode_blocks`` with precomputed syndromes / the clean-frame skip vs the
-  ``_decode_blocks_reference`` corrector;
-- the vectorised GF(256) matrix product vs its row-at-a-time reference, and
+  per-block corrector;
+- the vectorised GF(256) matrix product vs its row-at-a-time oracle, and
   volume-style ``reconstruct_group`` erasures over it;
 - ``_band_centers_rows`` vs ``EmblemSampler._band_centers``;
 - ``_otsu_threshold_stack`` vs ``otsu_threshold``;
@@ -21,29 +23,28 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import emblem as emblem_oracle
+from oracles import letters as letters_oracle
+from oracles import reed_solomon as rs_oracle
+from oracles.interleave import deinterleave_blocks
+from oracles.outer_code import gf_matrix_multiply
 from repro.bootstrap.letters import (
-    _bytes_to_letters_reference,
-    _letters_to_bytes_reference,
+    _letters_to_bytes_fallback,
     bytes_to_letters,
     format_letter_pages,
     letters_to_bytes,
 )
 from repro.errors import LetterCodecError, MOCoderError
-from repro.mocoder import Emblem, EmblemKind, MOCoder
+from repro.mocoder import EmblemKind, MOCoder
 from repro.mocoder.emblem import (
     _band_centers_rows,
     _otsu_threshold_stack,
-    EmblemSampler,
     build_emblem,
     decode_image_batch,
     otsu_threshold,
 )
-from repro.mocoder.interleave import deinterleave_blocks, deinterleave_blocks_batch
-from repro.mocoder.outer_code import (
-    OuterCode,
-    _gf_matrix_multiply,
-    _gf_matrix_multiply_reference,
-)
+from repro.mocoder.interleave import deinterleave_blocks_batch
+from repro.mocoder.outer_code import OuterCode, _gf_matrix_multiply
 from repro.mocoder.reed_solomon import get_code
 from repro.core.archive import ArchiveManifest, SegmentRecord
 from repro.core.profiles import get_profile
@@ -71,7 +72,7 @@ def _scan(rng, index=0, pad=0):
 
 def _reference_outcome(image):
     try:
-        return Emblem.from_image(SPEC, image)
+        return emblem_oracle.decode_image(SPEC, image)
     except MOCoderError as error:
         return (type(error), str(error))
 
@@ -96,10 +97,14 @@ class TestBatchDecodeBitIdentity:
     @settings(max_examples=25, deadline=None)
     @given(st.data())
     def test_damage_grid(self, data):
-        """Batched decode == per-image decode, damaged scans included."""
+        """Batched decode == per-image decode, damaged scans included.
+
+        Scans of differing size (padding, truncation) form groups of their
+        own, so groups of one are drawn as well as shared stacks.
+        """
         seed = data.draw(st.integers(0, 2**32 - 1))
         rng = np.random.default_rng(seed)
-        count = data.draw(st.integers(2, 6))
+        count = data.draw(st.integers(1, 6))
         images = []
         for index in range(count):
             image = _scan(rng, index, pad=int(rng.integers(0, 5)))
@@ -139,6 +144,8 @@ class TestBatchDecodeBitIdentity:
     def test_non_uint8_dtype(self, rng):
         images = [_scan(rng, index).astype(np.float64) for index in range(3)]
         _assert_batch_matches_reference(images)
+        # A lone float scan is a group of one.
+        _assert_batch_matches_reference([_scan(rng, 3).astype(np.float32)])
 
 
 class TestDeinterleaveBatch:
@@ -177,7 +184,7 @@ class TestCleanFrameSkip:
             positions = rng.choice(code.n, size=errors, replace=False)
             damaged[row, positions] ^= rng.integers(1, 256, size=errors)
         syndromes = code.syndromes_blocks(damaged)
-        reference_out, reference_fixed = code._decode_blocks_reference(damaged)
+        reference_out, reference_fixed = rs_oracle.decode_blocks(code, damaged)
         fast_out, fast_fixed = code.decode_blocks(damaged)
         precomputed_out, precomputed_fixed = code.decode_blocks(
             damaged, syndromes=syndromes
@@ -208,7 +215,7 @@ class TestStripeReconstruction:
         right = rng.integers(0, 256, size=(inner, width)).astype(np.int32)
         assert np.array_equal(
             _gf_matrix_multiply(left, right),
-            _gf_matrix_multiply_reference(left, right),
+            gf_matrix_multiply(left, right),
         )
 
     @pytest.mark.parametrize("data_shards,parity_shards", [(2, 1), (4, 2)])
@@ -252,7 +259,7 @@ class TestSamplerHelpers:
             return  # callers guard rows with no ink before _band_centers_rows
         first, last = _band_centers_rows(matrix)
         for row in range(matrix.shape[0]):
-            ref_first, ref_last = EmblemSampler._band_centers(matrix[row])
+            ref_first, ref_last = emblem_oracle.EmblemSampler._band_centers(matrix[row])
             assert first[row] == ref_first
             assert last[row] == ref_last
 
@@ -286,7 +293,7 @@ class TestLetterCodec:
     @given(st.binary(max_size=300))
     def test_encode_matches_reference_and_round_trips(self, data):
         letters = bytes_to_letters(data)
-        assert letters == _bytes_to_letters_reference(data)
+        assert letters == letters_oracle.bytes_to_letters(data)
         paged = "\n\n".join(format_letter_pages(letters))
         assert letters_to_bytes(paged) == data
 
@@ -298,7 +305,7 @@ class TestLetterCodec:
         except LetterCodecError as error:
             fast = ("err", str(error))
         try:
-            reference = ("ok", _letters_to_bytes_reference(text))
+            reference = ("ok", _letters_to_bytes_fallback(text))
         except LetterCodecError as error:
             reference = ("err", str(error))
         assert fast == reference
@@ -307,7 +314,7 @@ class TestLetterCodec:
 class TestChunkFloor:
     def test_floor_collapses_small_counts_to_serial(self):
         # The benchmark smoke payload (287 frames) must stay one chunk: the
-        # recorded decode_parallelism=2 slowdown came from splitting it.
+        # recorded 2-way-split slowdown came from splitting it.
         assert len(chunk_bounds(287, 2, min_chunk=MIN_DECODE_CHUNK)) == 1
         assert len(chunk_bounds(MIN_DECODE_CHUNK * 2 - 1, 2, min_chunk=MIN_DECODE_CHUNK)) == 1
         assert len(chunk_bounds(MIN_DECODE_CHUNK * 2, 2, min_chunk=MIN_DECODE_CHUNK)) == 2
@@ -342,7 +349,7 @@ class TestChunkFloor:
         manifest = ArchiveManifest(
             "test-small", "STORE", len(payload), crc, len(images), 0, segments=(record,)
         )
-        pipeline = RestorePipeline(get_profile("test"), decode_parallelism=2)
+        pipeline = RestorePipeline(get_profile("test"), executor="thread:2")
         [decoded] = pipeline.iter_decode(
             manifest, [record], lambda _record: images, decode_payload=False
         )

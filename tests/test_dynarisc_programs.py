@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles.manchester import manchester_encode_fast
 from repro.dbcoder.dbcoder import DBCoder, Profile
 from repro.dbcoder.lz77 import lzss_compress
 from repro.dynarisc.emulator import DynaRiscEmulator
 from repro.dynarisc.programs import get_program, get_source, program_names
-from repro.mocoder.manchester import manchester_encode_fast
 from repro.util.bits import bytes_to_bits
 
 

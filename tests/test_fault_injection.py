@@ -19,6 +19,7 @@ from repro import ArchiveConfig, TEST_PROFILE, open_archive, open_restore
 from repro.errors import (
     ECCError,
     MissingEmblemError,
+    MOCoderError,
     UncorrectableBlockError,
 )
 from repro.media.channel import MediaChannel
@@ -30,8 +31,16 @@ from repro.media.distortions import (
     add_scratches,
 )
 from repro.media.paper import PaperChannel
-from repro.mocoder.emblem import Emblem
+from repro.mocoder.emblem import decode_image_batch
 from repro.mocoder.outer_code import GROUP_DATA, GROUP_PARITY
+
+
+def decode_one(spec, image):
+    """Decode one scan through the batch decoder, raising its error."""
+    [outcome] = decode_image_batch(spec, [image])
+    if isinstance(outcome, MOCoderError):
+        raise outcome
+    return outcome
 
 
 def random_payload(size: int, seed: int) -> bytes:
@@ -152,7 +161,7 @@ class TestInnerCodeBudget:
             0, 256, size=(80, 160), dtype=np.uint8
         ) // 128 * 255
         with pytest.raises(UncorrectableBlockError):
-            Emblem.from_image(TEST_PROFILE.spec, image)
+            decode_one(TEST_PROFILE.spec, image)
 
     def test_archive_survives_one_uncorrectable_emblem(self, archive, payload):
         """An emblem lost to inner-code overflow is an outer-code erasure."""

@@ -120,3 +120,27 @@ def test_module_level_imports_point_down_the_layers(layer):
                 f"{path.relative_to(SRC)} imports {module} at module level, but "
                 f"{target!r} sits above {layer!r} in the layering"
             )
+
+
+def test_src_holds_no_oracles():
+    """One implementation per operation in ``src/``: oracles and reference
+    implementations live in ``tests/oracles/``, and nothing in the package
+    reaches into the test tree for them."""
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                assert not node.name.endswith("_reference"), (
+                    f"{path.relative_to(SRC)}:{node.lineno} defines {node.name}; "
+                    "move it to tests/oracles/"
+                )
+            if isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                modules = [node.module]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            for module in modules:
+                assert module.split(".")[0] not in ("oracles", "tests"), (
+                    f"{path.relative_to(SRC)}:{node.lineno} imports {module}"
+                )

@@ -10,6 +10,7 @@ from repro.media import (
     DNAChannel,
     MicrofilmChannel,
     PaperChannel,
+    pgm_from_bytes,
     read_pgm,
     write_pgm,
 )
@@ -36,6 +37,28 @@ class TestImageIO:
         path.write_bytes(b"P6 1 1 255 \x00\x00\x00")
         with pytest.raises(MediaError):
             read_pgm(path)
+
+    @pytest.mark.parametrize("data,message", [
+        (b"P5\nab 2\n255\n" + b"\x00" * 8, "header token"),
+        (b"P5\n-3 2\n255\n" + b"\x00" * 10, "header token"),
+        (b"P5\n+4 2\n255\n" + b"\x00" * 8, "header token"),
+        (b"P5\n\xd9\xa3 2\n255\n" + b"\x00" * 8, "header token"),
+        (b"P5\n4 2\n", "header token"),
+        (b"P5\n0 2\n255\n", "is empty"),
+        (b"P5\n4 0\n255\n", "is empty"),
+        (b"P5\n4 2\n65535\n" + b"\x00" * 16, "maxval"),
+        (b"P5\n4 2\n255\n" + b"\x00" * 7, "needs 8"),
+        (b"P5\n4 2\n255", "needs 8"),
+        (b"P5\n99999999999 99999999999\n255\n\x00", "needs"),
+    ], ids=["non-digit", "negative", "signed", "non-ascii-digit", "truncated-header",
+            "zero-width", "zero-height", "16-bit", "short-raster", "no-raster",
+            "huge-size"])
+    def test_hostile_pgm_frames_raise_media_error(self, data, message):
+        """A frame record read back from the medium is validated before use:
+        anything but an 8-bit raster of at least 1x1 pixels that is all
+        there raises MediaError naming the record."""
+        with pytest.raises(MediaError, match=f"frame-7.*{message}"):
+            pgm_from_bytes(data, "frame-7")
 
 
 class TestDistortions:

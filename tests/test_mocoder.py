@@ -4,63 +4,79 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import manchester as manchester_oracle
+from oracles import reed_solomon as rs_oracle
+from oracles.emblem import render_emblem
+from repro.core.profiles import get_profile
 from repro.errors import (
     EmblemDetectionError,
     EmblemFormatError,
     MissingEmblemError,
+    MOCoderError,
 )
 from repro.mocoder import (
-    Emblem,
     EmblemKind,
     EmblemSpec,
     MOCoder,
     OuterCode,
-    manchester_decode,
-    manchester_encode,
+    manchester_decode_rows,
+    manchester_encode_rows,
 )
 from repro.mocoder.emblem import (
     EmblemHeader,
     build_emblem,
+    decode_image_batch,
     otsu_threshold,
     render_emblem_batch,
 )
-from repro.mocoder.manchester import (
-    manchester_decode_analog,
-    manchester_encode_fast,
-    manchester_encode_rows,
-)
+
+
+def decode_one(spec, image):
+    """Decode one scan through the batch decoder, raising its error."""
+    [outcome] = decode_image_batch(spec, [image])
+    if isinstance(outcome, MOCoderError):
+        raise outcome
+    return outcome
+
+
+def encode(bits, initial_level=0):
+    """One bit stream through the row-batched encoder."""
+    return manchester_encode_rows(np.asarray(bits, dtype=np.uint8)[None, :], initial_level)[0]
 
 
 class TestManchester:
     def test_two_cells_per_bit(self):
         bits = np.array([1, 0, 1], dtype=np.uint8)
-        assert manchester_encode(bits).size == 6
+        assert encode(bits).size == 6
 
     def test_every_bit_boundary_has_a_transition(self, rng):
         bits = rng.integers(0, 2, size=500, dtype=np.uint8)
-        cells = manchester_encode(bits)
+        cells = encode(bits)
         boundaries = cells[2::2] != cells[1:-1:2]
         assert boundaries.all()
 
     def test_fast_encoder_matches_reference(self, rng):
+        """The row encoder equals the per-bit loop oracle."""
         bits = rng.integers(0, 2, size=777, dtype=np.uint8)
-        assert np.array_equal(manchester_encode(bits), manchester_encode_fast(bits))
+        for level in (0, 1):
+            want = manchester_oracle.manchester_encode(bits, level)
+            assert np.array_equal(encode(bits, level), want)
 
     def test_decode_is_inverse(self, rng):
-        bits = rng.integers(0, 2, size=333, dtype=np.uint8)
-        assert np.array_equal(manchester_decode(manchester_encode(bits)), bits)
-
-    def test_analog_decode_survives_brightness_drift(self, rng):
-        bits = rng.integers(0, 2, size=400, dtype=np.uint8)
-        cells = manchester_encode(bits).astype(np.float64)
-        values = np.where(cells == 1, 40.0, 210.0)
-        values += np.linspace(0, 60, values.size)       # slow fading gradient
-        assert np.array_equal(manchester_decode_analog(values), bits)
+        bits = rng.integers(0, 2, size=(3, 333), dtype=np.uint8)
+        cells = np.stack([manchester_oracle.manchester_encode(row) for row in bits])
+        assert np.array_equal(manchester_decode_rows(cells), bits)
 
     @given(st.lists(st.integers(0, 1), max_size=300))
     def test_roundtrip_property(self, bit_list):
-        bits = np.array(bit_list, dtype=np.uint8)
-        assert np.array_equal(manchester_decode(manchester_encode_fast(bits)), bits)
+        bits = np.array(bit_list, dtype=np.uint8)[None, :]
+        cells = manchester_encode_rows(bits)
+        assert np.array_equal(manchester_decode_rows(cells), bits)
+        # A trailing odd half-cell is ignored, as in the single-stream oracle.
+        padded = np.concatenate([cells, np.ones((1, 1), dtype=np.uint8)], axis=1)
+        assert np.array_equal(
+            manchester_decode_rows(padded)[0], manchester_oracle.manchester_decode(padded[0])
+        )
 
     def test_row_batched_encoder_matches_fast(self, rng):
         """Each row of the batched encoder equals the single-row encoder."""
@@ -71,12 +87,14 @@ class TestManchester:
                 assert batched.shape == (rows, 2 * width)
                 for row in range(rows):
                     assert np.array_equal(
-                        batched[row], manchester_encode_fast(bits[row], level)
+                        batched[row], manchester_oracle.manchester_encode_fast(bits[row], level)
                     )
 
     def test_row_batched_encoder_rejects_non_matrix_input(self):
         with pytest.raises(ValueError, match="rows, bits"):
             manchester_encode_rows(np.zeros(8, dtype=np.uint8))
+        with pytest.raises(ValueError, match="rows, cells"):
+            manchester_decode_rows(np.zeros(8, dtype=np.uint8))
 
 
 class TestOuterCode:
@@ -137,8 +155,8 @@ class TestOuterCodeParityPaths:
             ]
             parity = code.encode_group(payloads)
             matrix = np.stack([np.frombuffer(p, dtype=np.uint8) for p in payloads])
-            reference = code._rs._encode_blocks_reference(
-                matrix.T.astype(np.int32)
+            reference = rs_oracle.encode_blocks(
+                code._rs, matrix.T.astype(np.int32)
             )[:, code.data_shards:].astype(np.uint8)
             assert parity == [
                 reference[:, i].tobytes() for i in range(code.parity_shards)
@@ -147,7 +165,8 @@ class TestOuterCodeParityPaths:
 
 class TestBatchedRender:
     def test_batch_matches_per_emblem_render(self, small_spec, rng):
-        """Every slice of the batched render is bit-identical to to_image."""
+        """Every slice of the batched render is bit-identical to the
+        per-emblem oracle render."""
         coder = MOCoder(spec=small_spec)
         payload = bytes(rng.integers(0, 256, size=900, dtype=np.uint8))
         stream = coder.encode(payload)
@@ -155,7 +174,26 @@ class TestBatchedRender:
         batch = render_emblem_batch(stream.emblems)
         assert batch.shape[0] == len(stream.emblems)
         for index, emblem in enumerate(stream.emblems):
-            assert np.array_equal(batch[index], emblem.to_image())
+            assert np.array_equal(batch[index], render_emblem(emblem))
+            assert np.array_equal(emblem.to_image(), batch[index])
+
+    @pytest.mark.parametrize("media", ["microfilm", "cinema", "paper"])
+    def test_batch_matches_per_emblem_render_on_media_specs(self, media, rng):
+        """The media geometries (many RS blocks, 2-4 px cells) render the
+        same through the batch as through the oracle: one emblem with a
+        short payload, one filled to capacity."""
+        spec = get_profile(media).spec
+        emblems = [
+            build_emblem(spec, EmblemKind.DATA, 0, 2, 0, 0, b"short payload", 13, 7),
+            build_emblem(
+                spec, EmblemKind.PARITY, 301, 302, 15, 19,
+                bytes(rng.integers(0, 256, size=spec.payload_capacity, dtype=np.uint8)),
+                spec.payload_capacity, 9,
+            ),
+        ]
+        batch = render_emblem_batch(emblems)
+        for index, emblem in enumerate(emblems):
+            assert np.array_equal(batch[index], render_emblem(emblem))
 
     def test_empty_batch(self):
         assert render_emblem_batch([]).size == 0
@@ -187,7 +225,7 @@ class TestEmblem:
     def test_roundtrip_pristine(self, small_spec, rng):
         payload = bytes(rng.integers(0, 256, size=small_spec.payload_capacity, dtype=np.uint8))
         emblem = build_emblem(small_spec, EmblemKind.SYSTEM, 7, 9, 0, 7, payload, 123, 456)
-        decoded, corrections = Emblem.from_image(small_spec, emblem.to_image())
+        decoded, corrections = decode_one(small_spec, emblem.to_image())
         assert decoded.payload == payload
         assert decoded.header.kind == EmblemKind.SYSTEM
         assert decoded.header.index == 7
@@ -202,12 +240,12 @@ class TestEmblem:
         for _ in range(10):                                  # dust specks
             y, x = rng.integers(45, framed.shape[0] - 45), rng.integers(35, framed.shape[1] - 35)
             framed[y:y + 2, x:x + 2] = 0
-        decoded, corrections = Emblem.from_image(small_spec, framed)
+        decoded, corrections = decode_one(small_spec, framed)
         assert decoded.payload == payload
 
     def test_blank_scan_rejected(self, small_spec):
         with pytest.raises(EmblemDetectionError):
-            Emblem.from_image(small_spec, np.full((300, 300), 255, dtype=np.uint8))
+            decode_one(small_spec, np.full((300, 300), 255, dtype=np.uint8))
 
     def test_oversized_payload_rejected(self, small_spec):
         with pytest.raises(EmblemFormatError):

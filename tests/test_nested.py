@@ -140,3 +140,39 @@ class TestNestedInstructionCoverage:
         """
         nested, reference = nested_vs_reference(source)
         assert nested == reference == bytes([1, 2, 3])
+
+
+class TestNestedRestore:
+    def test_nested_restore_matches_python_and_dynarisc(self):
+        """The complete ULE chain end to end: an archive restores to the same
+        payload, database and data report whether its DBCoder container is
+        decoded in Python, by the archived decoder under the DynaRisc
+        emulator, or by that decoder under the DynaRisc emulator hosted in
+        VeRisc.  The payload is small because the nested machine is slow."""
+        from repro.api import ArchiveConfig, open_archive, open_restore
+        from repro.store import MemoryBackend
+
+        payload = b"CREATE TABLE t (k INTEGER);\nINSERT INTO t VALUES (64000000123);\n"
+        assert len(payload) == 64
+        target = "mem:nested-restore"
+        config = ArchiveConfig(media="test", codec="portable", payload_kind="sql")
+        try:
+            with open_archive(config, target=target) as writer:
+                writer.write(payload)
+            results = {}
+            for mode in ("python", "dynarisc", "nested"):
+                with open_restore(target, decode_mode=mode) as reader:
+                    results[mode] = reader.read()
+        finally:
+            MemoryBackend.discard(target)
+        python = results["python"]
+        assert python.payload == payload
+        assert python.database is not None and python.database.table_names == ["t"]
+        assert python.emulator_steps == 0
+        for mode in ("dynarisc", "nested"):
+            result = results[mode]
+            assert result.payload == payload
+            assert result.archive_text == python.archive_text
+            assert result.data_report == python.data_report
+            assert result.database.table_names == ["t"]
+            assert result.emulator_steps > 0

@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import reed_solomon as rs_oracle
+from oracles.interleave import interleave_blocks
 from repro.errors import UncorrectableBlockError
 from repro.mocoder.galois import gf_div, gf_inverse, gf_mul, gf_pow, poly_eval, poly_mul
-from repro.mocoder.interleave import deinterleave_blocks, interleave_blocks
+from repro.mocoder.interleave import deinterleave_blocks_batch
 from repro.mocoder.reed_solomon import INNER_CODE, ReedSolomonCode
+
+#: RS(n, k) parameters the vectorised encoder is checked at: the inner code,
+#: the outer code's shape and small odd shapes.
+RS_PARAMETERS = [(255, 223), (20, 17), (255, 239), (15, 11), (7, 3)]
 
 
 class TestGalois:
@@ -83,12 +89,20 @@ class TestInnerCode:
         with pytest.raises(ValueError):
             ReedSolomonCode(20, 20)
 
-    @pytest.mark.parametrize("n,k", [(255, 223), (20, 17)])
+    @pytest.mark.parametrize("n,k", RS_PARAMETERS)
     def test_vectorised_encode_matches_reference(self, rng, n, k):
-        """The parity-matrix encoder equals the LFSR reference, per block."""
+        """The parity-matrix encoder equals the LFSR oracle, per block."""
         code = ReedSolomonCode(n, k)
         data = rng.integers(0, 256, size=(40, k), dtype=np.int32)
-        assert np.array_equal(code.encode_blocks(data), code._encode_blocks_reference(data))
+        assert np.array_equal(code.encode_blocks(data), rs_oracle.encode_blocks(code, data))
+
+    @pytest.mark.parametrize("n,k", RS_PARAMETERS)
+    def test_parity_matrix_matches_lfsr_oracle(self, n, k):
+        """Row i of the directly built P is the LFSR parity of unit vector i."""
+        code = ReedSolomonCode(n, k)
+        identity = np.eye(k, dtype=np.int32)
+        want = rs_oracle.encode_blocks(code, identity)[:, k:].astype(np.uint8)
+        assert np.array_equal(code._parity_matrix_table(), want)
 
     @pytest.mark.parametrize("n,k", [(255, 223), (20, 17)])
     def test_vectorised_syndromes_match_reference(self, rng, n, k):
@@ -99,19 +113,19 @@ class TestInnerCode:
             position = int(rng.integers(0, n))
             codewords[block, position] ^= int(rng.integers(1, 256))
         assert np.array_equal(
-            code.syndromes_blocks(codewords), code._syndromes_blocks_reference(codewords)
+            code.syndromes_blocks(codewords), rs_oracle.syndromes_blocks(code, codewords)
         )
 
-    @pytest.mark.parametrize("n,k", [(255, 223), (20, 17)])
+    @pytest.mark.parametrize("n,k", RS_PARAMETERS)
     def test_bitsliced_encode_matches_reference(self, rng, n, k):
         """Above the batch threshold the encoder switches to the bit-sliced
-        GF(2) product; it must stay bit-identical to the LFSR reference."""
+        GF(2) product; it must stay bit-identical to the LFSR oracle."""
         from repro.mocoder.reed_solomon import _BITSLICE_MIN_BLOCKS
 
         code = ReedSolomonCode(n, k)
         blocks = _BITSLICE_MIN_BLOCKS + 37
         data = rng.integers(0, 256, size=(blocks, k), dtype=np.int32)
-        assert np.array_equal(code.encode_blocks(data), code._encode_blocks_reference(data))
+        assert np.array_equal(code.encode_blocks(data), rs_oracle.encode_blocks(code, data))
 
     def test_encode_parity_gather_and_bitslice_agree(self, rng):
         """Both encode_parity regimes produce the same parity for the same
@@ -138,13 +152,13 @@ class TestInnerCode:
             for position in positions:
                 codewords[block, position] ^= int(rng.integers(1, 256))
         got, got_corrections = INNER_CODE.decode_blocks(codewords.copy())
-        want, want_corrections = INNER_CODE._decode_blocks_reference(codewords.copy())
+        want, want_corrections = rs_oracle.decode_blocks(INNER_CODE, codewords.copy())
         assert np.array_equal(got, want)
         assert got_corrections == want_corrections
 
     def test_batched_decode_uncorrectable_raises_in_both_paths(self, rng):
         """17 errors in one block of a batch is uncorrectable for both the
-        batched and the reference decoder — not silently mis-decoded."""
+        batched decoder and the per-block oracle — not silently mis-decoded."""
         codewords = INNER_CODE.encode_blocks(
             rng.integers(0, 256, size=(8, 223), dtype=np.int32)
         )
@@ -155,7 +169,7 @@ class TestInnerCode:
         with pytest.raises(UncorrectableBlockError):
             INNER_CODE.decode_blocks(codewords.copy())
         with pytest.raises(UncorrectableBlockError):
-            INNER_CODE._decode_blocks_reference(codewords.copy())
+            rs_oracle.decode_blocks(INNER_CODE, codewords.copy())
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -176,11 +190,18 @@ class TestInnerCode:
         assert corrections == error_count
 
 
+def _deinterleave(stream: bytes, blocks: int, length: int) -> np.ndarray:
+    """One stream through the batch deinterleaver the decoder runs."""
+    return deinterleave_blocks_batch(
+        np.frombuffer(stream, dtype=np.uint8)[None, :], blocks, length
+    )[0]
+
+
 class TestInterleaving:
     def test_roundtrip(self, rng):
         codewords = rng.integers(0, 256, size=(7, 255), dtype=np.uint8)
         stream = interleave_blocks(codewords)
-        assert np.array_equal(deinterleave_blocks(stream, 7, 255), codewords)
+        assert np.array_equal(_deinterleave(stream, 7, 255), codewords)
 
     def test_burst_damage_is_spread_across_blocks(self, rng):
         codewords = rng.integers(0, 256, size=(10, 255), dtype=np.uint8)
@@ -189,10 +210,10 @@ class TestInterleaving:
         # most 3 times (30 / 10 blocks), staying far below the 16-error limit.
         for index in range(100, 130):
             stream[index] ^= 0xFF
-        damaged = deinterleave_blocks(bytes(stream), 10, 255)
+        damaged = _deinterleave(bytes(stream), 10, 255)
         per_block_errors = (damaged != codewords).sum(axis=1)
         assert per_block_errors.max() <= 3
 
     def test_short_stream_rejected(self):
         with pytest.raises(ValueError):
-            deinterleave_blocks(b"\x00" * 10, 2, 255)
+            _deinterleave(b"\x00" * 10, 2, 255)

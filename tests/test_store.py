@@ -158,10 +158,57 @@ class TestManifestVersions:
         with pytest.raises(StoreError, match="newer"):
             ArchiveManifest.from_json(manifest_path.read_text())
 
+    @pytest.mark.parametrize("mutate,message", [
+        (lambda f: f.update(segments=5), "segments must be a list"),
+        (lambda f: f.update(segments={"0": f["segments"][0]}), "segments must be a list"),
+        (lambda f: f["segments"].append(7), "must be an object"),
+        (lambda f: f["segments"][0].update(checksum="x"), "unknown keys: checksum"),
+        (lambda f: f["segments"][0].pop("emblem_count"), "missing keys: emblem_count"),
+        (lambda f: f["segments"][0].update(offset="0"), "offset must be an int"),
+        (lambda f: f["segments"][0].update(length=True), "length must be an int"),
+        (lambda f: f["segments"][0].update(emblem_start=-1), "emblem_start must be an int"),
+        (lambda f: f["segments"][0].update(crc32=1.5), "crc32 must be an int"),
+        (lambda f: f["segments"][0].update(sha256=12), "sha256 must be a string"),
+        (lambda f: f.update(volume_map={}), "unknown keys: volume_map"),
+    ], ids=["segments-int", "segments-object", "record-int", "record-extra-key",
+            "record-missing-key", "offset-str", "length-bool", "start-negative",
+            "crc-float", "sha256-int", "manifest-extra-key"])
+    def test_bad_manifest_shapes_raise_store_error(self, tmp_path, write_archive,
+                                                   mutate, message):
+        """A manifest read from the medium is type-checked before use."""
+        write_archive(tmp_path / "arch", b"y" * 3_000)
+        fields = json.loads((tmp_path / "arch" / "manifest.json").read_text())
+        mutate(fields)
+        with pytest.raises(StoreError, match=message):
+            ArchiveManifest.from_json(json.dumps(fields))
+
 
 # --------------------------------------------------------------------------- #
 # Storage backends
 # --------------------------------------------------------------------------- #
+def _rewrite_container_index(path: Path, edit) -> None:
+    """Replace a container's newest trailer index by ``edit(entries, end)``,
+    where ``end`` is the offset the index record itself starts at."""
+    from repro.store.backends import (
+        _INDEX_MAGIC,
+        _INDEX_NAME,
+        _TRAILER,
+        _pack_record,
+        _record_header_size,
+    )
+
+    data = path.read_bytes()
+    offset, _magic = _TRAILER.unpack(data[-_TRAILER.size:])
+    entries = json.loads(data[offset:-_TRAILER.size])
+    index_record = offset - _record_header_size(_INDEX_NAME)
+    payload = json.dumps(edit(entries, index_record)).encode("utf-8")
+    path.write_bytes(
+        data[:index_record]
+        + _pack_record(_INDEX_NAME, payload)
+        + _TRAILER.pack(offset, _INDEX_MAGIC)
+    )
+
+
 class TestBackends:
     def test_container_roundtrips_from_the_file_alone(self, tmp_path, make_payload, write_archive):
         payload = make_payload(9_000, seed=4)
@@ -234,6 +281,36 @@ class TestBackends:
         assert source.recovered_by_scan
         assert source.manifest().archive_bytes > 0
         source.close()
+
+    @pytest.mark.parametrize("edit", [
+        lambda entry, end: [entry[0], entry[1], 10**13],
+        lambda entry, end: [entry[0], -5, entry[2]],
+        lambda entry, end: [entry[0], str(entry[1]), entry[2]],
+        lambda entry, end: [entry[0], True, entry[2]],
+        lambda entry, end: [entry[0], entry[1], -1],
+        lambda entry, end: [entry[0], 3, entry[2]],
+        lambda entry, end: [entry[0], entry[1], end - entry[1] + 1],
+        lambda entry, end: [7, entry[1], entry[2]],
+        lambda entry, end: [entry[0], entry[1]],
+        lambda entry, end: {"name": entry[0]},
+    ], ids=["huge-length", "negative-start", "string-start", "bool-start",
+            "negative-length", "start-inside-magic", "span-into-index", "int-name",
+            "short-entry", "object-entry"])
+    def test_hostile_index_entry_falls_back_to_the_scan(self, tmp_path, make_payload,
+                                                        write_archive, edit):
+        """An index entry that would size or place a read wrongly marks the
+        index corrupt: the record scan rebuilds it, and restore is bit-exact."""
+        payload = make_payload(3_000, seed=11)
+        path = tmp_path / "backup.ule"
+        write_archive(f"file:{path}", payload)
+        _rewrite_container_index(
+            path, lambda entries, end: [edit(entries[0], end)] + entries[1:]
+        )
+        with pytest.warns(RuntimeWarning, match="index record is corrupt"):
+            source = open_source(f"file:{path}")
+        assert source.recovered_by_scan
+        with open_restore(source) as reader:
+            assert reader.read().payload == payload
 
     def test_intact_container_opens_without_warning(self, tmp_path, make_payload,
                                                     write_archive):
