@@ -77,7 +77,8 @@ cli-smoke:
 	$(PYTHON) -m repro profiles --json | $(PYTHON) -c "import json,sys; json.load(sys.stdin)"
 
 ## restore smoke: --via-channel through the streaming channel path on a
-## thread pool, and readahead partial restore
+## thread pool, a full restore streamed segment by segment from the file:
+## target, and a partial restore on a thread pool
 restore-smoke:
 	@set -e; rm -rf .restore-smoke; mkdir .restore-smoke; \
 	trap 'rm -rf .restore-smoke' EXIT; \
@@ -87,8 +88,10 @@ restore-smoke:
 	$(PYTHON) -m repro restore -i .restore-smoke/arch.ule -o .restore-smoke/restored.bin \
 		--via-channel --seed 11 --executor thread:2; \
 	cmp .restore-smoke/payload.bin .restore-smoke/restored.bin; \
+	$(PYTHON) -m repro restore -i file:.restore-smoke/arch.ule -o .restore-smoke/full.bin; \
+	cmp .restore-smoke/payload.bin .restore-smoke/full.bin; \
 	$(PYTHON) -m repro restore -i .restore-smoke/arch.ule -o .restore-smoke/slice.bin \
-		--offset 1000 --length 2000 --readahead 2; \
+		--offset 1000 --length 2000 --executor thread:2; \
 	$(PYTHON) -c "want=(b'ULE restore smoke payload. '*300)[1000:3000]; \
 	got=open('.restore-smoke/slice.bin','rb').read(); assert got==want, 'slice mismatch'"
 
@@ -168,7 +171,8 @@ bench-smoke:
 bench-pipeline:
 	$(PYTHON) benchmarks/bench_pipeline.py
 
-## restore-latency benchmark (sub-segment parallel decode + readahead)
+## restore-latency benchmark (sub-segment parallel decode, slowed-backend
+## range read, emulated restore)
 bench-restore-latency:
 	$(PYTHON) benchmarks/bench_restore_latency.py
 

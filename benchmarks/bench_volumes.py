@@ -3,7 +3,7 @@
 Measures the two claims behind ``repro.store.volumes``:
 
 1. **shard-parallel restore**: a healthy K-data-volume set fetches frame
-   shards concurrently (``map_concurrently`` over the member backends), so
+   shards concurrently (on a thread pool over the member backends), so
    full-restore throughput should hold its own against — and on spindle-
    bound media beat — a single-volume archive of the same payload;
 2. **bounded degraded-read penalty**: with M whole volumes deleted, every

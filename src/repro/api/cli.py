@@ -139,7 +139,7 @@ def _cmd_archive(args: argparse.Namespace) -> int:
 
 def _cmd_restore(args: argparse.Namespace) -> int:
     overrides = {}
-    for key in ("decode_mode", "executor", "distortion", "readahead"):
+    for key in ("decode_mode", "executor", "distortion"):
         value = getattr(args, key, None)
         if value is not None:
             overrides[key] = value
@@ -521,9 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="restoration fidelity (default: python)")
     restore.add_argument("--executor", help="executor spec for segmented decode "
                                             "(thread:N also splits large segments N ways)")
-    restore.add_argument("--readahead", type=int,
-                         help="partial restore: segments of frames to prefetch "
-                              "from the backend while decoding (default 0)")
     restore.add_argument("--distortion", help="distortion profile for --via-channel")
     restore.add_argument("--via-channel", dest="via_channel", action="store_true",
                          help="record/scan through the simulated medium first "

@@ -41,6 +41,10 @@ _RETIRED_KEYS = {
         "a segment's decode now splits across the executor's workers; "
         'pass executor="thread:N" (or "process:N")'
     ),
+    "readahead": (
+        "reads fetch each segment's frames inside the executor's submission "
+        'window; pass executor="thread:N" to overlap fetch with decode'
+    ),
 }
 
 #: Whether a media profile's channel applies raster distortion profiles,
@@ -75,23 +79,20 @@ class ArchiveConfig:
     executor:
         Pipeline executor spec: a registry name optionally suffixed with a
         worker count (``"serial"``, ``"thread:4"``, ``"process"``, ``"auto"``).
-        Restore splits a segment of at least ``2 * MIN_DECODE_CHUNK``
-        frames into up to that many decode jobs.
+        Restore fetches each segment's frames inside the executor's
+        submission window and splits a segment of at least
+        ``2 * MIN_DECODE_CHUNK`` frames into up to that many decode jobs.
+        ``"thread:N"`` restores fastest; ``"process:N"`` pays off only when
+        encoding with the pure-Python codecs.
     outer_code:
         Whether MOCoder adds the 17+3 inter-emblem parity groups.
     segment_size:
         Payload bytes per pipeline segment; ``None`` keeps the whole payload
         in one segment (the historical one-shot layout).
     decode_mode:
-        Restoration fidelity: ``"python"`` (reference decoders),
-        ``"dynarisc"`` or ``"nested"`` (emulated decoders).
-    readahead:
-        Partial-restore prefetch depth: during
-        :meth:`~repro.api.ArchiveReader.read_range` /
-        :meth:`~repro.api.ArchiveReader.restore_segment`, up to this many
-        segments' frames are fetched from the storage backend on background
-        threads while earlier segments decode.  ``0`` (the default) fetches
-        lazily inline.
+        Restoration fidelity for every read, partial reads included:
+        ``"python"`` (reference decoders), ``"dynarisc"`` or ``"nested"``
+        (the archived decoder under an emulator).
     distortion:
         Optional distortion-profile name from
         :data:`repro.registry.distortions` overriding the channel's default
@@ -113,7 +114,6 @@ class ArchiveConfig:
     outer_code: bool = True
     segment_size: int | None = None
     decode_mode: str = "python"
-    readahead: int = 0
     distortion: str | None = None
     scan_seed: int | None = None
     payload_kind: str = "binary"
@@ -151,10 +151,6 @@ class ArchiveConfig:
             raise ConfigError(
                 f"decode_mode must be one of {DECODE_MODES}, got {self.decode_mode!r}"
             )
-        if self.readahead < 0:
-            raise ConfigError(
-                f"readahead must be an integer >= 0, got {self.readahead!r}"
-            )
         if workers is None and ":" in self.executor:
             # "thread:" with an empty count normalises to the bare name.
             object.__setattr__(self, "executor", name)
@@ -165,9 +161,9 @@ class ArchiveConfig:
         JSON configs arrive untyped: ``"outer_code": "no"`` is truthy, and a
         ``bool`` is an ``int`` to Python, so both are checked explicitly.
         """
-        for name in ("segment_size", "readahead", "scan_seed"):
+        for name in ("segment_size", "scan_seed"):
             value = getattr(self, name)
-            if value is None and name in ("segment_size", "scan_seed"):
+            if value is None:
                 continue
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
@@ -207,7 +203,8 @@ class ArchiveConfig:
         Keys that archives written by earlier releases still embed
         (:data:`_RETIRED_KEYS`) are dropped: an existing archive's backend
         comes from its target, a volume set's geometry from its members,
-        and restore chunking from the session's executor.
+        and restore chunking and frame fetch overlap from the session's
+        executor.
 
         Raises
         ------
@@ -284,6 +281,4 @@ class ArchiveConfig:
             parts.append(f"distortion={self.distortion}")
         if self.decode_mode != "python":
             parts.append(f"decode_mode={self.decode_mode}")
-        if self.readahead:
-            parts.append(f"readahead={self.readahead}")
         return " ".join(parts)

@@ -11,10 +11,11 @@ target (:meth:`ArchiveReader.verify`).
 from __future__ import annotations
 
 import bisect
+import functools
 import warnings
 from dataclasses import dataclass, field
 from types import TracebackType
-from typing import Callable, Iterator, Protocol
+from typing import Callable, Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -40,12 +41,12 @@ from repro.pipeline.pipeline import (
     ChannelSpec,
     DecodedSegment,
     RestorePipeline,
+    _verify_segment_payload,
     merge_reports,
 )
 from repro.store import (
     BOOTSTRAP_NAME,
     ArchiveSource,
-    FramePrefetcher,
     frame_record_name,
     load_archive,
     manifest_digest,
@@ -188,6 +189,60 @@ def _restore_units(manifest: ArchiveManifest) -> tuple[SegmentRecord, ...]:
     return (whole,)
 
 
+def _scans_for(
+    scans: list[np.ndarray], manifest: ArchiveManifest, record: SegmentRecord
+) -> list[np.ndarray]:
+    """``record``'s scans, cut from a list holding every data scan in order.
+
+    A one-segment or pre-pipeline archive is one unit spanning every scan
+    provided: the outer code rebuilds absent frames, so no count is required.
+    """
+    if len(manifest.segments) <= 1:
+        return scans
+    end = record.emblem_start + record.emblem_count
+    if end > len(scans):
+        raise RestorationError(
+            f"segment {record.index} expects emblem frames "
+            f"{record.emblem_start}..{end - 1} but only {len(scans)} scans were "
+            "provided; segmented restore needs one scan per recorded frame "
+            "(damaged frames may be blank, but not absent)"
+        )
+    return scans[record.emblem_start:end]
+
+
+def _covering(
+    segments: Sequence[SegmentRecord], offset: int, end: int
+) -> list[SegmentRecord]:
+    """The records that tile payload bytes ``[offset, end)``, in order.
+
+    The first must start at or before ``offset``, each next one where the
+    previous ends, and the last at or past ``end``; a manifest whose records
+    leave a gap or overlap there raises :class:`StoreError` naming the span.
+    """
+    starts = [record.offset for record in segments]
+    first = max(bisect.bisect_right(starts, offset) - 1, 0)
+    covering: list[SegmentRecord] = []
+    position = offset
+    for record in segments[first:]:
+        if position >= end:
+            break
+        if not covering and record.end <= offset:
+            continue
+        if record.offset > position:
+            break  # a gap: reported below
+        if covering and record.offset < position:
+            raise StoreError(
+                f"manifest segment {record.index} overlaps payload bytes "
+                f"[{record.offset}:{position}) of segment {covering[-1].index}"
+            )
+        covering.append(record)
+        position = record.end
+    if position < end:
+        stop = min((r.offset for r in segments if position < r.offset < end), default=end)
+        raise StoreError(f"no manifest segment covers payload bytes [{position}:{stop})")
+    return covering
+
+
 class ArchiveReader:
     """A restoration session (returned by :func:`open_restore`).
 
@@ -195,8 +250,9 @@ class ArchiveReader:
     user would perform them:
 
     1. scan the medium; OCR the Bootstrap text and image-preprocess the
-       emblems — here the scans come from the archive artefact, a simulated
-       :class:`~repro.media.channel.MediaChannel` or :meth:`read_from_scans`;
+       emblems — here the scans come from the archive artefact, a store
+       target, a simulated :class:`~repro.media.channel.MediaChannel` or
+       :meth:`read_from_scans`;
     2. implement the VeRisc emulator from the Bootstrap pseudocode (the
        portability benchmark exercises independent implementations; the
        library ships the reference one);
@@ -207,23 +263,24 @@ class ArchiveReader:
        on the result to obtain the SQL text archive;
     6. load the archive into a present-day DBMS (:func:`repro.dbms.db_load`).
 
-    ``config.decode_mode`` selects how faithfully step 5 runs: ``"python"``
-    uses the reference decoders, ``"dynarisc"`` runs the archived DBCoder
-    decoder under the DynaRisc emulator, and ``"nested"`` runs it inside the
-    full VeRisc-hosted nested emulator — the complete ULE chain.
-    ``read()`` restores straight from the archive artefact,
+    ``config.decode_mode`` selects how faithfully step 5 runs, for every
+    read alike: ``"python"`` uses the reference decoders, ``"dynarisc"``
+    runs the archived DBCoder decoder under the DynaRisc emulator, and
+    ``"nested"`` runs it inside the full VeRisc-hosted nested emulator — the
+    complete ULE chain.  ``read()`` restores the stored frames,
     ``read_via_channel()`` re-runs the simulated record/scan cycle first.
 
-    When the session was opened over a :mod:`repro.store` target (a saved
-    directory, a container file, or a ``mem:`` key), the reader is
-    **random-access**: :meth:`restore_segment` and :meth:`read_range` use
-    the manifest to locate, fetch, decode and hash-verify only the segments
-    covering the request — no other frame is read from the medium, and
+    Every read fetches a segment's data frames through one provider, inside
+    the executor's submission window, and decodes them through one segment
+    loop.  Over a :mod:`repro.store` target (a saved directory, a container
+    file, a ``mem:`` key or a volume set) a full ``read()`` therefore holds
+    only the segments in flight, and the reader is **random-access**:
+    :meth:`restore_segment` and :meth:`read_range` use the manifest to
+    locate, fetch, decode and hash-verify only the segments covering the
+    request — no other data frame is read from the medium, and
     multi-segment requests decode in parallel through the configured
-    executor.  ``on_segment`` (if given) is called with each
-    :class:`~repro.core.archive.SegmentRecord` a partial restore decodes,
-    and :attr:`segments_decoded` / :attr:`frames_decoded` tally the work
-    done across the session's partial reads.
+    executor.  :attr:`segments_decoded` / :attr:`frames_decoded` tally the
+    work done across the session's partial reads.
 
     The session builds one executor on first use and shares it across every
     restore, partial read and verify; :meth:`close` (or leaving the ``with``
@@ -236,8 +293,6 @@ class ArchiveReader:
         config: ArchiveConfig,
         *,
         source: ArchiveSource | None = None,
-        on_segment: Callable[[SegmentRecord], None] | None = None,
-        via_channel: bool = False,
         segment_cache: SegmentCacheLike | None = None,
     ):
         if archive is None and source is None:
@@ -246,11 +301,6 @@ class ArchiveReader:
         self._source = source
         self._manifest = archive.manifest if archive is not None else None
         self.config = config
-        self.on_segment = on_segment
-        #: When true, :meth:`read` routes through the simulated record/scan
-        #: cycle (the streaming channel path) instead of reading the
-        #: artefact's pristine rasters directly.
-        self.via_channel = via_channel
         #: Shared decoded-segment cache consulted by partial restores; keys
         #: are per-segment SHA-256 digests, so it may be shared across
         #: readers, archives and (server) request threads.
@@ -258,8 +308,7 @@ class ArchiveReader:
         #: Partial-restore work counters (full ``read()`` reports its own
         #: statistics through the returned :class:`RestorationResult`).
         #: ``segments_cached`` counts covering segments served from
-        #: ``segment_cache`` without touching the medium; the ``on_segment``
-        #: hook fires only for segments actually decoded.
+        #: ``segment_cache`` without touching the medium.
         self.segments_decoded = 0
         self.frames_decoded = 0
         self.segments_cached = 0
@@ -276,7 +325,8 @@ class ArchiveReader:
 
     @property
     def archive(self) -> MicrOlonysArchive:
-        """The full archive artefact (materialises every frame on demand)."""
+        """The full archive artefact, every frame in memory (loaded on first
+        use; no read needs it — it is for callers that want the rasters)."""
         if self._archive is None:
             self._archive = load_archive(self._source)
             self._manifest = self._archive.manifest
@@ -289,28 +339,29 @@ class ArchiveReader:
         return RestorePipeline(self._profile, executor=self._executor, channel=channel)
 
     def _frames(self, record: SegmentRecord) -> list[np.ndarray]:
-        """The data frames of one segment, from the source or the artefact."""
-        if self._archive is not None:
-            end = record.emblem_start + record.emblem_count
-            frames = self._archive.data_emblem_images[record.emblem_start:end]
-            if len(frames) != record.emblem_count:
-                raise StoreError(
-                    f"segment {record.index} expects {record.emblem_count} frames "
-                    f"at {record.emblem_start}; the artefact holds {len(frames)}"
-                )
-            return list(frames)
+        """One segment's data frames, the frame provider of every read: just
+        that segment's frames from the source, or cut from the artefact."""
+        if self._source is None:
+            return _scans_for(self.archive.data_emblem_images, self.manifest, record)
         return self._source.get_frames("data", record.emblem_start, record.emblem_count)
+
+    def _system_frames(self) -> list[np.ndarray]:
+        """The system frames, straight from the source or the artefact."""
+        if self._source is None:
+            return self.archive.system_emblem_images
+        return self._source.get_frames("system", 0, self.manifest.system_emblem_count)
+
+    @functools.cached_property
+    def _own_decoder(self) -> bytes | None:
+        """The archived decoder on the session's own system frames, decoded
+        once for partial reads (``None``: the medium carries none)."""
+        images = self._system_frames()
+        return MOCoder(self._profile.spec).decode(images)[0] if images else None
 
     # ------------------------------------------------------------------ #
     def read(self) -> RestorationResult:
-        """Restore the whole payload from the archive artefact.
-
-        Sessions opened with ``via_channel=True`` re-run the simulated
-        record/scan cycle (the streaming per-batch channel path) first.
-        """
-        if self.via_channel:
-            return self.read_via_channel()
-        return self._restore_archive(None)
+        """Restore the whole payload from the stored frames."""
+        return self._read_stored(None)
 
     def read_via_channel(self, seed: int | None = None) -> RestorationResult:
         """Record on the configured medium, scan back, then restore.
@@ -324,7 +375,7 @@ class ArchiveReader:
         """
         if seed is None:
             seed = self.config.scan_seed
-        return self._restore_archive(
+        return self._read_stored(
             ChannelSpec(media=self.config.media, distortion=self.config.distortion, seed=seed)
         )
 
@@ -351,28 +402,28 @@ class ArchiveReader:
         """
         if manifest is None:
             manifest = self.manifest
+        frames_for = functools.partial(_scans_for, data_images, manifest)
         return self._restore(
-            data_images, system_images, bootstrap_text, payload_kind, manifest, None
+            frames_for, system_images, bootstrap_text, payload_kind, manifest, None
         )
 
-    def payload(self) -> bytes:
-        """Convenience: the restored payload bytes."""
-        return self.read().payload
-
-    def _restore_archive(self, channel: ChannelSpec | None) -> RestorationResult:
-        archive = self.archive
+    def _read_stored(self, channel: ChannelSpec | None) -> RestorationResult:
+        """:meth:`read` / :meth:`read_via_channel`: the system frames and the
+        Bootstrap come straight from the source, each segment's data frames
+        through :meth:`_frames` as the segment loop reaches it."""
+        manifest = self.manifest
+        if self._source is None:
+            bootstrap_text = self.archive.bootstrap_text
+        else:
+            bootstrap_text = self._source.get_text(BOOTSTRAP_NAME)
         return self._restore(
-            archive.data_emblem_images,
-            archive.system_emblem_images,
-            archive.bootstrap_text,
-            archive.manifest.payload_kind,
-            archive.manifest,
-            channel,
+            self._frames, self._system_frames(), bootstrap_text,
+            manifest.payload_kind, manifest, channel,
         )
 
     def _restore(
         self,
-        data_images: list[np.ndarray],
+        frames_for: Callable[[SegmentRecord], list[np.ndarray]],
         system_images: list[np.ndarray] | None,
         bootstrap_text: str | None,
         payload_kind: str,
@@ -409,60 +460,21 @@ class ArchiveReader:
                 f"{system_report.emblems_seen} scans, "
                 f"{system_report.rs_corrections} symbol corrections"
             )
+        emulated = mode != "python" and decoder_code is not None
+        if mode != "python" and decoder_code is None:
+            notes.append("no system emblems were provided; fell back to the reference decoder")
 
-        # Step 5: every segment decodes through the pipeline.  The manifest
-        # names the compression codec; user-registered codecs only decode
-        # under the reference (python) decoders.  The emulated modes stop
-        # the pipeline at each segment's container and run the archived
-        # decoder on it here, once per container.
-        archived_decoder = None
-        if mode != "python":
-            from repro import registry  # lazy: registry imports repro.store
-
-            if not registry.get_codec(manifest.dbcoder_profile).is_builtin:
-                raise RestorationError(
-                    f"codec {manifest.dbcoder_profile!r} is user-registered; the "
-                    "archived DynaRisc decoder only handles the PORTABLE profile — "
-                    "restore with decode_mode='python'"
-                )
-            archived_decoder = decoder_code
-            if archived_decoder is None:
-                notes.append(
-                    "no system emblems were provided; fell back to the reference decoder"
-                )
+        # Step 5: every segment decodes through the one segment loop.
         records = _restore_units(manifest)
-
-        def frames_for(record: SegmentRecord) -> list[np.ndarray]:
-            if len(records) == 1:
-                # One unit spanning every scan: the outer code rebuilds
-                # absent frames, so no scan count is required.
-                return data_images
-            end = record.emblem_start + record.emblem_count
-            if end > len(data_images):
-                raise RestorationError(
-                    f"segment {record.index} expects emblem frames "
-                    f"{record.emblem_start}..{end - 1} but only "
-                    f"{len(data_images)} scans were provided; segmented "
-                    "restore needs one scan per recorded frame (damaged "
-                    "frames may be blank, but not absent)"
-                )
-            return data_images[record.emblem_start:end]
-
         parts: list[bytes] = []
         reports: list[DecodeReport] = []
         emulator_steps = 0
-        pipeline = self._pipeline(channel)
-        for decoded in pipeline.iter_decode(
-            manifest, records, frames_for, decode_payload=archived_decoder is None
+        for decoded, part, steps in self._decode_segments(
+            manifest, records, frames_for, decoder_code, channel
         ):
-            if archived_decoder is not None:
-                part, steps = self._run_archived_decoder(archived_decoder, decoded)
-                emulator_steps += steps
-            else:
-                assert decoded.payload is not None  # decode_payload=True
-                part = decoded.payload
             parts.append(part)
             reports.append(decoded.report)
+            emulator_steps += steps
         payload = b"".join(parts)
         if len(payload) != manifest.archive_bytes or crc32_of(payload) != manifest.archive_crc32:
             raise RestorationError(
@@ -474,7 +486,7 @@ class ArchiveReader:
                 f"channel simulated per batch over {channel.media} "
                 f"(streaming record/scan, seed={channel.seed})"
             )
-        if archived_decoder is not None:
+        if emulated:
             notes.append(
                 f"{len(records)} segments decoded under the {mode} emulator "
                 f"({emulator_steps} emulated steps)"
@@ -502,6 +514,41 @@ class ArchiveReader:
             emulator_steps=emulator_steps,
             notes=notes,
         )
+
+    def _decode_segments(
+        self,
+        manifest: ArchiveManifest,
+        records: Sequence[SegmentRecord],
+        frames_for: Callable[[SegmentRecord], list[np.ndarray]],
+        decoder_code: bytes | None,
+        channel: ChannelSpec | None = None,
+    ) -> Iterator[tuple[DecodedSegment, bytes, int]]:
+        """Step 5, the one segment loop every read runs: ``frames_for``
+        supplies each segment's frames, :meth:`RestorePipeline.iter_decode`
+        decodes them, and the emulated modes run the archived
+        ``decoder_code`` on each container (the reference decoders stand in
+        when there is none).  Yields each segment, its verified payload and
+        the emulator steps it took."""
+        decoder = None
+        if self.config.decode_mode != "python":
+            from repro import registry  # lazy: registry imports repro.store
+
+            if not registry.get_codec(manifest.dbcoder_profile).is_builtin:
+                raise RestorationError(
+                    f"codec {manifest.dbcoder_profile!r} is user-registered; the "
+                    "archived DynaRisc decoder only handles the PORTABLE profile — "
+                    "restore with decode_mode='python'"
+                )
+            decoder = decoder_code
+        for decoded in self._pipeline(channel).iter_decode(
+            manifest, records, frames_for, decode_payload=decoder is None
+        ):
+            if decoder is None:
+                assert decoded.payload is not None  # decode_payload=True
+                yield decoded, decoded.payload, 0
+            else:
+                part, steps = self._run_archived_decoder(decoder, decoded)
+                yield decoded, part, steps
 
     def _run_archived_decoder(
         self, decoder_code: bytes, decoded: DecodedSegment
@@ -536,11 +583,7 @@ class ArchiveReader:
                 decoder_code, input_data=stream, entry=0, step_limit=2_000_000_000
             )
             part, steps = nested.run(), nested.steps
-        if len(part) != header.original_length or crc32_of(part) != header.original_crc32:
-            raise RestorationError(
-                f"segment {record.index}: restored stream does not match the "
-                "archived length/CRC; the restoration is not bit-for-bit"
-            )
+        _verify_segment_payload(record, part)
         return part, steps
 
     # ------------------------------------------------------------------ #
@@ -549,15 +592,10 @@ class ArchiveReader:
     def _decode_records(self, records: list[SegmentRecord]) -> list[bytes]:
         """Decode exactly ``records`` (in order), verifying every hash.
 
-        With ``config.readahead`` > 0 and a store-backed session, up to that
-        many segments' frames are prefetched from the backend on background
-        threads while earlier segments decode — backend I/O overlaps MOCoder
-        decode instead of serialising in front of it.
-
         With a :attr:`segment_cache`, segments whose SHA-256 digest is
         cached are served straight from memory (their frames are never
         fetched, their emblems never decoded); only the misses go through
-        the pipeline, and their decoded — hash-verified — payloads are
+        the segment loop, and their decoded — hash-verified — payloads are
         admitted to the cache on the way out.
         """
         cache = self.segment_cache
@@ -577,9 +615,15 @@ class ArchiveReader:
                 misses.append(record)
                 miss_positions.append(position)
         if misses:
-            for job, payload in enumerate(self._decode_uncached(misses)):
-                record = misses[job]
-                parts_by_position[miss_positions[job]] = payload
+            decoder_code = self._own_decoder if self.config.decode_mode != "python" else None
+            decoded_segments = self._decode_segments(
+                self.manifest, misses, self._frames, decoder_code
+            )
+            for (decoded, payload, _), position in zip(decoded_segments, miss_positions):
+                record = decoded.record
+                self.segments_decoded += 1
+                self.frames_decoded += record.emblem_count
+                parts_by_position[position] = payload
                 if cache is not None and record.sha256 is not None:
                     cache.put(record.sha256, payload)
         parts: list[bytes] = []
@@ -590,25 +634,6 @@ class ArchiveReader:
                 )
             parts.append(part)
         return parts
-
-    def _decode_uncached(self, records: list[SegmentRecord]) -> Iterator[bytes]:
-        """Pipeline-decode ``records`` (cache misses), yielding payloads in order."""
-        prefetcher = None
-        frames_for = self._frames
-        if self.config.readahead > 0 and self._archive is None:
-            prefetcher = FramePrefetcher(self._frames, records, self.config.readahead)
-            frames_for = prefetcher.frames_for
-        try:
-            for decoded in self._pipeline().iter_decode(self.manifest, records, frames_for):
-                self.segments_decoded += 1
-                self.frames_decoded += decoded.record.emblem_count
-                if self.on_segment is not None:
-                    self.on_segment(decoded.record)
-                assert decoded.payload is not None  # decode_payload=True
-                yield decoded.payload
-        finally:
-            if prefetcher is not None:
-                prefetcher.close()
 
     def restore_segment(self, index: int) -> bytes:
         """Decode and verify segment ``index`` alone, returning its bytes.
@@ -631,27 +656,16 @@ class ArchiveReader:
         only their frames are fetched and decoded (in parallel, through the
         configured executor), each verified against its archived CRC-32 and
         SHA-256 before the requested slice is cut out.  Out-of-range
-        requests clamp exactly like Python byte slicing.
+        requests clamp exactly like Python byte slicing; a manifest whose
+        records do not tile the requested span raises :class:`StoreError`.
         """
         if offset < 0 or length < 0:
             raise ValueError("read_range offset and length must be non-negative")
-        total = self.manifest.archive_bytes
-        end = min(offset + length, total)
+        end = min(offset + length, self.manifest.archive_bytes)
         if offset >= end:
             return b""
-        segments = _restore_units(self.manifest)
-        # Segments are contiguous and sorted by offset: bisect for the first
-        # segment ending past `offset`, then take segments until `end`.
-        starts = [record.offset for record in segments]
-        first = bisect.bisect_right(starts, offset) - 1
-        covering: list[SegmentRecord] = []
-        for record in segments[max(first, 0):]:
-            if record.offset >= end:
-                break
-            if record.end > offset:
-                covering.append(record)
-        parts = self._decode_records(covering)
-        window = b"".join(parts)
+        covering = _covering(_restore_units(self.manifest), offset, end)
+        window = b"".join(self._decode_records(covering))
         base = covering[0].offset
         return window[offset - base:end - base]
 
@@ -834,13 +848,12 @@ class ArchiveReader:
                         report.errors.append(f"{kind} frame {index}: {exc}")
             return report
 
-        def frames_for(record: SegmentRecord) -> list[np.ndarray]:
-            return source.get_frames("data", record.emblem_start, record.emblem_count)
-
+        # The audit decodes with the reference decoders whatever the decode
+        # mode, one segment at a time so each failure is reported on its own.
         pipeline = self._pipeline()
         for record in active.segments:
             try:
-                for _ in pipeline.iter_decode(active, [record], frames_for):
+                for _ in pipeline.iter_decode(active, [record], self._frames):
                     pass
                 report.segments_checked += 1
                 report.frames_checked += record.emblem_count

@@ -472,8 +472,6 @@ def open_restore(
     source: "MicrOlonysArchive | ArchiveSource | str | Path | TargetSpec",
     config: ArchiveConfig | None = None,
     *,
-    on_segment: Callable[[SegmentRecord], None] | None = None,
-    via_channel: bool = False,
     segment_cache: SegmentCacheLike | None = None,
     **overrides: object,
 ) -> ArchiveReader:
@@ -486,19 +484,16 @@ def open_restore(
     keys are content digests, one cache is safely shared across readers,
     archives and generations.
 
-    ``via_channel=True`` makes :meth:`ArchiveReader.read` re-run the
-    simulated record/scan cycle first, through the streaming per-batch
-    channel path (equivalent to calling
-    :meth:`~ArchiveReader.read_via_channel` explicitly).
-
     ``source`` may be an in-memory :class:`~repro.core.archive.
     MicrOlonysArchive`, an open :class:`~repro.store.ArchiveSource`, or a
     target naming a saved archive (a ``dir:``/``file:``/``mem:``/``vol:``
     URI or a filesystem path, see :mod:`repro.store.target`).  Store-backed
-    sessions open *cold*: only the manifest is read
-    up front, so :meth:`ArchiveReader.read_range` /
-    :meth:`~ArchiveReader.restore_segment` fetch and decode just the
-    segments they need.
+    sessions open *cold*: only the manifest is read up front, and every read
+    fetches a segment's frames when the decode reaches it — a full
+    :meth:`~ArchiveReader.read` holds only the segments in flight, and
+    :meth:`ArchiveReader.read_range` / :meth:`~ArchiveReader.restore_segment`
+    fetch and decode just the segments they need.  The config's
+    ``decode_mode`` applies to all of them alike.
 
     When no ``config`` is given, the archive describes itself: a v2
     manifest's embedded config is used verbatim, a v1 manifest supplies the
@@ -524,10 +519,7 @@ def open_restore(
         except BaseException:
             archive_source.close()
             raise
-    reader = ArchiveReader(
-        archive, config, source=archive_source, on_segment=on_segment,
-        via_channel=via_channel, segment_cache=segment_cache,
-    )
+    reader = ArchiveReader(archive, config, source=archive_source, segment_cache=segment_cache)
     reader._manifest = manifest
     return reader
 

@@ -510,10 +510,10 @@ class GuardedByRule(Rule):
     """Fields declared ``# lint: guarded-by(<lock>)`` are touched only under
     their lock.
 
-    Shared handles crossed by threads (the container source's seek+read
-    stream under prefetching, the archive writer's encoder-thread error slot,
-    the prefetcher's in-flight queue) carry an explicit annotation on the
-    assignment that creates them::
+    Shared handles crossed by threads (the container source's pool of read
+    handles, the archive writer's encoder-thread error slot, the server
+    segment cache's entries) carry an explicit annotation on the assignment
+    that creates them::
 
         self._stream = open(path, "rb")  # lint: guarded-by(_lock)
 

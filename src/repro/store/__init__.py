@@ -27,7 +27,8 @@ Three parts, mirroring the tentpole it implements:
   :func:`manifest_digest` (the
   parent-pinning hash of the append lineage) and :func:`load_archive` for
   materialising a full :class:`~repro.core.archive.MicrOlonysArchive` from
-  any source.
+  any source (reads never need it: they fetch each segment's frames from
+  the source as they decode).
 """
 
 from __future__ import annotations
@@ -58,14 +59,12 @@ from repro.store.manifest import (
     manifest_record_name,
     upgrade_manifest_fields,
 )
-from repro.store.prefetch import FramePrefetcher
 from repro.store.target import TargetSpec, VolumeSetSpec, parse_target
 from repro.store.volumes import VolumeSetBackend
 
 __all__ = [
     "MANIFEST_FORMAT_VERSION",
     "ArchiveSink",
-    "FramePrefetcher",
     "ArchiveSource",
     "StorageBackend",
     "DirectoryBackend",
@@ -135,9 +134,9 @@ def manifest_digest(manifest: ArchiveManifest) -> str:
 def load_archive(source: "ArchiveSource | str | Path | TargetSpec") -> MicrOlonysArchive:
     """Materialise a full in-memory archive artefact from any source.
 
-    This reads *every* frame the superseding manifest describes — it is the
-    compatibility path for whole-archive restoration; partial restore goes
-    through the source directly.
+    This reads *every* frame the superseding manifest describes into
+    memory, for callers that want the rasters themselves; every restore,
+    full or partial, fetches frames from the source segment by segment.
     """
     opened = not isinstance(source, ArchiveSource)
     if opened:

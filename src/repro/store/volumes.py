@@ -68,7 +68,6 @@ from repro.store.backends import (
     _superseding_manifest_names,
     frame_record_name,
 )
-from repro.store.prefetch import map_concurrently
 from repro.store.target import TargetSpec, VolumeSetSpec, parse_member, parse_target
 
 __all__ = ["VolumeSetBackend", "VOLUME_META_NAME", "parity_record_name"]
@@ -628,10 +627,10 @@ class _VolumeSetSource(ArchiveSource):
 
     def get_frames(self, kind: str, start: int, count: int) -> list[np.ndarray]:
         self._ensure_map()
-        return map_concurrently(
-            lambda index: self.get_frame(kind, index),
-            range(start, start + count),
-            self._pool,
+        # Shard-parallel fetch: frames on distinct member backends overlap;
+        # results come back in frame order, the first error propagating.
+        return list(
+            self._pool.map(lambda index: self.get_frame(kind, index), range(start, start + count))
         )
 
     # -------------------------------------------------------------- #
@@ -715,18 +714,14 @@ class _VolumeSetSource(ArchiveSource):
         # Shard and parity payloads live on distinct member backends, so the
         # reads (and their SHA-256 sweeps) overlap on the source's fetch pool
         # just like a healthy get_frames fan-out.
-        shard_payloads = map_concurrently(
-            lambda shard: self._shard_payload(shard, stripe.kind),
-            stripe.shards,
-            self._repair_pool,
+        shard_payloads = self._repair_pool.map(
+            lambda shard: self._shard_payload(shard, stripe.kind), stripe.shards
         )
         for member, payload in enumerate(shard_payloads):
             slots[member] = payload
         for member in range(len(stripe.shards), geometry.data):
             slots[member] = b""  # a short stripe's absent shards are all-zero
-        parity_payloads = map_concurrently(
-            self._parity_payload, stripe.parity, self._repair_pool
-        )
+        parity_payloads = self._repair_pool.map(self._parity_payload, stripe.parity)
         for parity_index, payload in enumerate(parity_payloads):
             slots[geometry.data + parity_index] = payload
         outer = get_outer_code(geometry.data, geometry.parity)

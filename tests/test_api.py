@@ -100,7 +100,6 @@ class TestArchiveConfig:
         {"segment_size": True},
         {"scan_seed": "abc"},
         {"payload_kind": 7},
-        {"readahead": 1.5},
     ], ids=lambda fields: "-".join(f"{k}={v!r}" for k, v in fields.items()))
     def test_values_of_the_wrong_type_rejected(self, fields):
         with pytest.raises(ConfigError, match=next(iter(fields))):
@@ -114,7 +113,7 @@ class TestArchiveConfig:
         """Stored configs drop the keys the target URI took over; live calls
         are told where each one went."""
         old = {"media": "test", "store": "container", "volume_parity": 2,
-               "volume_stripe": 3, "decode_parallelism": True}
+               "volume_stripe": 3, "decode_parallelism": True, "readahead": 1.5}
         assert ArchiveConfig.from_dict(old) == ArchiveConfig(media="test")
         for key, spelling in (("store", "scheme"), ("volume_parity", "m="),
                               ("volume_stripe", "stripe=")):
@@ -173,9 +172,12 @@ class TestRegistry:
             )
             assert result.payload == payload
             assert result.archive.manifest.dbcoder_profile == name
-            # The archived DynaRisc decoder only knows the built-in profiles.
-            with pytest.raises(RestorationError, match="user-registered"):
-                open_restore(result.archive, decode_mode="dynarisc").read()
+            # The archived DynaRisc decoder only knows the built-in profiles,
+            # for full and partial reads alike.
+            with open_restore(result.archive, decode_mode="dynarisc") as reader:
+                for read in (reader.read, lambda: reader.read_range(0, 10)):
+                    with pytest.raises(RestorationError, match="user-registered"):
+                        read()
         finally:
             registry.codecs.unregister(name)
 

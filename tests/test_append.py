@@ -89,16 +89,17 @@ class TestAppendEquivalence:
         write_archive(target, a, media=media, codec=codec)
         write_archive(target, b, append=True)
 
-        manifest = open_source(target).manifest()
-        assert manifest.generation == 1
-        assert manifest.archive_bytes == len(payload)
-        assert manifest.archive_crc32 == zlib.crc32(payload) & 0xFFFFFFFF
+        with open_restore(target) as reader:
+            manifest = reader.manifest
+            assert manifest.generation == 1
+            assert manifest.archive_bytes == len(payload)
+            assert manifest.archive_crc32 == zlib.crc32(payload) & 0xFFFFFFFF
 
-        assert open_restore(target).read().payload == payload
-        # A range spanning the generation boundary decodes seamlessly.
-        lo = max(0, split - 400)
-        hi = min(len(payload), split + 400)
-        assert open_restore(target).read_range(lo, hi - lo) == payload[lo:hi]
+            assert reader.read().payload == payload
+            # A range spanning the generation boundary decodes seamlessly.
+            lo = max(0, split - 400)
+            hi = min(len(payload), split + 400)
+            assert reader.read_range(lo, hi - lo) == payload[lo:hi]
 
     @pytest.mark.parametrize("store", ["directory", "container"])
     def test_appended_equals_single_shot_archive(self, store, tmp_path, make_payload,
@@ -113,14 +114,13 @@ class TestAppendEquivalence:
         write_archive(appended, b, append=True)
         write_archive(oneshot, payload)
 
-        one = open_restore(oneshot)
-        two = open_restore(appended)
-        assert one.read().payload == two.read().payload == payload
-        assert one.manifest.archive_crc32 == two.manifest.archive_crc32
+        with open_restore(oneshot) as one, open_restore(appended) as two:
+            assert one.read().payload == two.read().payload == payload
+            assert one.manifest.archive_crc32 == two.manifest.archive_crc32
         # Partial restore agrees segment by covering segment.
         for offset, length in ((0, 500), (4_000, 300), (6_500, 10**6)):
-            assert (_quiet_restore(appended).read_range(offset, length)
-                    == payload[offset:offset + length])
+            with _quiet_restore(appended) as reader:
+                assert reader.read_range(offset, length) == payload[offset:offset + length]
 
     def test_memory_backend_appends(self, make_payload, write_archive):
         payload = make_payload(4_000, seed=9)
@@ -146,16 +146,16 @@ class TestManifestLineage:
         write_archive(target, parts[1], append=True)
         write_archive(target, parts[2], append=True)
 
-        source = open_source(target)
-        manifest = source.manifest()
+        with open_source(target) as source:
+            manifest = source.manifest()
+            # Every generation's manifest record is still on the medium, and
+            # each parent digest pins the manifest it superseded.
+            names = source.names()
+            chain = [
+                ArchiveManifest.from_json(source.get_text(manifest_record_name(generation)))
+                for generation in range(3)
+            ]
         assert manifest.generation == 2
-        # Every generation's manifest record is still on the medium, and
-        # each parent digest pins the manifest it superseded.
-        names = source.names()
-        chain = [
-            ArchiveManifest.from_json(source.get_text(manifest_record_name(generation)))
-            for generation in range(3)
-        ]
         assert all(manifest_record_name(g) in names for g in range(3))
         assert chain[0].parent is None
         assert chain[1].parent == manifest_digest(chain[0])
@@ -172,11 +172,11 @@ class TestManifestLineage:
         assert offset == len(payload) == manifest.archive_bytes
         assert frame == manifest.data_emblem_count
 
-        assert open_restore(target).read().payload == payload
-        # restore_segment addresses segments of any generation uniformly.
-        reader = open_restore(target)
-        last = manifest.segments[-1]
-        assert reader.restore_segment(last.index) == payload[last.offset:last.end]
+        with open_restore(target) as reader:
+            assert reader.read().payload == payload
+            # restore_segment addresses segments of any generation uniformly.
+            last = manifest.segments[-1]
+            assert reader.restore_segment(last.index) == payload[last.offset:last.end]
 
     def test_append_requires_matching_stack(self, tmp_path, make_payload, write_archive):
         target = tmp_path / "arch"
@@ -210,15 +210,16 @@ class TestManifestLineage:
 
         with pytest.warns(DeprecationWarning, match="v2 archive manifest"):
             write_archive(target, payload[2_500:], append=True)
-        manifest = _quiet_restore(target).manifest
-        assert manifest.generation == 1 and manifest.parent is not None
-        assert _quiet_restore(target).read().payload == payload
+        with _quiet_restore(target) as reader:
+            manifest = reader.manifest
+            assert manifest.generation == 1 and manifest.parent is not None
+            assert reader.read().payload == payload
 
     #: The config an archive written with ``write_archive``'s defaults
     #: embedded before the target URI became the only place a backend or a
     #: volume geometry is chosen, and before restore chunking followed the
     #: executor: it still carries ``store``, ``volume_parity``,
-    #: ``volume_stripe`` and ``decode_parallelism``.
+    #: ``volume_stripe``, ``decode_parallelism`` and ``readahead``.
     OLD_CONFIG = {
         "codec": "portable", "decode_mode": "python", "decode_parallelism": 1,
         "distortion": None, "executor": "serial", "media": "test-small",
@@ -230,7 +231,7 @@ class TestManifestLineage:
     @pytest.mark.parametrize("retired", [
         {},
         {"store": "container", "volume_parity": 2, "volume_stripe": 3,
-         "decode_parallelism": 4},
+         "decode_parallelism": 4, "readahead": 2},
     ], ids=["as-written", "non-default-values"])
     def test_archive_with_retired_config_keys(self, tmp_path, make_payload,
                                               write_archive, retired):
@@ -259,11 +260,11 @@ class TestManifestLineage:
                 report = reader.verify()
         assert report.ok, report.errors
         assert report.active_generation == 1
-        new_config = open_source(target).manifest().config
+        with open_source(target) as source:
+            new_config = source.manifest().config
         assert new_config is not None
-        assert not {"store", "volume_parity", "volume_stripe", "decode_parallelism"} & set(
-            new_config
-        )
+        gone = {"store", "volume_parity", "volume_stripe", "decode_parallelism", "readahead"}
+        assert not gone & set(new_config)
 
 
 # --------------------------------------------------------------------------- #
@@ -313,20 +314,23 @@ class TestTornAppends:
         path = self._cut(torn_fixture, lo + int((hi - lo - 8_000) * fraction) + 1)
         a, b = torn_fixture["a"], torn_fixture["b"]
 
-        assert _quiet_restore(path).read().payload == a  # generation-0 fallback
+        with _quiet_restore(path) as reader:
+            assert reader.read().payload == a  # generation-0 fallback
         with pytest.raises(StoreError, match="torn tail"):
             open_archive(target=path, append=True)
 
         report = repair_container(path)
         assert report["action"] == "truncated"
         assert scan_container(path).intact
-        assert _quiet_restore(path).read().payload == a
-        fsck = _quiet_restore(path).verify()
+        with _quiet_restore(path) as reader:
+            assert reader.read().payload == a
+            fsck = reader.verify()
         assert fsck.ok, fsck.errors
         # ... and the repaired archive accepts the append again.
         with open_archive(target=path, append=True) as writer:
             writer.write(b)
-        assert open_restore(path).read().payload == a + b
+        with open_restore(path) as reader:
+            assert reader.read().payload == a + b
 
     @pytest.mark.parametrize("tail_offset", [4, 12, 17, 300])
     def test_cut_inside_index_or_trailer_keeps_both_generations(self, torn_fixture,
@@ -337,19 +341,22 @@ class TestTornAppends:
         whole = torn_fixture["a"] + torn_fixture["b"]
 
         # The scan fallback already serves both generations...
-        assert _quiet_restore(path).read().payload == whole
+        with _quiet_restore(path) as reader:
+            assert reader.read().payload == whole
         report = repair_container(path)
         assert report["action"] == "completed-index"
         assert scan_container(path).intact
         # ... and after repair the trailer index does, with a clean fsck.
-        assert open_restore(path).read().payload == whole
-        fsck = open_restore(path).verify()
+        with open_restore(path) as reader:
+            assert reader.read().payload == whole
+            fsck = reader.verify()
         assert fsck.ok, fsck.errors
 
     def test_verify_reports_torn_tail_orphans(self, torn_fixture):
         lo, hi = torn_fixture["size_gen0"], len(torn_fixture["data"])
         path = self._cut(torn_fixture, (lo + hi) // 2)
-        fsck = _quiet_restore(path).verify(deep=False)
+        with _quiet_restore(path) as reader:
+            fsck = reader.verify(deep=False)
         # Complete generation-1 frames before the cut are orphans: present
         # on the medium but unreferenced by the superseding (gen 0) manifest.
         assert fsck.active_generation == 0
@@ -382,7 +389,8 @@ class TestTornAppends:
         assert cli_main(["verify", str(path), "--shallow"]) == 1
         assert repair_container(path)["action"] == "truncated"
         assert cli_main(["verify", str(path), "--shallow"]) == 0
-        assert _quiet_restore(path).read().payload == torn_fixture["a"]
+        with _quiet_restore(path) as reader:
+            assert reader.read().payload == torn_fixture["a"]
 
     def test_aborted_append_rolls_back_byte_identically(self, torn_fixture):
         """A failed/aborted append session must not finalise a half-written
@@ -397,9 +405,8 @@ class TestTornAppends:
         assert path.read_bytes() == data0
         with open_archive(target=path, append=True) as retried:
             retried.write(torn_fixture["b"])
-        assert open_restore(path).read().payload == (
-            torn_fixture["a"] + torn_fixture["b"]
-        )
+        with open_restore(path) as reader:
+            assert reader.read().payload == torn_fixture["a"] + torn_fixture["b"]
 
 
 class TestScanDegenerateFiles:
@@ -459,12 +466,14 @@ class TestVerify:
         target = f"file:{tmp_path / 'arch.ule'}"
         write_archive(target, payload[:3_000])
         write_archive(target, payload[3_000:], append=True)
-        report = open_restore(target).verify()
+        with open_restore(target) as reader:
+            report = reader.verify()
+            segments = len(reader.manifest.segments)
         assert report.ok
         assert report.active_generation == 1
         assert [info.status for info in report.generations] == ["superseded", "active"]
         assert report.superseded == ["manifest.json"]
-        assert report.segments_checked == len(open_source(target).manifest().segments)
+        assert report.segments_checked == segments
         assert not report.orphaned
 
     def test_deep_verify_catches_a_corrupted_frame(self, tmp_path, make_payload,
@@ -476,7 +485,8 @@ class TestVerify:
         payload = make_payload(6_000, seed=62)
         target = tmp_path / "arch"
         write_archive(target, payload)
-        manifest = open_source(target).manifest()
+        with open_source(target) as source:
+            manifest = source.manifest()
         victim = manifest.segments[1]
         for index in range(victim.emblem_start,
                            victim.emblem_start + victim.emblem_count):
@@ -484,9 +494,10 @@ class TestVerify:
             image = pgm_from_bytes(frame_path.read_bytes())
             frame_path.write_bytes(pgm_bytes(np.full_like(image, 255)))
 
-        shallow = open_restore(target).verify(deep=False)
+        with open_restore(target) as reader:
+            shallow = reader.verify(deep=False)
+            deep = reader.verify()
         assert shallow.ok
-        deep = open_restore(target).verify()
         assert not deep.ok
         assert any("segment 1" in message for message in deep.errors)
         # The other segments still verified independently.
@@ -502,7 +513,8 @@ class TestVerify:
         fields = json.loads(gen1_path.read_text())
         fields["parent"] = "0" * 64
         gen1_path.write_text(json.dumps(fields))
-        report = open_restore(target).verify(deep=False)
+        with open_restore(target) as reader:
+            report = reader.verify(deep=False)
         assert not report.ok
         assert any("parent digest" in message for message in report.errors)
 

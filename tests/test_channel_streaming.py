@@ -14,7 +14,8 @@ contract:
   chunk per worker, restores bit-identically to the serial decode, for
   segmented and one-shot (single huge segment) archives alike, with the
   same ``DecodeReport`` counts when segments really split into chunks,
-* ``readahead`` prefetching returns the same bytes as lazy fetching.
+* ``read_range`` over a store target returns the same bytes on a serial and
+  a thread-pool executor.
 
 Archives are built through the shared ``make_payload`` / ``build_archive``
 factory fixtures in ``conftest.py``.
@@ -30,7 +31,7 @@ from repro.api import ArchiveConfig, open_archive, open_restore, run_end_to_end
 from repro.core.archive import MicrOlonysArchive
 from repro.media.distortions import OFFICE_SCAN
 from repro.media.paper import PaperChannel
-from repro.store import FramePrefetcher, MemoryBackend
+from repro.store import MemoryBackend
 
 
 # --------------------------------------------------------------------------- #
@@ -126,11 +127,14 @@ class TestStreamingChannelEquivalence:
         )
 
     def test_open_restore_via_channel_session(self, make_payload, build_archive) -> None:
+        """Without a seed, read_via_channel() scans with the config's scan_seed."""
         payload = make_payload(2000)
         config = ArchiveConfig(media="test", segment_size=512, scan_seed=3)
         archive = build_archive(config, payload)
-        with open_restore(archive, config, via_channel=True) as reader:
-            assert reader.read().payload == payload
+        with open_restore(archive, config) as reader:
+            result = reader.read_via_channel()
+        assert result.payload == payload
+        assert any("seed=3" in note for note in result.notes)
 
     def test_distortion_override_streams_when_named(self, make_payload,
                                                     build_archive) -> None:
@@ -271,55 +275,40 @@ class TestDecodeParallelism:
         assert results["serial"].data_report == results["thread:2"].data_report
 
     def test_config_validates_parallelism(self) -> None:
-        """Sub-segment parallelism is the executor's worker count: the old
-        ``decode_parallelism`` key is dropped from stored configs and names
-        its replacement when set on a live one."""
+        """Sub-segment parallelism and fetch overlap follow the executor: the
+        old ``decode_parallelism`` and ``readahead`` keys are dropped from
+        stored configs and name their replacement when set on a live one."""
         from repro.errors import ConfigError
 
-        with pytest.raises(ConfigError, match='decode_parallelism.*executor="thread:N"'):
-            ArchiveConfig().replace(decode_parallelism=2)
-        stored = {"media": "test", "executor": "thread:2", "decode_parallelism": 4}
+        for key in ("decode_parallelism", "readahead"):
+            with pytest.raises(ConfigError, match=f'{key}.*executor="thread:N"'):
+                ArchiveConfig().replace(**{key: 2})
+        stored = {"media": "test", "executor": "thread:2", "decode_parallelism": 4,
+                  "readahead": 2}
         assert ArchiveConfig.from_dict(stored) == ArchiveConfig(media="test", executor="thread:2")
-        with pytest.raises(ConfigError):
-            ArchiveConfig(readahead=-1)
-        config = ArchiveConfig(executor="thread:4", readahead=2)
+        config = ArchiveConfig(executor="thread:4")
         assert ArchiveConfig.from_json(config.to_json()) == config
 
 
 # --------------------------------------------------------------------------- #
-# readahead: prefetched partial restore == lazy partial restore
+# Range reads fetch inside the executor's window: serial == thread pool
 # --------------------------------------------------------------------------- #
-class TestReadahead:
-    def test_read_range_matches_lazy(self, make_payload) -> None:
+class TestRangeReadExecutors:
+    def test_read_range_matches_serial(self, make_payload) -> None:
         payload = make_payload(16000)
         config = ArchiveConfig(media="test", codec="store", segment_size=2048)
-        target = "mem:readahead-equivalence"
+        target = "mem:range-read-executors"
         try:
             with open_archive(config, target=target) as writer:
                 writer.write(payload)
-            with open_restore(target) as lazy, open_restore(target, readahead=3) as eager:
-                for offset, length in ((0, 100), (3000, 5000), (15000, 4000)):
+            with (
+                open_restore(target) as serial,
+                open_restore(target, executor="thread:2") as threaded,
+            ):
+                for offset, length in ((0, 100), (3000, 5000), (15000, 4000), (1000, 9000)):
                     expected = payload[offset:offset + length]
-                    assert lazy.read_range(offset, length) == expected
-                    assert eager.read_range(offset, length) == expected
-            with open_restore(target, readahead=2, executor="thread:2") as reader:
-                assert reader.read_range(1000, 9000) == payload[1000:10000]
+                    assert serial.read_range(offset, length) == expected
+                    assert threaded.read_range(offset, length) == expected
+                assert serial.frames_decoded == threaded.frames_decoded
         finally:
             MemoryBackend.discard(target)
-
-    def test_prefetcher_orders_and_falls_back(self) -> None:
-        fetched: list[int] = []
-
-        def fetch(record: int) -> str:
-            fetched.append(record)
-            return f"frames-{record}"
-
-        with FramePrefetcher(fetch, [1, 2, 3], depth=2) as prefetcher:
-            assert prefetcher.frames_for(1) == "frames-1"
-            # Out-of-order request: served directly, not from the pipeline.
-            assert prefetcher.frames_for(3) == "frames-3"
-        assert set(fetched) >= {1, 2, 3}
-
-    def test_prefetcher_rejects_bad_depth(self) -> None:
-        with pytest.raises(ValueError):
-            FramePrefetcher(lambda record: record, [], depth=0)

@@ -12,6 +12,8 @@ distortions) and asserts that
   silently corrupted payload.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -274,3 +276,55 @@ class TestSegmentedFaults:
         archive, payload = segmented
         result = open_restore(archive).read_via_channel(seed=8)
         assert result.payload == payload
+
+
+# --------------------------------------------------------------------------- #
+# Decode modes agree across the outer code's damage budget
+# --------------------------------------------------------------------------- #
+def _outcome(read):
+    """What one read gives: its value, or its exception's type and message."""
+    try:
+        return read()
+    except Exception as exc:  # the error itself is what gets compared
+        return type(exc), str(exc)
+
+
+class TestDecodeModesAgreeUnderDamage:
+    @pytest.mark.parametrize("blanked", [0, 1, 3, 4])
+    def test_python_and_dynarisc_agree(self, tmp_path, sql_sample, blanked):
+        """One stored segment of SQL, one outer-code group: with 0, 1 or 3
+        data frames blanked on the medium, the reference decoders and the
+        archived decoder under DynaRisc return the same bytes and the same
+        data report from read() and read_range(); with 4 blanked both fail
+        with the same error."""
+        from repro.media.image import pgm_bytes, pgm_from_bytes
+        from repro.store import frame_record_name
+
+        directory = tmp_path / "arch"
+        config = ArchiveConfig(media="test", codec="portable", payload_kind="sql")
+        with open_archive(config, target=f"dir:{directory}") as writer:
+            writer.write(sql_sample)
+        [record] = writer.archive.manifest.segments
+        data_frames = record.emblem_count - GROUP_PARITY
+        assert 4 <= data_frames <= GROUP_DATA
+        for index in (1, 3, 0, 2)[:blanked]:
+            frame_path = directory / frame_record_name("data", index)
+            frame = pgm_from_bytes(frame_path.read_bytes())
+            frame_path.write_bytes(pgm_bytes(np.full_like(frame, 255)))
+
+        outcomes = {}
+        for mode in ("python", "dynarisc"):
+            with open_restore(f"dir:{directory}", decode_mode=mode) as reader:
+                full = _outcome(reader.read)
+                if not isinstance(full, tuple):
+                    assert (full.emulator_steps > 0) == (mode == "dynarisc")
+                    full = full.payload, full.data_report
+                outcomes[mode] = full, _outcome(partial(reader.read_range, 100, 5_000))
+        assert outcomes["python"] == outcomes["dynarisc"]
+        (full, ranged) = outcomes["python"]
+        if blanked <= GROUP_PARITY:
+            payload, report = full
+            assert payload == sql_sample and ranged == sql_sample[100:5_100]
+            assert report.groups_reconstructed == (1 if blanked else 0)
+        else:
+            assert issubclass(full[0], MOCoderError) and full == ranged

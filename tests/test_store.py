@@ -25,9 +25,10 @@ import pytest
 
 from repro import open_restore, registry
 from repro.core.archive import ArchiveManifest
-from repro.errors import ArchiveError, StoreError, UnknownNameError
+from repro.errors import ArchiveError, RestorationError, StoreError, UnknownNameError
 from repro.store import (
     MANIFEST_FORMAT_VERSION,
+    ArchiveSource,
     MemoryBackend,
     load_archive,
     open_sink,
@@ -45,7 +46,8 @@ class TestManifestVersions:
     def test_v4_manifest_is_self_describing(self, tmp_path, make_payload, write_archive):
         payload = make_payload(5_000, seed=1)
         config = write_archive(tmp_path / "arch", payload)
-        manifest = open_source(tmp_path / "arch").manifest()
+        with open_source(tmp_path / "arch") as source:
+            manifest = source.manifest()
         assert manifest.format_version == MANIFEST_FORMAT_VERSION == 4
         assert manifest.config == config.to_dict()
         assert manifest.generation == 0
@@ -84,10 +86,9 @@ class TestManifestVersions:
         # The archive still restores, fully and partially (CRC-only verify).
         with pytest.warns(DeprecationWarning):
             reader = open_restore(tmp_path / "arch")
-        assert reader.read().payload == payload
-        with pytest.warns(DeprecationWarning):
-            reader = open_restore(tmp_path / "arch")
-        assert reader.read_range(2_100, 500) == payload[2_100:2_600]
+        with reader:
+            assert reader.read().payload == payload
+            assert reader.read_range(2_100, 500) == payload[2_100:2_600]
 
     def test_segment_free_manifest_restores_as_one_segment(self, tmp_path, make_payload,
                                                            write_archive):
@@ -138,15 +139,15 @@ class TestManifestVersions:
 
         with pytest.warns(DeprecationWarning):
             reader = open_restore(tmp_path / "arch")
-        assert reader.read().payload == payload
-        with pytest.warns(DeprecationWarning):
-            reader = open_restore(tmp_path / "arch")
-        assert reader.read_range(2_100, 500) == payload[2_100:2_600]
+        with reader:
+            assert reader.read().payload == payload
+            assert reader.read_range(2_100, 500) == payload[2_100:2_600]
 
     def test_v3_roundtrips_exactly(self, tmp_path, make_payload, write_archive):
         payload = make_payload(4_096, seed=3)
         write_archive(tmp_path / "arch", payload)
-        manifest = open_source(tmp_path / "arch").manifest()
+        with open_source(tmp_path / "arch") as source:
+            manifest = source.manifest()
         assert ArchiveManifest.from_json(manifest.to_json()) == manifest
 
     def test_newer_format_version_is_rejected(self, tmp_path, write_archive):
@@ -216,9 +217,8 @@ class TestBackends:
         write_archive(f"file:{path}", payload)
         assert path.is_file()
         # A single flat file; restoration uses nothing but its bytes.
-        reader = open_restore(path)
-        result = reader.read()
-        assert result.payload == payload
+        with open_restore(path) as reader:
+            assert reader.read().payload == payload
 
     def test_directory_store_matches_classic_layout(self, tmp_path, make_payload, write_archive):
         payload = make_payload(4_000, seed=5)
@@ -235,8 +235,8 @@ class TestBackends:
         try:
             write_archive("mem:store-test", payload)
             assert parse_target("mem:store-test").store == "memory"
-            reader = open_restore("mem:store-test")
-            assert reader.read_range(1_000, 200) == payload[1_000:1_200]
+            with open_restore("mem:store-test") as reader:
+                assert reader.read_range(1_000, 200) == payload[1_000:1_200]
         finally:
             MemoryBackend.discard("mem:store-test")
         with pytest.raises(StoreError):
@@ -250,9 +250,8 @@ class TestBackends:
         assert parse_target(tmp_path / "d").store == "directory"
         assert parse_target(tmp_path / "c.ule").store == "container"
         for path in (tmp_path / "d", tmp_path / "c.ule"):
-            source = open_source(path)
-            assert source.manifest().archive_bytes > 0
-            source.close()
+            with open_source(path) as source:
+                assert source.manifest().archive_bytes > 0
         with pytest.raises(StoreError, match="does not contain an archive manifest"):
             open_source(tmp_path / "ghost")
 
@@ -265,7 +264,8 @@ class TestBackends:
         path.write_bytes(data[:-16])  # chop the index trailer off
         with pytest.warns(RuntimeWarning, match="recovered by scanning"):
             reader = open_restore(path)
-        assert reader.read().payload == payload
+        with reader:
+            assert reader.read().payload == payload
 
     def test_recovered_index_sets_the_source_flag(self, tmp_path, make_payload,
                                                   write_archive):
@@ -278,9 +278,9 @@ class TestBackends:
         path.write_bytes(bytes(data))
         with pytest.warns(RuntimeWarning, match="recovered by scanning"):
             source = open_source(f"file:{path}")
-        assert source.recovered_by_scan
-        assert source.manifest().archive_bytes > 0
-        source.close()
+        with source:
+            assert source.recovered_by_scan
+            assert source.manifest().archive_bytes > 0
 
     @pytest.mark.parametrize("edit", [
         lambda entry, end: [entry[0], entry[1], 10**13],
@@ -319,8 +319,8 @@ class TestBackends:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             source = open_source(f"file:{path}")
-        assert not source.recovered_by_scan
-        source.close()
+        with source:
+            assert not source.recovered_by_scan
 
     def test_target_of_the_wrong_shape_fails_cleanly(self, tmp_path):
         (tmp_path / "file").write_bytes(b"stub")
@@ -397,12 +397,11 @@ class TestBufferedContainerSink:
                 with open_sink(target) as sink:
                     sink.put_frames("data", 0, frames)
                     sink.put_manifest(manifest)
-                source = open_source(target)
-                got = source.get_frames("data", 0, len(frames))
+                with open_source(target) as source:
+                    got = source.get_frames("data", 0, len(frames))
                 assert len(got) == len(frames)
                 for want, have in zip(frames, got):
                     assert np.array_equal(want, have), target
-                source.close()
         finally:
             MemoryBackend.discard("mem:test-put-frames")
 
@@ -442,30 +441,30 @@ class TestPartialRestore:
         payload = make_payload(6_000, seed=11)
         target = f"file:{tmp_path / f'{media}-{codec}.ule'}"
         write_archive(target, payload, media=media, codec=codec)
-        full = open_restore(target).read().payload
+        with open_restore(target) as reader:
+            full = reader.read().payload
         assert full == payload
-        reader = open_restore(target)
-        for offset, length in self.RANGES:
-            assert reader.read_range(offset, length) == full[offset:offset + length], (
-                f"range [{offset}:{offset + length}) mismatch on {media}/{codec}"
-            )
+        with open_restore(target) as reader:
+            for offset, length in self.RANGES:
+                assert reader.read_range(offset, length) == full[offset:offset + length], (
+                    f"range [{offset}:{offset + length}) mismatch on {media}/{codec}"
+                )
 
     def test_restore_segment_decodes_only_that_segment(self, tmp_path, make_payload,
                                                        write_archive):
         payload = make_payload(8_192, seed=12)
         target = tmp_path / "arch"
         write_archive(target, payload)
-        manifest = open_source(target).manifest()
-        assert len(manifest.segments) == 4
-
-        decoded = []
-        reader = open_restore(target, on_segment=decoded.append)
-        record = manifest.segments[2]
-        assert reader.restore_segment(2) == payload[record.offset:record.end]
-        # The counting hook saw exactly one decode: segment 2, nothing else.
-        assert [r.index for r in decoded] == [2]
-        assert reader.segments_decoded == 1
-        assert reader.frames_decoded == record.emblem_count
+        source = RecordingSource(open_source(target))
+        with open_restore(source) as reader:
+            manifest = reader.manifest
+            assert len(manifest.segments) == 4
+            record = manifest.segments[2]
+            assert reader.restore_segment(2) == payload[record.offset:record.end]
+            # One fetch, segment 2's data frames, and nothing else decoded.
+            assert source.fetches == [("data", record.emblem_start, record.emblem_count)]
+            assert reader.segments_decoded == 1
+            assert reader.frames_decoded == record.emblem_count
 
     def test_partial_restore_decodes_strictly_fewer_frames(self, tmp_path, make_payload,
                                                            write_archive):
@@ -474,38 +473,42 @@ class TestPartialRestore:
         target = f"file:{tmp_path / 'arch.ule'}"
         write_archive(target, payload)
 
-        full_result = open_restore(target).read()
-        full_frames = full_result.data_report.emblems_seen
+        with open_restore(target) as reader:
+            full_frames = reader.read().data_report.emblems_seen
 
-        reader = open_restore(target)
-        assert reader.read_range(3_000, 100) == payload[3_000:3_100]
-        assert 0 < reader.frames_decoded < full_frames
+        with open_restore(target) as reader:
+            assert reader.read_range(3_000, 100) == payload[3_000:3_100]
+            assert 0 < reader.frames_decoded < full_frames
 
-        reader = open_restore(target)
-        reader.restore_segment(0)
-        assert 0 < reader.frames_decoded < full_frames
+        with open_restore(target) as reader:
+            reader.restore_segment(0)
+            assert 0 < reader.frames_decoded < full_frames
 
     def test_read_range_parallel_executor_matches_serial(self, tmp_path, make_payload,
                                                          write_archive):
         payload = make_payload(8_192, seed=14)
         target = f"file:{tmp_path / 'arch.ule'}"
         write_archive(target, payload)
-        serial = open_restore(target, executor="serial").read_range(1_000, 6_000)
-        threaded = open_restore(target, executor="thread:2").read_range(1_000, 6_000)
-        assert serial == threaded == payload[1_000:7_000]
+        with (
+            open_restore(target, executor="serial") as serial,
+            open_restore(target, executor="thread:2") as threaded,
+        ):
+            assert (serial.read_range(1_000, 6_000) == threaded.read_range(1_000, 6_000)
+                    == payload[1_000:7_000])
 
     def test_read_range_rejects_negative_requests(self, tmp_path, write_archive):
         write_archive(tmp_path / "arch", b"x" * 4_000)
-        reader = open_restore(tmp_path / "arch")
-        with pytest.raises(ValueError):
-            reader.read_range(-1, 10)
-        with pytest.raises(ValueError):
-            reader.read_range(0, -10)
+        with open_restore(tmp_path / "arch") as reader:
+            with pytest.raises(ValueError):
+                reader.read_range(-1, 10)
+            with pytest.raises(ValueError):
+                reader.read_range(0, -10)
 
     def test_restore_segment_out_of_range(self, tmp_path, write_archive):
         write_archive(tmp_path / "arch", b"x" * 4_000)
-        reader = open_restore(tmp_path / "arch")
-        with pytest.raises(ArchiveError, match="out of range"):
+        with open_restore(tmp_path / "arch") as reader, pytest.raises(
+            ArchiveError, match="out of range"
+        ):
             reader.restore_segment(99)
 
     def test_corrupt_frame_fails_hash_check_only_when_touched(self, tmp_path, make_payload,
@@ -516,7 +519,8 @@ class TestPartialRestore:
         payload = make_payload(8_192, seed=15)
         target = tmp_path / "arch"
         write_archive(target, payload)
-        manifest = open_source(target).manifest()
+        with open_source(target) as source:
+            manifest = source.manifest()
         victim = manifest.segments[3]
         # Blank every frame of the last segment on the medium.
         for index in range(victim.emblem_start, victim.emblem_start + victim.emblem_count):
@@ -524,12 +528,156 @@ class TestPartialRestore:
             image = pgm_from_bytes(frame_path.read_bytes())
             frame_path.write_bytes(pgm_bytes(np.full_like(image, 255)))
 
-        reader = open_restore(target)
-        assert reader.read_range(0, 2_048) == payload[:2_048]  # untouched segment: fine
         from repro.errors import ReproError
 
-        with pytest.raises(ReproError):
-            open_restore(target).restore_segment(3)
+        with open_restore(target) as reader:
+            assert reader.read_range(0, 2_048) == payload[:2_048]  # untouched segment: fine
+            with pytest.raises(ReproError):
+                reader.restore_segment(3)
+
+
+class RecordingSource(ArchiveSource):
+    """A source proxy that records every ``get_frames`` call it serves."""
+
+    def __init__(self, inner: ArchiveSource):
+        self._inner = inner
+        self.fetches: list[tuple[str, int, int]] = []
+
+    def names(self):
+        return self._inner.names()
+
+    def get_text(self, name):
+        return self._inner.get_text(name)
+
+    def get_bytes(self, name):
+        return self._inner.get_bytes(name)
+
+    def get_frame(self, kind, index):
+        return self._inner.get_frame(kind, index)
+
+    def get_frames(self, kind, start, count):
+        self.fetches.append((kind, start, count))
+        return self._inner.get_frames(kind, start, count)
+
+    def close(self):
+        self._inner.close()
+
+
+def _no_whole_archive_pass(*args, **kwargs):
+    raise AssertionError("a read materialised the whole archive through load_archive")
+
+
+# --------------------------------------------------------------------------- #
+# One frame provider and one segment loop for every read
+# --------------------------------------------------------------------------- #
+class TestOneSegmentLoop:
+    @pytest.mark.parametrize("read", ["read", "read_via_channel"])
+    def test_full_reads_fetch_segment_by_segment(self, tmp_path, make_payload,
+                                                 write_archive, monkeypatch, read):
+        """A full restore of a stored archive fetches each segment's data
+        frames in a call of its own, as the decode reaches it, and never
+        loads the whole archive."""
+        payload = make_payload(8_192, seed=16)
+        target = f"file:{tmp_path / 'arch.ule'}"
+        write_archive(target, payload)
+        monkeypatch.setattr("repro.api.reader.load_archive", _no_whole_archive_pass)
+        monkeypatch.setattr("repro.store.load_archive", _no_whole_archive_pass)
+        source = RecordingSource(open_source(target))
+        with open_restore(source) as reader:
+            result = getattr(reader, read)()
+            manifest = reader.manifest
+        assert result.payload == payload
+        assert len(manifest.segments) == 4
+        data_fetches = [fetch for fetch in source.fetches if fetch[0] == "data"]
+        assert data_fetches == [
+            ("data", record.emblem_start, record.emblem_count) for record in manifest.segments
+        ]
+
+    def test_emulated_partial_reads_run_the_archived_decoder(self, tmp_path, sql_sample,
+                                                             write_archive, monkeypatch):
+        """Partial reads honour decode_mode: under dynarisc they run the
+        archived decoder, recovered once per session from the medium's
+        system frames, and return the bytes python mode returns."""
+        from repro.dynarisc.emulator import DynaRiscEmulator
+
+        target = f"file:{tmp_path / 'sql.ule'}"
+        write_archive(target, sql_sample, segment_size=1024, payload_kind="sql")
+        runs = []
+        run = DynaRiscEmulator.run
+
+        def counting_run(self, *args, **kwargs):
+            runs.append(self)
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(DynaRiscEmulator, "run", counting_run)
+        with open_restore(target) as python:
+            expected_range = python.read_range(700, 2_000)
+            expected_segment = python.restore_segment(3)
+        assert runs == []
+        assert expected_range == sql_sample[700:2_700]
+        source = RecordingSource(open_source(target))
+        with open_restore(source, decode_mode="dynarisc") as emulated:
+            assert emulated.read_range(700, 2_000) == expected_range
+            covering = emulated.segments_decoded
+            assert covering >= 2 and len(runs) == covering
+            assert emulated.restore_segment(3) == expected_segment
+            assert len(runs) == covering + 1
+        system_fetches = [fetch for fetch in source.fetches if fetch[0] == "system"]
+        assert len(system_fetches) == 1
+
+    def test_partial_reads_raise_where_read_raises(self, tmp_path, sql_sample, write_archive):
+        """A DENSE archive has no archived decoder: every emulated read
+        fails alike, and python mode restores it."""
+        target = f"file:{tmp_path / 'dense.ule'}"
+        write_archive(target, sql_sample, codec="dense", payload_kind="sql")
+        with open_restore(target, decode_mode="dynarisc") as reader:
+            for read in (reader.read, lambda: reader.read_range(10, 100),
+                         lambda: reader.restore_segment(0)):
+                with pytest.raises(RestorationError, match="PORTABLE profile"):
+                    read()
+        with open_restore(target) as reader:
+            assert reader.read_range(10, 100) == sql_sample[10:110]
+
+
+def _drop_middle_record(fields):
+    del fields["segments"][2]
+
+
+def _overlap_next_record(fields):
+    fields["segments"][2]["length"] += 100
+
+
+def _claim_bytes_past_the_last_record(fields):
+    fields["archive_bytes"] += 1_000
+
+
+class TestManifestTiling:
+    @pytest.mark.parametrize("damage, bad_spans, good_spans", [
+        (_drop_middle_record, [(4_106, 100), (2_000, 3_000)], [(0, 4_096), (6_144, 4_096)]),
+        (_overlap_next_record, [(6_100, 200), (4_000, 3_000)],
+         [(0, 4_096), (7_000, 1_000), (8_192, 2_048)]),
+        (_claim_bytes_past_the_last_record, [(10_000, 1_000), (0, 10**9)],
+         [(0, 10_240), (9_000, 1_240)]),
+    ], ids=["dropped-middle-record", "overlapping-record", "short-last-record"])
+    def test_untiled_span_raises_store_error(self, tmp_path, make_payload, write_archive,
+                                             damage, bad_spans, good_spans):
+        """read_range checks that the manifest's records tile the span it
+        reads: a gap or an overlap is a StoreError naming the span, and
+        spans the records do tile still read correctly."""
+        payload = make_payload(10_240, seed=17)
+        directory = tmp_path / "arch"
+        write_archive(f"dir:{directory}", payload, codec="store")
+        manifest_path = directory / "manifest.json"
+        fields = json.loads(manifest_path.read_text())
+        assert [record["length"] for record in fields["segments"]] == [2_048] * 5
+        damage(fields)
+        manifest_path.write_text(json.dumps(fields))
+        with open_restore(f"dir:{directory}") as reader:
+            for offset, length in bad_spans:
+                with pytest.raises(StoreError, match=r"payload bytes \[\d+:\d+\)"):
+                    reader.read_range(offset, length)
+            for offset, length in good_spans:
+                assert reader.read_range(offset, length) == payload[offset:offset + length]
 
 
 # --------------------------------------------------------------------------- #
