@@ -78,7 +78,9 @@ cli-smoke:
 
 ## restore smoke: --via-channel through the streaming channel path on a
 ## thread pool, a full restore streamed segment by segment from the file:
-## target, and a partial restore on a thread pool
+## target, a partial restore on a thread pool that decodes only the covering
+## segments' data frames, and a dir: archive with one data and one parity
+## frame of one group blanked: restore stays bit-exact, verify warns twice
 restore-smoke:
 	@set -e; rm -rf .restore-smoke; mkdir .restore-smoke; \
 	trap 'rm -rf .restore-smoke' EXIT; \
@@ -91,9 +93,28 @@ restore-smoke:
 	$(PYTHON) -m repro restore -i file:.restore-smoke/arch.ule -o .restore-smoke/full.bin; \
 	cmp .restore-smoke/payload.bin .restore-smoke/full.bin; \
 	$(PYTHON) -m repro restore -i .restore-smoke/arch.ule -o .restore-smoke/slice.bin \
-		--offset 1000 --length 2000 --executor thread:2; \
+		--offset 1000 --length 2000 --executor thread:2 --json \
+		| $(PYTHON) -c "import json,sys; from repro.store import open_source; \
+		m=json.load(sys.stdin); source=open_source('file:.restore-smoke/arch.ule'); \
+		covering=[r for r in source.manifest().segments if r.offset < 3000 and r.end > 1000]; \
+		source.close(); frames=sum(r.emblem_count for r in covering); \
+		assert m['segments_decoded']==len(covering) and 0 < m['frames_decoded'] < frames, (m, frames)"; \
 	$(PYTHON) -c "want=(b'ULE restore smoke payload. '*300)[1000:3000]; \
-	got=open('.restore-smoke/slice.bin','rb').read(); assert got==want, 'slice mismatch'"
+	got=open('.restore-smoke/slice.bin','rb').read(); assert got==want, 'slice mismatch'"; \
+	$(PYTHON) -m repro archive -i .restore-smoke/payload.bin -o dir:.restore-smoke/damaged \
+		--media test --codec portable --segment-size 2048; \
+	$(PYTHON) -c "import json; from pathlib import Path; import numpy as np; \
+		from repro.media.image import pgm_bytes, pgm_from_bytes; \
+		from repro.mocoder.mocoder import stream_layout; \
+		d=Path('.restore-smoke/damaged'); r=json.loads((d/'manifest.json').read_text())['segments'][1]; \
+		start=r['emblem_start']; group=stream_layout(r['emblem_count'])[0]; \
+		paths=[d/f'data_emblem_{start + i:04d}.pgm' for i in (0, group.data_end)]; \
+		[p.write_bytes(pgm_bytes(np.full_like(pgm_from_bytes(p.read_bytes()), 255))) for p in paths]"; \
+	$(PYTHON) -m repro restore -i dir:.restore-smoke/damaged -o .restore-smoke/damaged.bin; \
+	cmp .restore-smoke/payload.bin .restore-smoke/damaged.bin; \
+	$(PYTHON) -m repro verify dir:.restore-smoke/damaged --json \
+		| $(PYTHON) -c "import json,sys; m=json.load(sys.stdin); \
+		assert m['ok'] and len(m['warnings'])==2, m"
 
 ## append smoke: archive -> append (incremental backup) -> verify (fsck) ->
 ## partial restore spanning the generation boundary, all through the CLI

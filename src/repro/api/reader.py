@@ -189,16 +189,26 @@ def _restore_units(manifest: ArchiveManifest) -> tuple[SegmentRecord, ...]:
     return (whole,)
 
 
+def _cut(frames: list[np.ndarray], start: int, count: int | None) -> list[np.ndarray]:
+    """``frames[start:start + count]``; ``count=None`` runs to the end."""
+    return frames[start:] if count is None else frames[start:start + count]
+
+
 def _scans_for(
-    scans: list[np.ndarray], manifest: ArchiveManifest, record: SegmentRecord
+    scans: list[np.ndarray],
+    manifest: ArchiveManifest,
+    record: SegmentRecord,
+    start: int,
+    count: int | None,
 ) -> list[np.ndarray]:
-    """``record``'s scans, cut from a list holding every data scan in order.
+    """A run of ``record``'s scans, cut from a list holding every data scan
+    in order (the frame provider of :meth:`ArchiveReader.read_from_scans`).
 
     A one-segment or pre-pipeline archive is one unit spanning every scan
     provided: the outer code rebuilds absent frames, so no count is required.
     """
     if len(manifest.segments) <= 1:
-        return scans
+        return _cut(scans, start, count)
     end = record.emblem_start + record.emblem_count
     if end > len(scans):
         raise RestorationError(
@@ -207,33 +217,38 @@ def _scans_for(
             "provided; segmented restore needs one scan per recorded frame "
             "(damaged frames may be blank, but not absent)"
         )
-    return scans[record.emblem_start:end]
+    return _cut(scans[record.emblem_start:end], start, count)
 
 
 def _covering(
-    segments: Sequence[SegmentRecord], offset: int, end: int
+    segments: Sequence[SegmentRecord], offset: int, end: int, archive_bytes: int
 ) -> list[SegmentRecord]:
     """The records that tile payload bytes ``[offset, end)``, in order.
 
     The first must start at or before ``offset``, each next one where the
-    previous ends, and the last at or past ``end``; a manifest whose records
-    leave a gap or overlap there raises :class:`StoreError` naming the span.
+    previous ends, and the last at or past ``end``; no covering record may
+    run past the next record's start (the last one, past the archive's
+    end).  A manifest whose records leave a gap or overlap there raises
+    :class:`StoreError` naming the span and both segments.
     """
     starts = [record.offset for record in segments]
     first = max(bisect.bisect_right(starts, offset) - 1, 0)
     covering: list[SegmentRecord] = []
     position = offset
-    for record in segments[first:]:
+    for at, record in enumerate(segments[first:], start=first):
         if position >= end:
             break
         if not covering and record.end <= offset:
             continue
         if record.offset > position:
             break  # a gap: reported below
-        if covering and record.offset < position:
+        following = segments[at + 1] if at + 1 < len(segments) else None
+        limit = following.offset if following is not None else archive_bytes
+        if record.end > limit:
+            whose = f"segment {following.index}" if following is not None else "no segment"
             raise StoreError(
                 f"manifest segment {record.index} overlaps payload bytes "
-                f"[{record.offset}:{position}) of segment {covering[-1].index}"
+                f"[{limit}:{record.end}), which belong to {whose}"
             )
         covering.append(record)
         position = record.end
@@ -270,17 +285,27 @@ class ArchiveReader:
     complete ULE chain.  ``read()`` restores the stored frames,
     ``read_via_channel()`` re-runs the simulated record/scan cycle first.
 
-    Every read fetches a segment's data frames through one provider, inside
-    the executor's submission window, and decodes them through one segment
-    loop.  Over a :mod:`repro.store` target (a saved directory, a container
-    file, a ``mem:`` key or a volume set) a full ``read()`` therefore holds
-    only the segments in flight, and the reader is **random-access**:
+    Every read fetches runs of a segment's frames through one provider,
+    inside the executor's submission window, and decodes them through one
+    segment loop, **data frames first**: on a clean medium each segment
+    costs one fetch, from its first frame through its last data frame, and
+    only its data frames are decoded.  Its parity frames are decoded only
+    when one of its data frames fails or is absent (the last group's are
+    fetched then); the system stream is read the same way.  The outer code
+    each stream carries is the archive's own (its manifest's config).  Over
+    a :mod:`repro.store` target (a saved directory, a container file, a
+    ``mem:`` key or a volume set) a full ``read()`` therefore holds only
+    the segments in flight, and the reader is **random-access**:
     :meth:`restore_segment` and :meth:`read_range` use the manifest to
     locate, fetch, decode and hash-verify only the segments covering the
     request — no other data frame is read from the medium, and
     multi-segment requests decode in parallel through the configured
     executor.  :attr:`segments_decoded` / :attr:`frames_decoded` tally the
-    work done across the session's partial reads.
+    work done across the session's partial reads; ``frames_decoded``
+    counts the frames actually decoded (data frames, plus the parity of a
+    segment that falls short), not the frames the segments hold.
+    :meth:`verify` alone decodes every frame, parity included, and warns
+    on each that fails.
 
     The session builds one executor on first use and shares it across every
     restore, partial read and verify; :meth:`close` (or leaving the ``with``
@@ -332,31 +357,62 @@ class ArchiveReader:
             self._manifest = self._archive.manifest
         return self._archive
 
-    def _pipeline(self, channel: ChannelSpec | None = None) -> RestorePipeline:
-        """A restore pipeline over the session's executor (built once)."""
+    def _pipeline(
+        self, manifest: ArchiveManifest, channel: ChannelSpec | None = None
+    ) -> RestorePipeline:
+        """A restore pipeline over the session's executor (built once) for
+        ``manifest``'s streams: their outer code is a fact of the archive,
+        which no session setting overrides."""
         if self._executor is None:
             self._executor = get_executor(self.config.executor)
-        return RestorePipeline(self._profile, executor=self._executor, channel=channel)
+        return RestorePipeline(
+            self._profile, executor=self._executor, channel=channel,
+            outer_code=manifest.outer_code,
+        )
 
-    def _frames(self, record: SegmentRecord) -> list[np.ndarray]:
-        """One segment's data frames, the frame provider of every read: just
-        that segment's frames from the source, or cut from the artefact."""
+    def _frames(
+        self, record: SegmentRecord, start: int, count: int | None
+    ) -> list[np.ndarray]:
+        """A run of one segment's data frames, the frame provider of every
+        read: ``count`` frames from the segment's position ``start``
+        (``None``: through its last frame), from the source or the artefact."""
         if self._source is None:
-            return _scans_for(self.archive.data_emblem_images, self.manifest, record)
-        return self._source.get_frames("data", record.emblem_start, record.emblem_count)
+            return _scans_for(
+                self.archive.data_emblem_images, self.manifest, record, start, count
+            )
+        return self._source_run(
+            "data", record.emblem_start, record.emblem_count, start, count
+        )
 
-    def _system_frames(self) -> list[np.ndarray]:
-        """The system frames, straight from the source or the artefact."""
+    @property
+    def _system_count(self) -> int:
         if self._source is None:
-            return self.archive.system_emblem_images
-        return self._source.get_frames("system", 0, self.manifest.system_emblem_count)
+            return len(self.archive.system_emblem_images)
+        return self.manifest.system_emblem_count
+
+    def _system_frames(self, start: int, count: int | None) -> list[np.ndarray]:
+        """A run of the system frames, from the source or the artefact."""
+        if self._source is None:
+            return _cut(self.archive.system_emblem_images, start, count)
+        return self._source_run("system", 0, self.manifest.system_emblem_count, start, count)
+
+    def _source_run(
+        self, kind: str, first: int, total: int, start: int, count: int | None
+    ) -> list[np.ndarray]:
+        """Frames ``start .. start + count - 1`` (``None``: through the last)
+        of the ``total`` frames from ``first``, in one ``get_frames`` call."""
+        if count is None:
+            count = total - start
+        return self._source.get_frames(kind, first + start, count) if count > 0 else []
 
     @functools.cached_property
     def _own_decoder(self) -> bytes | None:
         """The archived decoder on the session's own system frames, decoded
         once for partial reads (``None``: the medium carries none)."""
-        images = self._system_frames()
-        return MOCoder(self._profile.spec).decode(images)[0] if images else None
+        count = self._system_count
+        if not count:
+            return None
+        return self._pipeline(self.manifest).decode_system(count, self._system_frames)[0]
 
     # ------------------------------------------------------------------ #
     def read(self) -> RestorationResult:
@@ -393,7 +449,11 @@ class ArchiveReader:
         multi-segment manifest needs one scan per recorded frame (damaged
         frames may be blank, but not absent); a one-segment or pre-pipeline
         archive is one unit spanning every scan provided, so there the outer
-        code rebuilds absent frames too.
+        code rebuilds absent frames too.  Scans are decoded data frames
+        first, like every read, and the rest only when a data slot stays
+        empty or a decoded header shows the scans are not where the layout
+        puts them (out of order, absent, foreign), so any scan order
+        restores what decoding every scan would.
 
         Raises
         ------
@@ -402,9 +462,11 @@ class ArchiveReader:
         """
         if manifest is None:
             manifest = self.manifest
-        frames_for = functools.partial(_scans_for, data_images, manifest)
+        system_images = system_images or []
         return self._restore(
-            frames_for, system_images, bootstrap_text, payload_kind, manifest, None
+            functools.partial(_scans_for, data_images, manifest),
+            functools.partial(_cut, system_images), len(system_images),
+            bootstrap_text, payload_kind, manifest, None,
         )
 
     def _read_stored(self, channel: ChannelSpec | None) -> RestorationResult:
@@ -417,14 +479,15 @@ class ArchiveReader:
         else:
             bootstrap_text = self._source.get_text(BOOTSTRAP_NAME)
         return self._restore(
-            self._frames, self._system_frames(), bootstrap_text,
+            self._frames, self._system_frames, self._system_count, bootstrap_text,
             manifest.payload_kind, manifest, channel,
         )
 
     def _restore(
         self,
-        frames_for: Callable[[SegmentRecord], list[np.ndarray]],
-        system_images: list[np.ndarray] | None,
+        frames_for: Callable[[SegmentRecord, int, "int | None"], list[np.ndarray]],
+        system_frames: Callable[[int, "int | None"], list[np.ndarray]],
+        system_count: int,
         bootstrap_text: str | None,
         payload_kind: str,
         manifest: ArchiveManifest,
@@ -432,10 +495,12 @@ class ArchiveReader:
     ) -> RestorationResult:
         """Steps 1-6, optionally simulating the analog hop along the way.
 
-        With a :class:`~repro.pipeline.ChannelSpec`, the incoming images are
-        the *recorded-side* rasters: the system stream is recorded/scanned
-        here (lane 1 of the per-frame seed space) and the data stream is
-        recorded/scanned per batch inside the decode jobs (lane 0).
+        ``frames_for`` and ``system_frames`` supply runs of the data and
+        system frames; both streams are read data frames first.  With a
+        :class:`~repro.pipeline.ChannelSpec`, the incoming images are the
+        *recorded-side* rasters: each frame is recorded/scanned when it is
+        decoded, the system stream on lane 1 of the per-frame seed space and
+        the data stream inside the decode jobs (lane 0).
         """
         notes: list[str] = []
         mode = self.config.decode_mode
@@ -451,10 +516,10 @@ class ArchiveReader:
         # Step 4: recover the archived DBCoder decoder from the system emblems.
         system_report = None
         decoder_code: bytes | None = None
-        if system_images:
-            if channel is not None:
-                system_images = channel.simulate(system_images, 0, lane=1)
-            decoder_code, system_report = MOCoder(self._profile.spec).decode(system_images)
+        if system_count:
+            decoder_code, system_report = self._pipeline(manifest, channel).decode_system(
+                system_count, system_frames
+            )
             notes.append(
                 f"system emblems decoded: {system_report.emblems_decoded} of "
                 f"{system_report.emblems_seen} scans, "
@@ -519,7 +584,7 @@ class ArchiveReader:
         self,
         manifest: ArchiveManifest,
         records: Sequence[SegmentRecord],
-        frames_for: Callable[[SegmentRecord], list[np.ndarray]],
+        frames_for: Callable[[SegmentRecord, int, "int | None"], list[np.ndarray]],
         decoder_code: bytes | None,
         channel: ChannelSpec | None = None,
     ) -> Iterator[tuple[DecodedSegment, bytes, int]]:
@@ -540,7 +605,7 @@ class ArchiveReader:
                     "restore with decode_mode='python'"
                 )
             decoder = decoder_code
-        for decoded in self._pipeline(channel).iter_decode(
+        for decoded in self._pipeline(manifest, channel).iter_decode(
             manifest, records, frames_for, decode_payload=decoder is None
         ):
             if decoder is None:
@@ -622,7 +687,7 @@ class ArchiveReader:
             for (decoded, payload, _), position in zip(decoded_segments, miss_positions):
                 record = decoded.record
                 self.segments_decoded += 1
-                self.frames_decoded += record.emblem_count
+                self.frames_decoded += decoded.report.emblems_seen
                 parts_by_position[position] = payload
                 if cache is not None and record.sha256 is not None:
                     cache.put(record.sha256, payload)
@@ -664,7 +729,9 @@ class ArchiveReader:
         end = min(offset + length, self.manifest.archive_bytes)
         if offset >= end:
             return b""
-        covering = _covering(_restore_units(self.manifest), offset, end)
+        covering = _covering(
+            _restore_units(self.manifest), offset, end, self.manifest.archive_bytes
+        )
         window = b"".join(self._decode_records(covering))
         base = covering[0].offset
         return window[offset - base:end - base]
@@ -688,8 +755,12 @@ class ArchiveReader:
         *independently* — fetched, MOCoder-decoded and re-checked against
         its manifest CRC-32/SHA-256 through the session's executor — and the
         system-emblem stream is decoded too, all without ever assembling the
-        full payload or loading a database; ``deep=False`` stops at reading
-        and parsing every referenced frame raster.
+        full payload or loading a database.  This audit decodes every frame,
+        parity included (restores skip a healthy group's parity), and adds
+        one warning per frame that fails to decode, naming its segment and
+        frame index; the segment is an error only when it does not restore.
+        ``deep=False`` stops at reading and parsing every referenced frame
+        raster.
 
         Sharded volume sets (:mod:`repro.store.volumes`) additionally get a
         **cross-shard parity audit**: unavailable member volumes are
@@ -848,13 +919,21 @@ class ArchiveReader:
                         report.errors.append(f"{kind} frame {index}: {exc}")
             return report
 
-        # The audit decodes with the reference decoders whatever the decode
-        # mode, one segment at a time so each failure is reported on its own.
-        pipeline = self._pipeline()
+        # The audit decodes every frame (parity included: no restore reads
+        # the parity of a healthy group) with the reference decoders whatever
+        # the decode mode, one segment at a time so each failure is reported
+        # on its own; a frame that fails in a segment that still restores is
+        # a warning.
+        pipeline = self._pipeline(active)
         for record in active.segments:
             try:
-                for _ in pipeline.iter_decode(active, [record], self._frames):
-                    pass
+                for decoded in pipeline.iter_decode(
+                    active, [record], self._frames, every_frame=True
+                ):
+                    report.warnings.extend(
+                        f"segment {record.index}: data frame {index} failed to decode: {reason}"
+                        for index, reason in decoded.report.failed_frames
+                    )
                 report.segments_checked += 1
                 report.frames_checked += record.emblem_count
             except ReproError as exc:
@@ -862,7 +941,12 @@ class ArchiveReader:
         if active.system_emblem_count:
             try:
                 system_images = source.get_frames("system", 0, active.system_emblem_count)
-                MOCoder(self._profile.spec).decode(system_images)
+                mocoder = MOCoder(self._profile.spec, outer_code=active.outer_code)
+                _, system_report = mocoder.decode(system_images)
+                report.warnings.extend(
+                    f"system emblems: system frame {index} failed to decode: {reason}"
+                    for index, reason in system_report.failed_frames
+                )
                 report.frames_checked += active.system_emblem_count
             except ReproError as exc:
                 report.errors.append(f"system emblems: {exc}")

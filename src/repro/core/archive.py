@@ -211,6 +211,13 @@ class ArchiveManifest:
     #: :mod:`repro.store.volumes`; ``None`` for single-volume archives.
     volumes: "dict[str, object] | None" = None
 
+    @property
+    def outer_code(self) -> bool:
+        """Whether the streams carry outer-code parity: the writing session's
+        ``outer_code``.  A manifest without an embedded config predates the
+        option, and every stream then had parity."""
+        return self.config is None or bool(self.config.get("outer_code", True))
+
     def to_json(self) -> str:
         """Serialise the manifest as JSON text (the current layout).
 

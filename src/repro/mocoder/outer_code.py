@@ -137,17 +137,21 @@ class OuterCode:
             )
         chosen = present[: self.data_shards]
         length = max(len(shards[index]) for index in chosen)
-        received = np.zeros((self.data_shards, length), dtype=np.int32)
+        received = np.zeros((self.data_shards, length), dtype=np.uint8)
         for row, shard_index in enumerate(chosen):
             shard = shards[shard_index]
             received[row, : len(shard)] = np.frombuffer(bytes(shard), dtype=np.uint8)
         # Solve G_sub * data = received, where G_sub stacks the generator
-        # columns of the chosen shards.
+        # columns of the chosen shards.  Every surviving data shard is among
+        # the chosen (data shards come first), so only the missing rows of
+        # the product are computed; the others are the received rows.
         submatrix = self._generator[:, chosen].T.copy()  # (data, data)
         inverse = _gf_matrix_inverse(submatrix)
-        recovered_matrix = _gf_matrix_multiply(inverse, received)
+        missing = [index for index in range(self.data_shards) if shards[index] is None]
+        rebuilt = dict(zip(missing, _gf_matrix_multiply(inverse[missing], received)))
         recovered = [
-            recovered_matrix[row].astype(np.uint8).tobytes() for row in range(self.data_shards)
+            (rebuilt[index] if index in rebuilt else received[chosen.index(index)]).tobytes()
+            for index in range(self.data_shards)
         ]
         if payload_length is not None:
             recovered = [payload[:payload_length] for payload in recovered]
@@ -196,22 +200,20 @@ def _gf_matrix_inverse(matrix: np.ndarray) -> np.ndarray:
 def _gf_matrix_multiply(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Multiply matrices over GF(256); right may be wide (vectorised).
 
-    One multiplication-table gather and XOR reduction per column chunk —
-    the same log/exp-table product the inner code's ``encode_parity`` uses —
-    instead of a per-(row, column) ``gf_mul_array`` sweep.  For a K-data
-    volume set this is the whole of the degraded-read stripe
-    reconstruction, so the sweep's ``K * K`` numpy passes over every stripe
-    byte were the measured ~6x degraded-read penalty.
+    Each output row XORs together one 256-entry multiplication-table lookup
+    of a whole right-hand row per non-zero coefficient (a coefficient of 1
+    is the row itself), so the work is ``rows * inner`` passes over the
+    row width.  For a K-data volume set this is the whole of the
+    degraded-read stripe reconstruction, where ``reconstruct_group`` asks
+    only for the lost rows.
     """
     left8 = np.asarray(left).astype(np.uint8)
     right8 = np.asarray(right).astype(np.uint8)
-    rows, inner = left8.shape
-    width = right8.shape[1]
-    result = np.empty((rows, width), dtype=np.uint8)
-    # Chunk so the (rows, inner, chunk) uint8 temporary stays cache-friendly.
-    chunk = max(1, 4_000_000 // max(1, rows * inner))
-    for start in range(0, width, chunk):
-        terms = MUL_TABLE[left8[:, :, None], right8[None, :, start:start + chunk]]
-        result[:, start:start + chunk] = np.bitwise_xor.reduce(terms, axis=1)
-    return result.astype(np.int32)
-
+    result = np.zeros((left8.shape[0], right8.shape[1]), dtype=np.uint8)
+    for row, coefficients in zip(result, left8.tolist()):
+        for coefficient, source in zip(coefficients, right8):
+            if coefficient == 1:
+                row ^= source
+            elif coefficient:
+                row ^= MUL_TABLE[coefficient].take(source)
+    return result

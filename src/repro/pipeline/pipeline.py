@@ -18,13 +18,19 @@ hopeless for multi-gigabyte dumps.  This module splits the seven-step flow
 Restoration mirrors the split: every :class:`~repro.core.archive.
 SegmentRecord` names the emblem frames of one segment, so segments decode
 independently (and in parallel), and damage in one segment never forces the
-others to be re-decoded.  :class:`RestorePipeline` is the only code that
-turns scans into payload bytes; :class:`repro.api.ArchiveReader` drives it.
+others to be re-decoded.  Within a segment the restore reads data frames
+first: the rest of a segment (its parity frames) is fetched and decoded only
+when one of its data frames fails or is absent
+(:func:`~repro.mocoder.mocoder.stream_layout` says where each frame sits).
+:class:`RestorePipeline` is the only code that turns scans into payload
+bytes; :class:`repro.api.ArchiveReader` drives it.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
@@ -40,7 +46,15 @@ from repro.dbcoder.dbcoder import Profile
 from repro.dynarisc.programs import get_program
 from repro.errors import RestorationError
 from repro.mocoder.emblem import EmblemKind, EmblemSpec
-from repro.mocoder.mocoder import DecodeReport, Emblem, MOCoder
+from repro.mocoder.mocoder import (
+    DecodedRun,
+    DecodeReport,
+    Emblem,
+    FrameGroup,
+    MOCoder,
+    merge_runs,
+    stream_layout,
+)
 from repro.nested import dynarisc_emulator_image
 from repro.pipeline.executors import SegmentExecutor, get_executor
 from repro.pipeline.segmenter import (
@@ -155,21 +169,28 @@ def _encode_segment_job(job: _EncodeJob) -> _EncodeResult:
     )
 
 
+#: ``fetch(start, count)``: a stream's frames from position ``start``,
+#: ``count`` of them or (``None``) through its last frame.
+FrameRun = Callable[[int, "int | None"], list[np.ndarray]]
+
+
 @dataclass(frozen=True)
 class _DecodeJob:
-    """One segment's scans, or one contiguous chunk of them."""
+    """Runs of one segment's scans: all of them, or a chunk of them."""
 
     spec: EmblemSpec
+    outer_code: bool
     record: SegmentRecord
     #: Codec registry name from the archive manifest (``"PORTABLE"`` and
     #: friends resolve case-insensitively to the built-ins); ``None`` stops
     #: the decode at the DBCoder container.
     codec: str | None
-    #: Index of ``images[0]`` within the segment's scans, and how many
-    #: chunks the segment was split into (1: this job finishes the segment).
-    chunk_start: int
+    #: The segment's frame layout; ``None`` when every frame is decoded.
+    layout: tuple[FrameGroup, ...] | None
+    #: How many jobs the segment was split into (1: this job may finish it).
     chunk_count: int
-    images: list[np.ndarray]
+    #: ``(segment position of the first scan, scans)`` runs.
+    runs: list[tuple[int, list[np.ndarray]]]
     #: When set, the job records/scans its images through the simulated
     #: medium before decoding (streaming channel simulation).
     channel: ChannelSpec | None = None
@@ -177,11 +198,11 @@ class _DecodeJob:
 
 @dataclass(frozen=True)
 class _DecodedChunk:
-    """One chunk's emblems, merged into its segment on the consuming thread."""
+    """A job's decoded runs, finished into their segment on the consuming thread."""
 
     record: SegmentRecord
     chunk_count: int
-    emblems: dict[int, Emblem]
+    runs: list[DecodedRun]
     report: DecodeReport
 
 
@@ -221,22 +242,119 @@ def _finish_segment(
     return DecodedSegment(record=record, payload=payload, report=report, container=container)
 
 
+def _decode_run(
+    mocoder: MOCoder,
+    first_index: int,
+    start: int,
+    frames: list[np.ndarray],
+    report: DecodeReport,
+    channel: ChannelSpec | None = None,
+    lane: int = 0,
+) -> DecodedRun:
+    """Decode the run of a stream's frames at position ``start``.
+
+    ``first_index + start`` is the run's first frame index: it seeds the
+    channel's per-frame scans and numbers the report's failures.
+    """
+    if channel is not None:
+        frames = channel.simulate(frames, first_index + start, lane=lane)
+    report.emblems_seen += len(frames)
+    emblems = mocoder.decode_images(frames, report, first_index + start)
+    return DecodedRun(start, len(frames), emblems)
+
+
 def _decode_job(job: _DecodeJob) -> "DecodedSegment | _DecodedChunk":
     """Step 5 for one job: scanned rasters -> emblems.
 
     A job holding a whole segment also finishes it (group reassembly, codec
-    decode, hash check) in the executor; a chunk's emblems go back to the
-    consumer, which finishes the segment once all of its chunks are in.
+    decode, hash check) in the executor when its data frames fill every data
+    slot.  Otherwise, and for every chunk of a split segment, the decoded
+    runs go back to the consumer, which decodes the rest of the segment if
+    it must and finishes it.
     """
-    images = list(job.images)
-    if job.channel is not None:
-        images = job.channel.simulate(images, job.record.emblem_start + job.chunk_start)
-    mocoder = MOCoder(job.spec)
-    report = DecodeReport(emblems_seen=len(images))
-    emblems = mocoder.decode_images(images, report, image_offset=job.chunk_start)
-    if job.chunk_count > 1:
-        return _DecodedChunk(job.record, job.chunk_count, emblems, report)
-    return _finish_segment(mocoder, job.record, emblems, report, job.codec)
+    mocoder = MOCoder(job.spec, outer_code=job.outer_code)
+    report = DecodeReport()
+    runs = [
+        _decode_run(mocoder, job.record.emblem_start, start, frames, report, job.channel)
+        for start, frames in job.runs
+    ]
+    if job.chunk_count == 1 and (
+        job.layout is None or mocoder.covers_data(job.layout, runs)
+    ):
+        return _finish_segment(mocoder, job.record, merge_runs(runs), report, job.codec)
+    return _DecodedChunk(job.record, job.chunk_count, runs, report)
+
+
+class _StreamRead:
+    """One emblem stream read data-first, driven from the consuming thread.
+
+    :meth:`first_runs` fetches once, from the stream's first frame through
+    its last data frame, and returns the data frames' runs; the parity frames
+    of inner groups come along in that fetch and are held undecoded.  When
+    the decoded data frames leave a data slot empty, or a decoded header
+    disagrees with the layout, :meth:`follow_up` decodes every frame not yet
+    decoded (the held parity, and the last group's, fetched then), which is
+    exactly what decoding every frame gives.  No frame is fetched or decoded
+    twice.  ``every_frame`` (the verify audit), and a frame count no encode
+    produces, read every frame at once.
+    """
+
+    def __init__(
+        self,
+        mocoder: MOCoder,
+        frame_count: int,
+        fetch: FrameRun,
+        *,
+        first_index: int = 0,
+        every_frame: bool = False,
+        channel: ChannelSpec | None = None,
+        lane: int = 0,
+    ):
+        self.mocoder = mocoder
+        self.layout = (
+            None if every_frame else stream_layout(frame_count, mocoder.outer_code_enabled)
+        )
+        self._fetch = fetch
+        self._first_index = first_index
+        self._channel = channel
+        self._lane = lane
+        #: Fetched but undecoded runs: the inner groups' parity frames.
+        self._held: list[tuple[int, list[np.ndarray]]] = []
+
+    def first_runs(self) -> list[tuple[int, list[np.ndarray]]]:
+        """Fetch and return the runs to decode first: data frames, or every frame."""
+        if self.layout is None:
+            return [(0, self._fetch(0, None))]
+        frames = self._fetch(0, self.layout[-1].data_end)
+        runs = [(group.start, frames[group.start:group.data_end]) for group in self.layout]
+        self._held = [
+            (group.data_end, frames[group.data_end:group.end]) for group in self.layout[:-1]
+        ]
+        return [(start, run) for start, run in runs if run]
+
+    def decode(self, start: int, frames: list[np.ndarray], report: DecodeReport) -> DecodedRun:
+        return _decode_run(
+            self.mocoder, self._first_index, start, frames, report, self._channel, self._lane
+        )
+
+    def follow_up(self, runs: list[DecodedRun], report: DecodeReport) -> dict[int, Emblem]:
+        """Decode the rest when ``runs`` fall short; merge everything in stream order."""
+        if self.layout is not None and not self.mocoder.covers_data(self.layout, runs):
+            data_end = self.layout[-1].data_end
+            rest = self._held + [(data_end, self._fetch(data_end, None))]
+            runs = runs + [self.decode(start, frames, report) for start, frames in rest if frames]
+        return merge_runs(runs)
+
+
+def _contiguous_runs(frames: list[tuple[int, np.ndarray]]) -> list[tuple[int, list[np.ndarray]]]:
+    """Group position-tagged frames into ``(start, frames)`` runs."""
+    runs: list[tuple[int, list[np.ndarray]]] = []
+    for position, frame in frames:
+        if runs and runs[-1][0] + len(runs[-1][1]) == position:
+            runs[-1][1].append(frame)
+        else:
+            runs.append((position, [frame]))
+    return runs
 
 
 # --------------------------------------------------------------------------- #
@@ -271,6 +389,7 @@ def merge_reports(reports: Iterable[DecodeReport]) -> DecodeReport:
         merged.rs_corrections += report.rs_corrections
         merged.groups_reconstructed += report.groups_reconstructed
         merged.failures.extend(report.failures)
+        merged.failed_frames.extend(report.failed_frames)
     return merged
 
 
@@ -414,16 +533,19 @@ class RestorePipeline:
         Media profile whose emblem spec the scans were produced with.
     executor:
         Executor spec or instance mapping the per-segment decode jobs.  A
-        segment of at least ``2 * MIN_DECODE_CHUNK`` scans splits into up
-        to ``executor.workers`` contiguous chunks decoded as independent
-        jobs (the group reassembly runs on the consuming thread), so one
-        huge segment does not bound restore latency; ``serial`` runs one
-        job at a time and never splits.
+        segment of at least ``2 * MIN_DECODE_CHUNK`` data frames splits them
+        into up to ``executor.workers`` chunks decoded as independent jobs
+        (the group reassembly runs on the consuming thread), so one huge
+        segment does not bound restore latency; ``serial`` runs one job at a
+        time and never splits.
     channel:
         Optional :class:`ChannelSpec`.  When set, every decode job *records*
         its emblem rasters onto the named medium and *scans* them back
         (per-frame seeded) before decoding — streaming channel simulation,
         batch by batch through the executor.
+    outer_code:
+        Whether the archive's streams carry 3 parity frames per group of 17
+        data frames (its manifest's ``outer_code``).
     """
 
     def __init__(
@@ -431,53 +553,75 @@ class RestorePipeline:
         profile: MediaProfile = TEST_PROFILE,
         executor: str | SegmentExecutor = "serial",
         channel: ChannelSpec | None = None,
+        outer_code: bool = True,
     ):
         self.profile = profile
         self.executor = executor
         self.channel = channel
+        self.outer_code = outer_code
         self._owns_executor = not isinstance(self.executor, SegmentExecutor)
 
     def iter_decode(
         self,
         manifest: ArchiveManifest,
         records: Iterable[SegmentRecord],
-        frames_for: "Callable[[SegmentRecord], list[np.ndarray]]",
+        frames_for: "Callable[[SegmentRecord, int, int | None], list[np.ndarray]]",
         decode_payload: bool = True,
+        *,
+        every_frame: bool = False,
     ) -> Iterator[DecodedSegment]:
         """Decode ``records`` in order, fetching each segment's frames on demand.
 
-        ``frames_for`` is called lazily (inside the executor's bounded
-        submission window) with one record at a time, so a storage-backed
-        caller only ever pulls the frames of the segments actually being
-        decoded.  Each segment is verified against its record's CRC-32 and
-        SHA-256; ``decode_payload=False`` stops at the DBCoder container
-        (the emulated modes run the database-layout decoder themselves).
+        ``frames_for(record, start, count)`` returns a run of the segment's
+        frames from position ``start`` (``count=None``: through its last
+        frame).  It is called lazily, inside the executor's bounded
+        submission window, so a storage-backed caller only ever pulls frames
+        of the segments being decoded — and of those, on a clean medium,
+        one run from the first frame through the last data frame.  When one
+        of its data frames fails or is absent, or a decoded header disagrees
+        with the segment's layout (scans out of order, foreign), the rest of
+        the segment is fetched and decoded on the consuming thread, which
+        restores what decoding every frame upfront would.  ``every_frame``
+        decodes every frame from the start: the verify audit.
 
+        Each segment is verified against its record's CRC-32 and SHA-256;
+        ``decode_payload=False`` stops at the DBCoder container (the
+        emulated modes run the database-layout decoder themselves).
         ``map_ordered`` preserves submission order, so all chunks of one
         segment arrive consecutively and the segment finishes as soon as its
         last chunk lands, while later jobs keep decoding in the executor.
         """
         spec = self.profile.spec
-        mocoder = MOCoder(spec)
+        mocoder = MOCoder(spec, outer_code=self.outer_code)
         codec = (manifest.dbcoder_profile or "portable") if decode_payload else None
         executor = get_executor(self.executor)
+        reads: deque[_StreamRead] = deque()
 
         def jobs() -> Iterator[_DecodeJob]:
             for record in records:
-                images = frames_for(record)
+                read = _StreamRead(
+                    mocoder, record.emblem_count, functools.partial(frames_for, record),
+                    first_index=record.emblem_start, every_frame=every_frame,
+                    channel=self.channel,
+                )
+                reads.append(read)
+                frames = [
+                    (start + offset, frame)
+                    for start, run in read.first_runs()
+                    for offset, frame in enumerate(run)
+                ]
                 # Floored chunks: a small segment is one vectorised decode
                 # call, so fanning it out would only add executor round-trips.
-                bounds = chunk_bounds(
-                    len(images), executor.workers, min_chunk=MIN_DECODE_CHUNK
-                )
+                bounds = chunk_bounds(len(frames), executor.workers, min_chunk=MIN_DECODE_CHUNK)
                 for start, end in bounds:
                     yield _DecodeJob(
                         spec=spec,
+                        outer_code=self.outer_code,
                         record=record,
                         codec=codec,
-                        chunk_start=start,
+                        layout=read.layout,
                         chunk_count=len(bounds),
-                        images=images[start:end],
+                        runs=_contiguous_runs(frames[start:end]),
                         channel=self.channel,
                     )
 
@@ -485,19 +629,33 @@ class RestorePipeline:
         try:
             for result in executor.map_ordered(_decode_job, jobs()):
                 if isinstance(result, DecodedSegment):
+                    reads.popleft()
                     yield result
                     continue
                 chunks.append(result)
                 if len(chunks) == result.chunk_count:
-                    emblems: dict[int, Emblem] = {}
-                    for chunk in chunks:
-                        emblems.update(chunk.emblems)
+                    runs = [run for chunk in chunks for run in chunk.runs]
                     report = merge_reports(chunk.report for chunk in chunks)
+                    emblems = reads.popleft().follow_up(runs, report)
                     yield _finish_segment(mocoder, result.record, emblems, report, codec)
                     chunks = []
         finally:
             if self._owns_executor:
                 executor.close()
+
+    def decode_system(self, frame_count: int, fetch: FrameRun) -> tuple[bytes, DecodeReport]:
+        """Decode the system stream (the archived decoder) on this thread.
+
+        It reads like a segment: ``fetch(start, count)`` runs as
+        ``frames_for`` does in :meth:`iter_decode`, data frames first and the
+        rest only when they fall short; the channel scans it on lane 1 of
+        the per-frame seed space.
+        """
+        mocoder = MOCoder(self.profile.spec, outer_code=self.outer_code)
+        read = _StreamRead(mocoder, frame_count, fetch, channel=self.channel, lane=1)
+        report = DecodeReport()
+        runs = [read.decode(start, frames, report) for start, frames in read.first_runs()]
+        return mocoder.assemble(read.follow_up(runs, report), report)
 
 
 # --------------------------------------------------------------------------- #

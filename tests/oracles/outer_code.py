@@ -1,7 +1,7 @@
 """Oracle for :mod:`repro.mocoder.outer_code`.
 
 :func:`gf_matrix_multiply` is the row-at-a-time GF(256) matrix product that
-the table-gather :func:`repro.mocoder.outer_code._gf_matrix_multiply` must
+the table-lookup :func:`repro.mocoder.outer_code._gf_matrix_multiply` must
 match exactly.
 """
 

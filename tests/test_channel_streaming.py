@@ -154,17 +154,17 @@ class TestStreamingChannelEquivalence:
 # Executor-driven chunking: chunked sub-segment decode == serial decode
 # --------------------------------------------------------------------------- #
 def _count_decode_jobs(monkeypatch) -> list[int]:
-    """Record the scan count of every ``MOCoder.decode_images`` call."""
-    from repro.mocoder import MOCoder
+    """Record the scan count of every decode job the restore pipeline runs."""
+    from repro.pipeline import pipeline as pipeline_module
 
     chunk_sizes: list[int] = []
-    decode_images = MOCoder.decode_images
+    decode_job = pipeline_module._decode_job
 
-    def counting(self, images, report, image_offset=0):
-        chunk_sizes.append(len(images))
-        return decode_images(self, images, report, image_offset)
+    def counting(job):
+        chunk_sizes.append(sum(len(frames) for _, frames in job.runs))
+        return decode_job(job)
 
-    monkeypatch.setattr(MOCoder, "decode_images", counting)
+    monkeypatch.setattr(pipeline_module, "_decode_job", counting)
     return chunk_sizes
 
 
@@ -202,8 +202,9 @@ class TestDecodeParallelism:
         Lowering the pipeline's chunk floor makes a ``thread:3`` executor
         split every segment into three jobs that finish on the consuming
         thread; the bytes and every ``DecodeReport`` count (including the
-        failure of a blanked frame in a later chunk, numbered by its
-        position in the segment) must match the one-job-per-segment decode.
+        failure of a blanked data frame in a later chunk, numbered by its
+        frame index, and the parity its group then needs) must match the
+        one-job-per-segment decode.
         ``dynarisc`` runs the archived decoder over each reassembled
         container, so a corrupted chunk merge cannot slip through.
         """
@@ -226,8 +227,8 @@ class TestDecodeParallelism:
         with open_restore(damaged, config, executor="thread:3") as reader:
             chunked = reader.read()
         segments = archive.manifest.segments
-        # Three chunks per segment, plus the one system-stream decode.
-        assert len(chunk_sizes) == 3 * len(segments) + 1
+        # Each segment's data frames split into three chunks.
+        assert len(chunk_sizes) == 3 * len(segments)
         assert chunked.payload == serial.payload == payload
         assert chunked.data_report == serial.data_report
         assert serial.data_report.emblems_failed == len(segments)
@@ -251,25 +252,28 @@ class TestDecodeParallelism:
                                           build_archive) -> None:
         """Chunking follows the executor's worker count, at the real floor.
 
-        A one-segment archive of at least ``2 * MIN_DECODE_CHUNK`` frames
-        decodes in one job under ``serial`` and in two under ``thread:2``,
-        to the same bytes and the same ``DecodeReport``.
+        A one-segment archive of at least ``2 * MIN_DECODE_CHUNK`` data
+        frames decodes in one job under ``serial`` and in two under
+        ``thread:2``, to the same bytes and the same ``DecodeReport``; only
+        data frames are decoded, and so only they are split.
         """
+        from repro.mocoder.mocoder import stream_layout
         from repro.pipeline.pipeline import MIN_DECODE_CHUNK
 
-        payload = make_payload(56_000)
+        payload = make_payload(66_000)
         config = ArchiveConfig(media="test", codec="store", segment_size=None)
         archive = build_archive(config, payload)
         [record] = archive.manifest.segments
-        assert record.emblem_count >= 2 * MIN_DECODE_CHUNK
+        data_frames = sum(group.data for group in stream_layout(record.emblem_count))
+        assert data_frames >= 2 * MIN_DECODE_CHUNK
         chunk_sizes = _count_decode_jobs(monkeypatch)
         results, jobs = {}, {}
         for executor in ("serial", "thread:2"):
             chunk_sizes.clear()
             with open_restore(archive, config, executor=executor) as reader:
                 results[executor] = reader.read()
-            # The data segment's jobs, then the one system-stream decode.
-            jobs[executor] = len(chunk_sizes) - 1
+            assert sum(chunk_sizes) == data_frames
+            jobs[executor] = len(chunk_sizes)
         assert jobs == {"serial": 1, "thread:2": 2}
         assert results["serial"].payload == results["thread:2"].payload == payload
         assert results["serial"].data_report == results["thread:2"].data_report

@@ -16,7 +16,7 @@ against the fallback the fast path itself hands degenerate input to):
 - ``_otsu_threshold_stack`` vs ``otsu_threshold``;
 - the Bootstrap letter codec vs its per-character loops;
 - the restore pipeline's ``chunk_bounds`` minimum-chunk floor and
-  serial/chunked decode equality.
+  serial/chunked data-first decode equality.
 """
 
 import numpy as np
@@ -44,6 +44,7 @@ from repro.mocoder.emblem import (
     otsu_threshold,
 )
 from repro.mocoder.interleave import deinterleave_blocks_batch
+from repro.mocoder.mocoder import DecodeReport
 from repro.mocoder.outer_code import OuterCode, _gf_matrix_multiply
 from repro.mocoder.reed_solomon import get_code
 from repro.core.archive import ArchiveManifest, SegmentRecord
@@ -337,22 +338,32 @@ class TestChunkFloor:
         payload = rng.integers(0, 256, size=SPEC.payload_capacity * 5, dtype=np.uint8).tobytes()
         stream = coder.encode(payload)
         images = [emblem.to_image().astype(np.uint8) for emblem in stream.emblems]
-        serial_payload, serial_report = coder.decode(images)
+        assert stream.data_emblem_count == 5 and len(images) == 8
+        # The data-first reference: the five data frames in one pass, no parity.
+        serial_report = DecodeReport(emblems_seen=5)
+        serial_payload, serial_report = coder.assemble(
+            coder.decode_images(images[:5], serial_report), serial_report
+        )
         assert serial_payload == payload
         # Force real chunking (bypassing the floor) to pin byte-identity of
         # the pipeline's chunked path itself, not just the floor's collapse
         # to one job per segment.
         monkeypatch.setattr(pipeline_module, "MIN_DECODE_CHUNK", 1)
-        assert len(chunk_bounds(len(images), 2, min_chunk=1)) == 2
+        assert len(chunk_bounds(5, 2, min_chunk=1)) == 2
         crc = crc32_of(payload)
         record = SegmentRecord(0, 0, len(payload), crc, 0, len(images), len(payload))
         manifest = ArchiveManifest(
             "test-small", "STORE", len(payload), crc, len(images), 0, segments=(record,)
         )
+        fetches = []
+
+        def frames_for(_record, start, count):
+            fetches.append((start, count))
+            return images[start:] if count is None else images[start:start + count]
+
         pipeline = RestorePipeline(get_profile("test"), executor="thread:2")
-        [decoded] = pipeline.iter_decode(
-            manifest, [record], lambda _record: images, decode_payload=False
-        )
+        [decoded] = pipeline.iter_decode(manifest, [record], frames_for, decode_payload=False)
+        assert fetches == [(0, 5)]
         assert decoded.payload is None
         assert decoded.container == serial_payload
         assert decoded.report == serial_report

@@ -26,6 +26,7 @@ import pytest
 from repro import open_restore, registry
 from repro.core.archive import ArchiveManifest
 from repro.errors import ArchiveError, RestorationError, StoreError, UnknownNameError
+from repro.mocoder.mocoder import stream_layout
 from repro.store import (
     MANIFEST_FORMAT_VERSION,
     ArchiveSource,
@@ -462,9 +463,11 @@ class TestPartialRestore:
             record = manifest.segments[2]
             assert reader.restore_segment(2) == payload[record.offset:record.end]
             # One fetch, segment 2's data frames, and nothing else decoded.
-            assert source.fetches == [("data", record.emblem_start, record.emblem_count)]
+            [group] = stream_layout(record.emblem_count)
+            assert group.data < record.emblem_count
+            assert source.fetches == [("data", record.emblem_start, group.data)]
             assert reader.segments_decoded == 1
-            assert reader.frames_decoded == record.emblem_count
+            assert reader.frames_decoded == group.data
 
     def test_partial_restore_decodes_strictly_fewer_frames(self, tmp_path, make_payload,
                                                            write_archive):
@@ -576,7 +579,7 @@ class TestOneSegmentLoop:
                                                  write_archive, monkeypatch, read):
         """A full restore of a stored archive fetches each segment's data
         frames in a call of its own, as the decode reaches it, and never
-        loads the whole archive."""
+        loads the whole archive (nor, on a clean medium, any parity frame)."""
         payload = make_payload(8_192, seed=16)
         target = f"file:{tmp_path / 'arch.ule'}"
         write_archive(target, payload)
@@ -590,7 +593,8 @@ class TestOneSegmentLoop:
         assert len(manifest.segments) == 4
         data_fetches = [fetch for fetch in source.fetches if fetch[0] == "data"]
         assert data_fetches == [
-            ("data", record.emblem_start, record.emblem_count) for record in manifest.segments
+            ("data", record.emblem_start, stream_layout(record.emblem_count)[-1].data_end)
+            for record in manifest.segments
         ]
 
     def test_emulated_partial_reads_run_the_archived_decoder(self, tmp_path, sql_sample,
@@ -639,6 +643,62 @@ class TestOneSegmentLoop:
             assert reader.read_range(10, 100) == sql_sample[10:110]
 
 
+# --------------------------------------------------------------------------- #
+# Data first: one fetch per clean segment, the parity on demand
+# --------------------------------------------------------------------------- #
+class TestDataFirstFetch:
+    """Segments of 27 frames (17 + 3 and 4 + 3) and one of 14 (11 + 3)."""
+
+    @staticmethod
+    def _archive(target, make_payload, write_archive):
+        payload = make_payload(10_240, seed=18)
+        write_archive(target, payload, codec="store", segment_size=4_096)
+        return payload
+
+    @pytest.mark.parametrize("read", ["read", "read_range", "restore_segment"])
+    def test_clean_reads_fetch_through_the_last_data_frame(self, tmp_path, make_payload,
+                                                           write_archive, read):
+        target = f"file:{tmp_path / 'arch.ule'}"
+        payload = self._archive(target, make_payload, write_archive)
+        source = RecordingSource(open_source(target))
+        with open_restore(source) as reader:
+            segments = reader.manifest.segments
+            assert [record.emblem_count for record in segments] == [27, 27, 14]
+            if read == "read":
+                assert reader.read().payload == payload
+                wanted = segments
+            elif read == "read_range":
+                assert reader.read_range(5_000, 100) == payload[5_000:5_100]
+                wanted = segments[1:2]
+            else:
+                assert reader.restore_segment(2) == payload[8_192:]
+                wanted = segments[2:]
+        data_runs = [("data", record.emblem_start, 24 if record.emblem_count == 27 else 11)
+                     for record in wanted]
+        system_runs = [("system", 0, 1)] if read == "read" else []
+        assert source.fetches == system_runs + data_runs
+
+    @pytest.mark.parametrize("position", [3, 21], ids=["inner-group", "last-group"])
+    def test_blanked_data_frame_fetches_the_parity_run_once(
+        self, tmp_path, make_payload, write_archive, position
+    ):
+        """A blanked data frame in either group decodes the rest of the
+        segment: the inner group's parity frames that came along in the data
+        fetch, and the last group's parity run in one more fetch."""
+        from repro.media.image import pgm_bytes, pgm_from_bytes
+
+        directory = tmp_path / "arch"
+        payload = self._archive(f"dir:{directory}", make_payload, write_archive)
+        frame_path = directory / f"data_emblem_{position:04d}.pgm"
+        image = pgm_from_bytes(frame_path.read_bytes())
+        frame_path.write_bytes(pgm_bytes(np.full_like(image, 255)))
+        source = RecordingSource(open_source(f"dir:{directory}"))
+        with open_restore(source) as reader:
+            assert reader.restore_segment(0) == payload[:4_096]
+            assert reader.frames_decoded == 27  # each frame of the segment, once
+        assert source.fetches == [("data", 0, 24), ("data", 24, 3)]
+
+
 def _drop_middle_record(fields):
     del fields["segments"][2]
 
@@ -654,7 +714,7 @@ def _claim_bytes_past_the_last_record(fields):
 class TestManifestTiling:
     @pytest.mark.parametrize("damage, bad_spans, good_spans", [
         (_drop_middle_record, [(4_106, 100), (2_000, 3_000)], [(0, 4_096), (6_144, 4_096)]),
-        (_overlap_next_record, [(6_100, 200), (4_000, 3_000)],
+        (_overlap_next_record, [(6_100, 200), (4_000, 3_000), (6_100, 100), (5_000, 100)],
          [(0, 4_096), (7_000, 1_000), (8_192, 2_048)]),
         (_claim_bytes_past_the_last_record, [(10_000, 1_000), (0, 10**9)],
          [(0, 10_240), (9_000, 1_240)]),
