@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench-smoke bench-pipeline bench-record bench-check \
+.PHONY: test paper-experiments bench-smoke bench-pipeline bench-record bench-check \
 	bench-restore-latency bench-server bench-volumes cli-smoke store-smoke \
 	restore-smoke append-smoke server-smoke volume-smoke hygiene golden \
 	lint typecheck perfbench-selftest
@@ -17,6 +17,14 @@ BENCH_DIR ?= .
 ## tier-1 test suite (the roadmap's verification command)
 test:
 	$(PYTHON) -m pytest -x -q
+
+## the paper's experiments E1-E4 and claims C1-C5 (24 tests in benchmarks/,
+## which `make test` does not collect; REPRO_BENCH_SCALE sets their size)
+PAPER_EXPERIMENTS = cinema_film_archive columnar_layout compression media_density \
+	microfilm_archive nested_emulation paper_archive portability robustness
+paper-experiments:
+	$(PYTHON) -m pytest -q --benchmark-disable -p no:cacheprovider \
+		$(foreach name,$(PAPER_EXPERIMENTS),benchmarks/bench_$(name).py)
 
 ## repo hygiene: fail if bytecode artefacts are tracked by git
 hygiene:
@@ -79,8 +87,10 @@ cli-smoke:
 ## restore smoke: --via-channel through the streaming channel path on a
 ## thread pool, a full restore streamed segment by segment from the file:
 ## target, a partial restore on a thread pool that decodes only the covering
-## segments' data frames, and a dir: archive with one data and one parity
-## frame of one group blanked: restore stays bit-exact, verify warns twice
+## segments' data frames, a dir: archive with one data and one parity
+## frame of one group blanked: restore stays bit-exact, verify warns twice,
+## and the same archive with one data frame record deleted: restore stays
+## bit-exact, verify fails naming the record
 restore-smoke:
 	@set -e; rm -rf .restore-smoke; mkdir .restore-smoke; \
 	trap 'rm -rf .restore-smoke' EXIT; \
@@ -114,7 +124,18 @@ restore-smoke:
 	cmp .restore-smoke/payload.bin .restore-smoke/damaged.bin; \
 	$(PYTHON) -m repro verify dir:.restore-smoke/damaged --json \
 		| $(PYTHON) -c "import json,sys; m=json.load(sys.stdin); \
-		assert m['ok'] and len(m['warnings'])==2, m"
+		assert m['ok'] and len(m['warnings'])==2, m"; \
+	LOST=$$($(PYTHON) -c "import json; \
+		r=json.load(open('.restore-smoke/damaged/manifest.json'))['segments'][2]; \
+		print('data_emblem_%04d.pgm' % r['emblem_start'])"); \
+	rm .restore-smoke/damaged/$$LOST; \
+	$(PYTHON) -m repro restore -i dir:.restore-smoke/damaged -o .restore-smoke/lost.bin; \
+	cmp .restore-smoke/payload.bin .restore-smoke/lost.bin; \
+	if $(PYTHON) -m repro verify dir:.restore-smoke/damaged --json >.restore-smoke/lost.json; then \
+		echo "verify should have reported the deleted record $$LOST"; exit 1; \
+	fi; \
+	$(PYTHON) -c "import json,sys; m=json.load(open('.restore-smoke/lost.json')); \
+		assert not m['ok'] and any(sys.argv[1] in e for e in m['errors']), m" $$LOST
 
 ## append smoke: archive -> append (incremental backup) -> verify (fsck) ->
 ## partial restore spanning the generation boundary, all through the CLI

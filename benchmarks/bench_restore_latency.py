@@ -71,9 +71,6 @@ class SlowSource(ArchiveSource):
         time.sleep(self._delay)
         return self._inner.get_frame(kind, index)
 
-    def frame_count(self, kind):
-        return self._inner.frame_count(kind)
-
     def get_frames(self, kind, start, count):
         time.sleep(self._delay)
         return self._inner.get_frames(kind, start, count)

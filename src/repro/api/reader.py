@@ -30,10 +30,12 @@ from repro.dynarisc.emulator import DynaRiscEmulator
 from repro.errors import (
     ArchiveError,
     ExecutionLimitExceeded,
+    MediaError,
     ReproError,
     RestorationError,
     StoreError,
 )
+from repro.mocoder.emblem import AbsentFrame, Frame
 from repro.mocoder.mocoder import DecodeReport, MOCoder
 from repro.nested import NestedDynaRiscMachine
 from repro.pipeline.executors import SegmentExecutor, get_executor
@@ -372,7 +374,7 @@ class ArchiveReader:
 
     def _frames(
         self, record: SegmentRecord, start: int, count: int | None
-    ) -> list[np.ndarray]:
+    ) -> Sequence[Frame]:
         """A run of one segment's data frames, the frame provider of every
         read: ``count`` frames from the segment's position ``start``
         (``None``: through its last frame), from the source or the artefact."""
@@ -390,7 +392,7 @@ class ArchiveReader:
             return len(self.archive.system_emblem_images)
         return self.manifest.system_emblem_count
 
-    def _system_frames(self, start: int, count: int | None) -> list[np.ndarray]:
+    def _system_frames(self, start: int, count: int | None) -> Sequence[Frame]:
         """A run of the system frames, from the source or the artefact."""
         if self._source is None:
             return _cut(self.archive.system_emblem_images, start, count)
@@ -398,12 +400,27 @@ class ArchiveReader:
 
     def _source_run(
         self, kind: str, first: int, total: int, start: int, count: int | None
-    ) -> list[np.ndarray]:
+    ) -> Sequence[Frame]:
         """Frames ``start .. start + count - 1`` (``None``: through the last)
-        of the ``total`` frames from ``first``, in one ``get_frames`` call."""
+        of the ``total`` frames from ``first``, in one ``get_frames`` call.
+        A run holding a bad record (:class:`StoreError` or
+        :class:`MediaError`) is fetched again frame by frame, and the record
+        becomes an :class:`AbsentFrame` the outer code rebuilds."""
         if count is None:
             count = total - start
-        return self._source.get_frames(kind, first + start, count) if count > 0 else []
+        if count <= 0:
+            return []
+        indices = range(first + start, first + start + count)
+        try:
+            return self._source.get_frames(kind, indices.start, count)
+        except (StoreError, MediaError):
+            return [self._frame_or_absent(kind, index) for index in indices]
+
+    def _frame_or_absent(self, kind: str, index: int) -> Frame:
+        try:
+            return self._source.get_frame(kind, index)
+        except (StoreError, MediaError) as exc:
+            return AbsentFrame(str(exc))
 
     @functools.cached_property
     def _own_decoder(self) -> bytes | None:
@@ -440,20 +457,21 @@ class ArchiveReader:
         data_images: list[np.ndarray],
         system_images: "list[np.ndarray] | None" = None,
         bootstrap_text: str | None = None,
-        payload_kind: str = "sql",
+        payload_kind: str | None = None,
         manifest: ArchiveManifest | None = None,
     ) -> RestorationResult:
         """Restore from externally produced scans (steps 1-6).
 
-        ``manifest`` defaults to the session's own.  Each segment of a
-        multi-segment manifest needs one scan per recorded frame (damaged
-        frames may be blank, but not absent); a one-segment or pre-pipeline
-        archive is one unit spanning every scan provided, so there the outer
-        code rebuilds absent frames too.  Scans are decoded data frames
-        first, like every read, and the rest only when a data slot stays
-        empty or a decoded header shows the scans are not where the layout
-        puts them (out of order, absent, foreign), so any scan order
-        restores what decoding every scan would.
+        ``manifest`` defaults to the session's own, and ``payload_kind``
+        (``"sql"`` loads the restored dump into a database) to the
+        manifest's.  Each segment of a multi-segment manifest needs one scan
+        per recorded frame (damaged frames may be blank, but not absent); a
+        one-segment or pre-pipeline archive is one unit spanning every scan
+        provided, so there the outer code rebuilds absent frames too.  Scans
+        are decoded data frames first, like every read, and the rest only
+        when a data slot stays empty or a decoded header shows the scans are
+        not where the layout puts them (out of order, absent, foreign), so
+        any scan order restores what decoding every scan would.
 
         Raises
         ------
@@ -462,6 +480,8 @@ class ArchiveReader:
         """
         if manifest is None:
             manifest = self.manifest
+        if payload_kind is None:
+            payload_kind = manifest.payload_kind
         system_images = system_images or []
         return self._restore(
             functools.partial(_scans_for, data_images, manifest),
@@ -485,8 +505,8 @@ class ArchiveReader:
 
     def _restore(
         self,
-        frames_for: Callable[[SegmentRecord, int, "int | None"], list[np.ndarray]],
-        system_frames: Callable[[int, "int | None"], list[np.ndarray]],
+        frames_for: Callable[[SegmentRecord, int, "int | None"], Sequence[Frame]],
+        system_frames: Callable[[int, "int | None"], Sequence[Frame]],
         system_count: int,
         bootstrap_text: str | None,
         payload_kind: str,
@@ -584,7 +604,7 @@ class ArchiveReader:
         self,
         manifest: ArchiveManifest,
         records: Sequence[SegmentRecord],
-        frames_for: Callable[[SegmentRecord, int, "int | None"], list[np.ndarray]],
+        frames_for: Callable[[SegmentRecord, int, "int | None"], Sequence[Frame]],
         decoder_code: bytes | None,
         channel: ChannelSpec | None = None,
     ) -> Iterator[tuple[DecodedSegment, bytes, int]]:
@@ -760,7 +780,9 @@ class ArchiveReader:
         one warning per frame that fails to decode, naming its segment and
         frame index; the segment is an error only when it does not restore.
         ``deep=False`` stops at reading and parsing every referenced frame
-        raster.
+        raster.  Either way a frame record the target cannot serve (lost,
+        truncated, unparsable) is an error naming its kind and index, though
+        a restore rebuilds it like a blank frame.
 
         Sharded volume sets (:mod:`repro.store.volumes`) additionally get a
         **cross-shard parity audit**: unavailable member volumes are
@@ -923,16 +945,30 @@ class ArchiveReader:
         # the parity of a healthy group) with the reference decoders whatever
         # the decode mode, one segment at a time so each failure is reported
         # on its own; a frame that fails in a segment that still restores is
-        # a warning.
+        # a warning, and a record the target could not serve an error.
+        absent: set[tuple[str, int]] = set()
+
+        def audited(kind: str, first: int, frames: Sequence[Frame]) -> Sequence[Frame]:
+            for index, frame in enumerate(frames, start=first):
+                if isinstance(frame, AbsentFrame):
+                    absent.add((kind, index))
+                    report.errors.append(f"{kind} frame {index}: {frame.reason}")
+            return frames
+
         pipeline = self._pipeline(active)
         for record in active.segments:
             try:
                 for decoded in pipeline.iter_decode(
-                    active, [record], self._frames, every_frame=True
+                    active, [record],
+                    lambda segment, start, count: audited(
+                        "data", segment.emblem_start + start, self._frames(segment, start, count)
+                    ),
+                    every_frame=True,
                 ):
                     report.warnings.extend(
                         f"segment {record.index}: data frame {index} failed to decode: {reason}"
                         for index, reason in decoded.report.failed_frames
+                        if ("data", index) not in absent
                     )
                 report.segments_checked += 1
                 report.frames_checked += record.emblem_count
@@ -940,12 +976,13 @@ class ArchiveReader:
                 report.errors.append(f"segment {record.index}: {exc}")
         if active.system_emblem_count:
             try:
-                system_images = source.get_frames("system", 0, active.system_emblem_count)
+                system_images = audited("system", 0, self._system_frames(0, None))
                 mocoder = MOCoder(self._profile.spec, outer_code=active.outer_code)
                 _, system_report = mocoder.decode(system_images)
                 report.warnings.extend(
                     f"system emblems: system frame {index} failed to decode: {reason}"
                     for index, reason in system_report.failed_frames
+                    if ("system", index) not in absent
                 )
                 report.frames_checked += active.system_emblem_count
             except ReproError as exc:

@@ -26,6 +26,7 @@ import enum
 import functools
 import struct
 from dataclasses import dataclass
+from typing import Sequence, TypeAlias
 
 import numpy as np
 
@@ -427,21 +428,37 @@ def otsu_threshold(image: np.ndarray) -> float:
 _DECODE_PIXEL_BUDGET = 16_000_000
 
 
+@dataclass(frozen=True)
+class AbsentFrame:
+    """The place of a frame the medium could not supply (a lost or
+    unparsable record): it decodes as a failure carrying ``reason``."""
+
+    reason: str
+
+
+#: One frame handed to the decoder: a raster, or the place of an absent one.
+Frame: TypeAlias = "np.ndarray | AbsentFrame"
+
+
 def decode_image_batch(
-    spec: EmblemSpec, images: "list[np.ndarray]"
+    spec: EmblemSpec, images: Sequence[Frame]
 ) -> "list[tuple[Emblem, int] | MOCoderError]":
     """Decode many scanned emblem images in vectorised batch passes.
 
     Returns one entry per image, in input order: either ``(emblem,
     rs_corrections)`` or the :class:`~repro.errors.MOCoderError` that image's
-    decode raised, so one bad scan never disturbs the others.  Scans are
-    grouped by shape and dtype, and every group — a group of one included —
-    shares one pass each for thresholding, frame location, cell sampling,
-    Manchester decode, deinterleave and RS syndromes.
+    decode raised (an :class:`AbsentFrame`'s carries its reason), so one bad
+    scan never disturbs the others.  Scans are grouped by shape and dtype,
+    and every group — a group of one included — shares one pass each for
+    thresholding, frame location, cell sampling, Manchester decode,
+    deinterleave and RS syndromes.
     """
     results: "list[tuple[Emblem, int] | MOCoderError | None]" = [None] * len(images)
     groups: "dict[tuple, list[int]]" = {}
     for index, image in enumerate(images):
+        if isinstance(image, AbsentFrame):
+            results[index] = MOCoderError(image.reason)
+            continue
         array = np.asarray(image)
         if array.ndim != 2:
             results[index] = EmblemDetectionError("expected a single-channel grayscale scan")

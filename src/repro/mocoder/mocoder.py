@@ -23,6 +23,7 @@ from repro.mocoder.emblem import (
     Emblem,
     EmblemKind,
     EmblemSpec,
+    Frame,
     build_emblem,
     decode_image_batch,
     render_emblem_batch,
@@ -249,7 +250,7 @@ class MOCoder:
     # ------------------------------------------------------------------ #
     def decode_images(
         self,
-        images: list[np.ndarray],
+        images: Sequence[Frame],
         report: DecodeReport,
         image_offset: int = 0,
     ) -> dict[int, Emblem]:
@@ -263,7 +264,8 @@ class MOCoder:
         finish with :meth:`assemble`.
 
         Decoding runs through the vectorised
-        :func:`~repro.mocoder.emblem.decode_image_batch`.
+        :func:`~repro.mocoder.emblem.decode_image_batch`; an
+        :class:`~repro.mocoder.emblem.AbsentFrame` fails with its own reason.
         """
         decoded: dict[int, Emblem] = {}
         for image_index, outcome in enumerate(decode_image_batch(self.spec, images)):
@@ -278,7 +280,7 @@ class MOCoder:
             decoded[emblem.header.index] = emblem
         return decoded
 
-    def decode(self, images: list[np.ndarray]) -> tuple[bytes, DecodeReport]:
+    def decode(self, images: Sequence[Frame]) -> tuple[bytes, DecodeReport]:
         """Recover the byte stream from scanned emblem images.
 
         Emblems may arrive in any order; missing or unreadable emblems are
@@ -412,7 +414,10 @@ class MOCoder:
                     shards.append(b"")
                 else:
                     shards.append(None)
-            recovered = self._outer.reconstruct_group(shards)
+            try:
+                recovered = self._outer.reconstruct_group(shards)
+            except MissingEmblemError as exc:
+                raise MissingEmblemError(f"group {group_index}: {exc}") from exc
             for slot in range(group_chunk_count):
                 chunk_index = group_first_chunk + slot
                 expected = min(capacity, max(0, stream_length - chunk_index * capacity))

@@ -32,7 +32,7 @@ import functools
 import hashlib
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from repro.bootstrap.document import build_bootstrap
 from repro.dbcoder.dbcoder import Profile
 from repro.dynarisc.programs import get_program
 from repro.errors import RestorationError
-from repro.mocoder.emblem import EmblemKind, EmblemSpec
+from repro.mocoder.emblem import AbsentFrame, EmblemKind, EmblemSpec, Frame
 from repro.mocoder.mocoder import (
     DecodedRun,
     DecodeReport,
@@ -109,14 +109,20 @@ class ChannelSpec:
         return channel
 
     def simulate(
-        self, images: list[np.ndarray], frame_start: int, lane: int = 0
-    ) -> list[np.ndarray]:
-        """Record ``images`` onto the simulated medium and scan them back."""
+        self, images: Sequence[Frame], frame_start: int, lane: int = 0
+    ) -> list[Frame]:
+        """Record ``images`` onto the simulated medium and scan them back;
+        an :class:`~repro.mocoder.emblem.AbsentFrame` stays absent."""
         channel = self.build_channel()
-        frames = channel.record(list(images))
-        return channel.scan_frames(
-            frames, seed=self.seed, start_index=frame_start, lane=lane
-        ).images
+        scans = list(images)
+        present = [
+            (at, image) for at, image in enumerate(images) if not isinstance(image, AbsentFrame)
+        ]
+        for start, run in _contiguous_runs(present):
+            scans[start:start + len(run)] = channel.scan_frames(
+                channel.record(run), seed=self.seed, start_index=frame_start + start, lane=lane
+            ).images
+        return scans
 
 
 # --------------------------------------------------------------------------- #
@@ -171,7 +177,7 @@ def _encode_segment_job(job: _EncodeJob) -> _EncodeResult:
 
 #: ``fetch(start, count)``: a stream's frames from position ``start``,
 #: ``count`` of them or (``None``) through its last frame.
-FrameRun = Callable[[int, "int | None"], list[np.ndarray]]
+FrameRun = Callable[[int, "int | None"], Sequence[Frame]]
 
 
 @dataclass(frozen=True)
@@ -190,7 +196,7 @@ class _DecodeJob:
     #: How many jobs the segment was split into (1: this job may finish it).
     chunk_count: int
     #: ``(segment position of the first scan, scans)`` runs.
-    runs: list[tuple[int, list[np.ndarray]]]
+    runs: list[tuple[int, list[Frame]]]
     #: When set, the job records/scans its images through the simulated
     #: medium before decoding (streaming channel simulation).
     channel: ChannelSpec | None = None
@@ -246,7 +252,7 @@ def _decode_run(
     mocoder: MOCoder,
     first_index: int,
     start: int,
-    frames: list[np.ndarray],
+    frames: Sequence[Frame],
     report: DecodeReport,
     channel: ChannelSpec | None = None,
     lane: int = 0,
@@ -319,9 +325,9 @@ class _StreamRead:
         self._channel = channel
         self._lane = lane
         #: Fetched but undecoded runs: the inner groups' parity frames.
-        self._held: list[tuple[int, list[np.ndarray]]] = []
+        self._held: list[tuple[int, Sequence[Frame]]] = []
 
-    def first_runs(self) -> list[tuple[int, list[np.ndarray]]]:
+    def first_runs(self) -> list[tuple[int, Sequence[Frame]]]:
         """Fetch and return the runs to decode first: data frames, or every frame."""
         if self.layout is None:
             return [(0, self._fetch(0, None))]
@@ -332,7 +338,7 @@ class _StreamRead:
         ]
         return [(start, run) for start, run in runs if run]
 
-    def decode(self, start: int, frames: list[np.ndarray], report: DecodeReport) -> DecodedRun:
+    def decode(self, start: int, frames: Sequence[Frame], report: DecodeReport) -> DecodedRun:
         return _decode_run(
             self.mocoder, self._first_index, start, frames, report, self._channel, self._lane
         )
@@ -346,9 +352,12 @@ class _StreamRead:
         return merge_runs(runs)
 
 
-def _contiguous_runs(frames: list[tuple[int, np.ndarray]]) -> list[tuple[int, list[np.ndarray]]]:
+_Item = TypeVar("_Item")
+
+
+def _contiguous_runs(frames: Sequence[tuple[int, _Item]]) -> list[tuple[int, list[_Item]]]:
     """Group position-tagged frames into ``(start, frames)`` runs."""
-    runs: list[tuple[int, list[np.ndarray]]] = []
+    runs: list[tuple[int, list[_Item]]] = []
     for position, frame in frames:
         if runs and runs[-1][0] + len(runs[-1][1]) == position:
             runs[-1][1].append(frame)
@@ -565,7 +574,7 @@ class RestorePipeline:
         self,
         manifest: ArchiveManifest,
         records: Iterable[SegmentRecord],
-        frames_for: "Callable[[SegmentRecord, int, int | None], list[np.ndarray]]",
+        frames_for: "Callable[[SegmentRecord, int, int | None], Sequence[Frame]]",
         decode_payload: bool = True,
         *,
         every_frame: bool = False,

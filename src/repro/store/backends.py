@@ -1,12 +1,18 @@
 """Pluggable storage backends: where an archive's frames and manifest live.
 
+Every backend is a store of opaque, named byte records: its sink implements
+:meth:`ArchiveSink.put_bytes`, its source :meth:`ArchiveSource.names` and
+:meth:`ArchiveSource.get_bytes`.  A frame is a P5 PGM record that only
+:meth:`ArchiveSink.put_frame` serialises and only
+:meth:`ArchiveSource.get_frame` parses; text artefacts are UTF-8 records.
+
 A backend owns the physical layout of one archive *target* and exposes two
 session handles:
 
-* :class:`ArchiveSink` — the write side: frames are appended one at a time
-  (``put_frame``), text artefacts (Bootstrap, config) and the manifest are
-  written alongside them, so a streaming writer never holds more than the
-  executor window in memory.  :meth:`StorageBackend.append` reopens an
+* :class:`ArchiveSink` — the write side: frames are appended one batch at a
+  time (``put_frames``), text artefacts (Bootstrap, config) and the manifest
+  are written alongside them, so a streaming writer never holds more than
+  the executor window in memory.  :meth:`StorageBackend.append` reopens an
   existing target for an *incremental* write session: new records land after
   the existing ones and a new, higher-generation manifest supersedes the old
   one (which stays on the medium for lineage and fallback);
@@ -20,20 +26,21 @@ session handles:
 Three backends ship registered in :data:`repro.registry.stores`:
 
 ``directory``
-    One PGM file per frame plus ``manifest.json`` / ``bootstrap.txt`` — the
-    historical directory layout, v1 manifests included, now written with a
-    v3+ manifest (appends add ``manifest_gen_NNNN.json`` files next to it).
+    One file per record: a PGM file per frame plus ``manifest.json`` /
+    ``bootstrap.txt`` — the historical directory layout, v1 manifests
+    included, now written with a v3+ manifest (appends add
+    ``manifest_gen_NNNN.json`` files next to it).
 ``container``
     A single appendable archive file: a magic header, a stream of
-    self-describing length-prefixed records (frames as PGM bytes), and a
-    JSON record index behind a fixed-size trailer.  Appends write new
-    records *after* the old trailer, then a merged index and a new trailer,
-    so every complete generation keeps its own intact (index, trailer) pair.
-    Random access goes through the newest trailer's index; a truncated tail
-    degrades to a linear scan of the record stream, so a damaged file is
-    still readable record by record, and :func:`repair_container` truncates
-    a torn tail append back to the last valid trailer (finishing the index
-    instead when the appended generation actually completed).
+    self-describing length-prefixed records, and a JSON record index behind
+    a fixed-size trailer.  Appends write new records *after* the old
+    trailer, then a merged index and a new trailer, so every complete
+    generation keeps its own intact (index, trailer) pair.  Random access
+    goes through the newest trailer's index; a truncated tail degrades to a
+    linear scan of the record stream, so a damaged file is still readable
+    record by record, and :func:`repair_container` truncates a torn tail
+    append back to the last valid trailer (finishing the index instead when
+    the appended generation actually completed).
 ``memory``
     An in-process dict keyed by target name (``mem:<name>``), for tests and
     benchmarks.
@@ -43,19 +50,20 @@ from __future__ import annotations
 
 import io
 import json
+import re
 import struct
 import threading
 import warnings
 from dataclasses import dataclass, field
 from types import TracebackType
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Iterable
 
 import numpy as np
 
 from repro.core.archive import ArchiveManifest
 from repro.errors import StoreError
-from repro.media.image import pgm_bytes, pgm_from_bytes, pgm_parts
+from repro.media.image import pgm_from_bytes, pgm_parts
 from repro.store.manifest import manifest_generation_of, manifest_record_name
 
 __all__ = [
@@ -79,27 +87,23 @@ FRAME_KINDS = ("data", "system")
 MANIFEST_NAME = "manifest.json"
 BOOTSTRAP_NAME = "bootstrap.txt"
 
+#: Exactly the names :func:`frame_record_name` produces.
+_FRAME_RECORD = re.compile(r"^(data|system)_emblem_(\d{4}|[1-9]\d{4,})\.pgm$")
 
-def _frame_name(kind: str, index: int) -> str:
-    """Canonical record/file stem for one emblem frame."""
+
+def frame_record_name(kind: str, index: int) -> str:
+    """The record (and file) name of one emblem frame, e.g.
+    ``data_emblem_0007.pgm``."""
     if kind not in FRAME_KINDS:
         raise StoreError(f"unknown frame kind {kind!r} (expected one of {FRAME_KINDS})")
     return f"{kind}_emblem_{index:04d}.pgm"
 
 
-def frame_record_name(kind: str, index: int) -> str:
-    """Public record/file name of one emblem frame (fsck and tooling)."""
-    return _frame_name(kind, index)
-
-
-def _superseding_manifest_names(names: "Iterator[str] | list[str]") -> list[str]:
-    """Manifest record names, newest generation first."""
-    candidates = [
-        (generation, name)
-        for name in names
-        if (generation := manifest_generation_of(name)) is not None
-    ]
-    return [name for _, name in sorted(candidates, reverse=True)]
+def _frame_record_of(name: str) -> "tuple[str, int] | None":
+    """The ``(kind, index)`` a frame record name stands for; ``None`` for
+    any other record."""
+    match = _FRAME_RECORD.match(name)
+    return None if match is None else (match.group(1), int(match.group(2)))
 
 
 # --------------------------------------------------------------------------- #
@@ -107,11 +111,22 @@ def _superseding_manifest_names(names: "Iterator[str] | list[str]") -> list[str]
 # --------------------------------------------------------------------------- #
 class ArchiveSink:
     """Write handle for one archive target (returned by ``backend.create``
-    for a fresh archive, ``backend.append`` for an incremental session)."""
+    for a fresh archive, ``backend.append`` for an incremental session).
+
+    A backend implements :meth:`put_bytes` and :meth:`close`; frames, text
+    and manifests reach it as serialised records.
+    """
+
+    def put_bytes(self, name: str, *parts: "bytes | memoryview") -> None:
+        """Persist the record ``name``, whose opaque payload is ``parts``
+        joined (a part may view a caller's raster, written without a copy
+        where the layout allows); :meth:`ArchiveSource.get_bytes` returns it."""
+        raise NotImplementedError
 
     def put_frame(self, kind: str, index: int, image: np.ndarray) -> None:
-        """Persist one emblem raster (``kind`` is ``"data"`` or ``"system"``)."""
-        raise NotImplementedError
+        """Persist one emblem raster (``kind`` is ``"data"`` or ``"system"``)
+        as a P5 PGM record — the one place a frame is serialised."""
+        self.put_bytes(frame_record_name(kind, index), *pgm_parts(image))
 
     def put_frames(
         self, kind: str, start_index: int, images: "Iterable[np.ndarray]"
@@ -119,31 +134,26 @@ class ArchiveSink:
         """Persist a batch of consecutive frames starting at ``start_index``.
 
         The write hot path: the streaming session hands every segment's
-        emblem batch here in one call.  The default loops :meth:`put_frame`;
-        backends override it to skip per-frame overhead (the container sink
-        coalesces a whole batch into large sequential writes with a single
-        flush).
+        emblem batch here in one call.  The rasters may be reused once it
+        returns: a sink that holds records by reference writes them out
+        first (:meth:`_flush`).
         """
         for offset, image in enumerate(images):
             self.put_frame(kind, start_index + offset, image)
+        self._flush()
 
     def put_text(self, name: str, text: str) -> None:
-        """Persist a named text artefact (Bootstrap, config)."""
-        raise NotImplementedError
-
-    def put_bytes(self, name: str, payload: bytes) -> None:
-        """Persist a named *binary* record (e.g. a cross-shard parity run).
-
-        Unlike :meth:`put_frame` the payload is opaque: no PGM framing, no
-        UTF-8 — the bytes come back verbatim from
-        :meth:`ArchiveSource.get_bytes`.
-        """
-        raise NotImplementedError
+        """Persist a named text artefact (Bootstrap, config) as UTF-8."""
+        self.put_bytes(name, text.encode("utf-8"))
 
     def put_manifest(self, manifest: ArchiveManifest) -> None:
         """Persist the archive manifest (v3 JSON) under its generation's
         record name — appended generations never overwrite their parent."""
         self.put_text(manifest_record_name(manifest.generation), manifest.to_json() + "\n")
+
+    def _flush(self) -> None:
+        """Write out the records held by reference (a no-op for sinks that
+        write each record as it comes)."""
 
     def close(self) -> None:
         """Finalise the target (idempotent)."""
@@ -173,7 +183,9 @@ class ArchiveSink:
 class ArchiveSource:
     """Read handle for one archive target (returned by ``backend.open``).
 
-    The contract that enables partial restore: :meth:`manifest` and
+    A backend implements :meth:`names` and :meth:`get_bytes`; the text,
+    frame and manifest readers parse the records those return.  The
+    contract that enables partial restore: :meth:`manifest` and
     :meth:`get_frame` must not require reading any other frame.
     """
 
@@ -185,8 +197,13 @@ class ArchiveSource:
         — the reader then falls back to the last complete generation, so an
         interrupted ``append`` never takes down the archive it extended.
         """
+        candidates = sorted(
+            (generation, name)
+            for name in self.names()
+            if (generation := manifest_generation_of(name)) is not None
+        )
         errors: list[str] = []
-        for name in _superseding_manifest_names(self.names()):
+        for _, name in reversed(candidates):
             try:
                 return ArchiveManifest.from_json(self.get_text(name))
             except (StoreError, ValueError) as exc:
@@ -198,29 +215,33 @@ class ArchiveSource:
         """Every record/artefact name present on the target."""
         raise NotImplementedError
 
-    def get_text(self, name: str) -> str:
+    def get_bytes(self, name: str) -> bytes:
+        """The verbatim payload of the record ``name`` (inverse of
+        :meth:`ArchiveSink.put_bytes`); a missing or unreadable record
+        raises :class:`StoreError` naming it."""
         raise NotImplementedError
 
-    def get_bytes(self, name: str) -> bytes:
-        """The verbatim payload of a named record (inverse of
-        :meth:`ArchiveSink.put_bytes`; frame records return their serialised
-        PGM bytes)."""
-        raise NotImplementedError
+    def get_text(self, name: str) -> str:
+        """A text artefact; a record that is not UTF-8 raises
+        :class:`StoreError`."""
+        payload = self.get_bytes(name)
+        try:
+            return payload.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise StoreError(
+                f"{self._describe()}: record {name!r} is not UTF-8 text ({exc})"
+            ) from exc
 
     def get_frame(self, kind: str, index: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def frame_count(self, kind: str) -> int:
-        prefix = f"{kind}_emblem_"
-        return sum(1 for name in self.names() if name.startswith(prefix))
+        """One emblem raster, parsed from its P5 PGM record — the one place
+        a frame record is parsed.  A record that does not parse raises
+        :class:`~repro.errors.MediaError` naming the target and the record."""
+        name = frame_record_name(kind, index)
+        return pgm_from_bytes(self.get_bytes(name), f"{self._describe()}:{name}")
 
     def get_frames(self, kind: str, start: int, count: int) -> list[np.ndarray]:
         """A contiguous run of frames (the unit partial restore fetches)."""
         return [self.get_frame(kind, index) for index in range(start, start + count)]
-
-    def iter_frames(self, kind: str) -> Iterator[np.ndarray]:
-        for index in range(self.frame_count(kind)):
-            yield self.get_frame(kind, index)
 
     def _describe(self) -> str:
         """Human name of the target, for error messages."""
@@ -262,7 +283,7 @@ class StorageBackend:
 
 
 # --------------------------------------------------------------------------- #
-# Directory backend — one PGM file per frame
+# Directory backend — one file per record
 # --------------------------------------------------------------------------- #
 class _DirectorySink(ArchiveSink):
     def __init__(self, directory: Path):
@@ -272,17 +293,12 @@ class _DirectorySink(ArchiveSink):
         except OSError as exc:
             raise StoreError(f"{directory}: cannot create directory archive: {exc}") from exc
 
-    def put_frame(self, kind: str, index: int, image: np.ndarray) -> None:
-        header, raster = pgm_parts(image)
-        with open(self.directory / _frame_name(kind, index), "wb") as stream:
-            stream.write(header)
-            stream.write(raster)  # zero-copy: the raster buffer goes straight out
-
-    def put_text(self, name: str, text: str) -> None:
-        (self.directory / name).write_text(text)
-
-    def put_bytes(self, name: str, payload: bytes) -> None:
-        (self.directory / name).write_bytes(payload)
+    def put_bytes(self, name: str, *parts: "bytes | memoryview") -> None:
+        try:
+            with open(self.directory / name, "wb") as stream:
+                stream.writelines(parts)  # zero-copy: a raster view goes straight out
+        except OSError as exc:
+            raise StoreError(f"{self.directory}: cannot write {name!r}: {exc}") from exc
 
 
 class _DirectorySource(ArchiveSource):
@@ -294,34 +310,20 @@ class _DirectorySource(ArchiveSource):
     def names(self) -> list[str]:
         return sorted(path.name for path in self.directory.iterdir() if path.is_file())
 
-    def get_text(self, name: str) -> str:
-        path = self.directory / name
-        if not path.exists():
-            raise StoreError(f"{self.directory} has no {name!r}")
-        return path.read_text()
-
     def get_bytes(self, name: str) -> bytes:
-        path = self.directory / name
-        if not path.exists():
-            raise StoreError(f"{self.directory} has no {name!r}")
-        return path.read_bytes()
-
-    def get_frame(self, kind: str, index: int) -> np.ndarray:
-        path = self.directory / _frame_name(kind, index)
-        if not path.exists():
-            raise StoreError(f"{self.directory} has no {kind} frame {index}")
-        return pgm_from_bytes(path.read_bytes(), str(path))
-
-    def frame_count(self, kind: str) -> int:
-        prefix = f"{kind}_emblem_"
-        return sum(1 for _ in self.directory.glob(f"{prefix}*.pgm"))
+        try:
+            return (self.directory / name).read_bytes()
+        except FileNotFoundError:
+            raise StoreError(f"{self.directory} has no {name!r}") from None
+        except OSError as exc:
+            raise StoreError(f"{self.directory}: cannot read {name!r}: {exc}") from exc
 
     def _describe(self) -> str:
         return str(self.directory)
 
 
 class DirectoryBackend(StorageBackend):
-    """PGM files on disk — the historical directory layout."""
+    """One file per record on disk — the historical directory layout."""
 
     name = "directory"
     description = "one PGM file per frame in a directory (the classic layout)"
@@ -371,6 +373,16 @@ def _pack_record(name: str, payload: bytes) -> bytes:
 def _record_header_size(name: str) -> int:
     """Bytes between a record's start and its payload."""
     return _NAME_LEN.size + len(name.encode("utf-8")) + _PAYLOAD_LEN.size
+
+
+def _write_index(stream: BinaryIO, index: dict[str, tuple[int, int]], records_end: int) -> None:
+    """Finish a generation where ``stream`` stands, at offset ``records_end``:
+    the JSON record index, then the trailer pointing at its payload."""
+    payload = json.dumps(
+        [[name, offset, length] for name, (offset, length) in index.items()]
+    ).encode("utf-8")
+    stream.write(_pack_record(_INDEX_NAME, payload))
+    stream.write(_TRAILER.pack(records_end + _record_header_size(_INDEX_NAME), _INDEX_MAGIC))
 
 
 @dataclass
@@ -513,12 +525,7 @@ def repair_container(path: "str | Path") -> dict[str, object]:
                 # The generation's records all landed; finish its index.
                 stream.truncate(scan.end_of_valid)
                 stream.seek(scan.end_of_valid)
-                index_payload = json.dumps(
-                    [[name, offset, length] for name, (offset, length) in scan.index().items()]
-                ).encode("utf-8")
-                stream.write(_pack_record(_INDEX_NAME, index_payload))
-                index_offset = scan.end_of_valid + _record_header_size(_INDEX_NAME)
-                stream.write(_TRAILER.pack(index_offset, _INDEX_MAGIC))
+                _write_index(stream, scan.index(), scan.end_of_valid)
                 size_after = stream.tell()
                 return {
                     "action": "completed-index",
@@ -559,10 +566,10 @@ class _ContainerSink(ArchiveSink):
     stays untouched on the medium as the fallback state.
 
     Records are coalesced in a pending-parts list and written out with one
-    ``writelines`` call per ~4 MiB (and once per :meth:`put_frames` batch),
-    so the per-record cost is list appends, not stream writes.  Frame
-    payloads are buffered as memoryviews of the caller's rasters — zero
-    copies until the bytes hit the file.
+    ``writelines`` call per ~4 MiB (and once per :meth:`put_frames` batch,
+    through :meth:`_flush`), so the per-record cost is list appends, not
+    stream writes.  Frame payloads are buffered as memoryviews of the
+    caller's rasters — zero copies until the bytes hit the file.
     """
 
     def __init__(self, path: Path, appending: bool = False):
@@ -603,7 +610,7 @@ class _ContainerSink(ArchiveSink):
             self._pending = []
             self._pending_bytes = 0
 
-    def _append(self, name: str, *parts: "bytes | memoryview") -> None:
+    def put_bytes(self, name: str, *parts: "bytes | memoryview") -> None:
         """Queue one record whose payload is the concatenation of ``parts``."""
         if self._closed:
             raise StoreError(f"{self.path}: container sink is closed")
@@ -622,35 +629,12 @@ class _ContainerSink(ArchiveSink):
         if self._pending_bytes >= _SINK_FLUSH_BYTES:
             self._flush()
 
-    def put_frame(self, kind: str, index: int, image: np.ndarray) -> None:
-        header, raster = pgm_parts(image)
-        self._append(_frame_name(kind, index), header, raster)
-
-    def put_frames(
-        self, kind: str, start_index: int, images: "Iterable[np.ndarray]"
-    ) -> None:
-        for offset, image in enumerate(images):
-            header, raster = pgm_parts(image)
-            self._append(_frame_name(kind, start_index + offset), header, raster)
-        self._flush()
-
-    def put_text(self, name: str, text: str) -> None:
-        self._append(name, text.encode("utf-8"))
-
-    def put_bytes(self, name: str, payload: bytes) -> None:
-        self._append(name, payload)
-
     def close(self) -> None:
         if self._closed:
             return
         self._flush()
         self._closed = True
-        index_payload = json.dumps(
-            [[name, offset, length] for name, (offset, length) in self._index.items()]
-        ).encode("utf-8")
-        self._stream.write(_pack_record(_INDEX_NAME, index_payload))
-        index_offset = self._offset + _record_header_size(_INDEX_NAME)
-        self._stream.write(_TRAILER.pack(index_offset, _INDEX_MAGIC))
+        _write_index(self._stream, self._index, self._offset)
         self._stream.close()
 
     def abort(self) -> None:
@@ -711,9 +695,10 @@ def _checked_index(entries: object, records_end: int) -> dict[str, tuple[int, in
 class _ContainerSource(ArchiveSource):
     """Read side of the container backend — safe for *concurrent* readers.
 
-    Readers no longer share one seek position: every :meth:`_read` borrows a
-    dedicated file handle from a small idle pool (opening a fresh one when
-    the pool is empty), seeks and reads on it privately, and returns it.
+    Readers no longer share one seek position: every :meth:`get_bytes`
+    borrows a dedicated file handle from a small idle pool (opening a fresh
+    one when the pool is empty), seeks and reads on it privately, and
+    returns it.
     Prefetch workers, decode executors and server request threads can
     therefore fetch records truly in parallel; :meth:`close` drains the pool
     and marks the source closed, after which in-flight handles are closed on
@@ -794,7 +779,7 @@ class _ContainerSource(ArchiveSource):
                 return
         handle.close()
 
-    def _read(self, name: str) -> bytes:
+    def get_bytes(self, name: str) -> bytes:
         entry = self._index.get(name)
         if entry is None:
             raise StoreError(f"{self.path} has no record {name!r}")
@@ -809,23 +794,8 @@ class _ContainerSource(ArchiveSource):
             raise StoreError(f"{self.path}: record {name!r} is truncated")
         return payload
 
-    # -------------------------------------------------------------- #
     def names(self) -> list[str]:
         return sorted(self._index)
-
-    def get_text(self, name: str) -> str:
-        return self._read(name).decode("utf-8")
-
-    def get_bytes(self, name: str) -> bytes:
-        return self._read(name)
-
-    def get_frame(self, kind: str, index: int) -> np.ndarray:
-        name = _frame_name(kind, index)
-        return pgm_from_bytes(self._read(name), f"{self.path}:{name}")
-
-    def frame_count(self, kind: str) -> int:
-        prefix = f"{kind}_emblem_"
-        return sum(1 for name in self._index if name.startswith(prefix))
 
     def _describe(self) -> str:
         return str(self.path)
@@ -878,14 +848,8 @@ class _MemorySink(ArchiveSink):
     def __init__(self, records: dict[str, bytes]):
         self._records = records
 
-    def put_frame(self, kind: str, index: int, image: np.ndarray) -> None:
-        self._records[_frame_name(kind, index)] = pgm_bytes(image)
-
-    def put_text(self, name: str, text: str) -> None:
-        self._records[name] = text.encode("utf-8")
-
-    def put_bytes(self, name: str, payload: bytes) -> None:
-        self._records[name] = bytes(payload)
+    def put_bytes(self, name: str, *parts: "bytes | memoryview") -> None:
+        self._records[name] = b"".join(parts)
 
 
 class _MemorySource(ArchiveSource):
@@ -893,7 +857,7 @@ class _MemorySource(ArchiveSource):
         self._key = key
         self._records = records
 
-    def _read(self, name: str) -> bytes:
+    def get_bytes(self, name: str) -> bytes:
         try:
             return self._records[name]
         except KeyError:
@@ -901,20 +865,6 @@ class _MemorySource(ArchiveSource):
 
     def names(self) -> list[str]:
         return sorted(self._records)
-
-    def get_text(self, name: str) -> str:
-        return self._read(name).decode("utf-8")
-
-    def get_bytes(self, name: str) -> bytes:
-        return self._read(name)
-
-    def get_frame(self, kind: str, index: int) -> np.ndarray:
-        name = _frame_name(kind, index)
-        return pgm_from_bytes(self._read(name), f"mem:{self._key}:{name}")
-
-    def frame_count(self, kind: str) -> int:
-        prefix = f"{kind}_emblem_"
-        return sum(1 for name in self._records if name.startswith(prefix))
 
     def _describe(self) -> str:
         return f"mem:{self._key}"

@@ -8,9 +8,10 @@ target reused unchanged.  Parity is the same systematic GF(256)
 Reed-Solomon erasure code MOCoder uses *within* a segment
 (:mod:`repro.mocoder.outer_code`, whose ``encode_parity`` takes the
 bit-sliced path for stripe-sized payloads), applied *across* volumes: the
-serialised frame bytes of K aligned shard runs form a stripe, and any M
+serialised frame records of K aligned shard runs form a stripe, and any M
 whole volumes may be lost while every frame — and therefore every byte of
-the archive — reconstructs bit-for-bit.
+the archive — reconstructs bit-for-bit.  The set never parses a frame: it
+stripes, hashes and rebuilds the serialised records it is handed.
 
 Layout of one volume set (``vol:k=2,m=1:/a,/b,/p``)::
 
@@ -58,14 +59,13 @@ import numpy as np
 
 from repro.core.archive import ArchiveManifest
 from repro.errors import StoreError
-from repro.media.image import pgm_bytes, pgm_from_bytes
 from repro.mocoder.outer_code import OuterCode, get_outer_code
 from repro.store.backends import (
     FRAME_KINDS,
     ArchiveSink,
     ArchiveSource,
     StorageBackend,
-    _superseding_manifest_names,
+    _frame_record_of,
     frame_record_name,
 )
 from repro.store.target import TargetSpec, VolumeSetSpec, parse_member, parse_target
@@ -282,8 +282,9 @@ def _member_backends(spec: VolumeSetSpec) -> list[tuple[str, str, "StorageBacken
 # Write side
 # --------------------------------------------------------------------------- #
 class _VolumeSetSink(ArchiveSink):
-    """Stripe frames across the member sinks and emit cross-shard parity.
+    """Stripe frame records across the member sinks and emit cross-shard parity.
 
+    Every other record (Bootstrap, config) is replicated to each member.
     Frames arrive in index order (the session contract); each run of
     ``stripe`` consecutive same-kind frames goes whole to the next data
     member, and once K runs are buffered the stripe's parity is computed
@@ -319,15 +320,19 @@ class _VolumeSetSink(ArchiveSink):
         self._closed = False
 
     # -------------------------------------------------------------- #
-    def put_frame(self, kind: str, index: int, image: np.ndarray) -> None:
-        self._put_frame_bytes(kind, index, pgm_bytes(image))
-
-    def _put_frame_bytes(self, kind: str, index: int, payload: bytes) -> None:
+    def put_bytes(self, name: str, *parts: "bytes | memoryview") -> None:
         if self._closed:
             raise StoreError(f"{self._describe}: volume-set sink is closed")
+        frame = _frame_record_of(name)
+        if frame is None:
+            for sub in self._subs:
+                sub.put_bytes(name, *parts)
+            return
+        kind, index = frame
+        payload = b"".join(parts)
         pending = self._pending[kind]
         member = len(pending) // self._geometry.stripe
-        self._subs[member].put_bytes(frame_record_name(kind, index), payload)
+        self._subs[member].put_bytes(name, payload)
         pending.append((index, payload))
         if len(pending) == self._geometry.data * self._geometry.stripe:
             self._flush_stripe(kind)
@@ -375,14 +380,6 @@ class _VolumeSetSink(ArchiveSink):
         self._pending[kind] = []
 
     # -------------------------------------------------------------- #
-    def put_text(self, name: str, text: str) -> None:
-        for sub in self._subs:
-            sub.put_text(name, text)
-
-    def put_bytes(self, name: str, payload: bytes) -> None:
-        for sub in self._subs:
-            sub.put_bytes(name, payload)
-
     def put_manifest(self, manifest: ArchiveManifest) -> None:
         for kind in FRAME_KINDS:
             self._flush_stripe(kind)
@@ -452,10 +449,8 @@ class _VolumeSetSource(ArchiveSource):
         self._lock = threading.Lock()
         self._manifest: ArchiveManifest | None = None  # lint: guarded-by(_lock)
         self._stripes: list[_Stripe] | None = None  # lint: guarded-by(_lock)
-        #: frame record name -> (stripe index, shard entry, offset, length, sha).
-        self._frame_map: dict[str, tuple[int, _ShardEntry, int, int, str]] = (
-            {}
-        )  # lint: guarded-by(_lock)
+        #: frame record name -> (stripe index, data volume, sha256).
+        self._frame_map: dict[str, tuple[int, int, str]] = {}  # lint: guarded-by(_lock)
         self._reconstructed: "OrderedDict[int, dict[str, bytes]]" = (
             OrderedDict()
         )  # lint: guarded-by(_lock)
@@ -487,7 +482,7 @@ class _VolumeSetSource(ArchiveSource):
             if sub is None:
                 continue
             try:
-                fields = json.loads(sub.get_bytes(VOLUME_META_NAME).decode("utf-8"))
+                fields = json.loads(sub.get_text(VOLUME_META_NAME))
                 found = _SetGeometry(
                     set_id=str(fields["set_id"]),
                     data=int(fields["data"]),
@@ -552,31 +547,19 @@ class _VolumeSetSource(ArchiveSource):
         with self._lock:
             if self._manifest is not None:
                 return self._manifest
-        errors: list[str] = []
-        manifest: ArchiveManifest | None = None
-        for name in _superseding_manifest_names(self.names()):
-            try:
-                manifest = ArchiveManifest.from_json(self.get_text(name))
-                break
-            except (StoreError, ValueError) as exc:
-                errors.append(f"{name}: {exc}")
-        if manifest is None:
-            detail = f" ({'; '.join(errors)})" if errors else ""
-            raise StoreError(f"{self._desc} holds no readable manifest{detail}")
+        manifest = super().manifest()
         geometry, stripes = _parse_shard_map(manifest.volumes)
         if geometry.set_id != self._geometry.set_id:
             raise StoreError(
                 f"{self._desc}: the manifest's shard map belongs to set "
                 f"{geometry.set_id}, not {self._geometry.set_id}"
             )
-        frame_map: dict[str, tuple[int, _ShardEntry, int, int, str]] = {}
-        for at, stripe in enumerate(stripes):
-            for shard in stripe.shards:
-                offset = 0
-                for index, length, digest in shard.frames:
-                    name = frame_record_name(stripe.kind, index)
-                    frame_map[name] = (at, shard, offset, length, digest)
-                    offset += length
+        frame_map: dict[str, tuple[int, int, str]] = {
+            frame_record_name(stripe.kind, index): (at, shard.volume, digest)
+            for at, stripe in enumerate(stripes)
+            for shard in stripe.shards
+            for index, _length, digest in shard.frames
+        }
         with self._lock:
             self._manifest = manifest
             self._stripes = stripes
@@ -602,28 +585,36 @@ class _VolumeSetSource(ArchiveSource):
                 seen.update(name for name in sub.names() if not _is_internal_name(name))
         return sorted(seen)
 
-    def get_text(self, name: str) -> str:
-        return self.get_bytes(name).decode("utf-8")
-
     def get_bytes(self, name: str) -> bytes:
-        errors: list[str] = []
-        for sub in self._subs:
-            if sub is None:
-                continue
+        """A frame record checked against its shard-map SHA-256, and rebuilt
+        from its stripe when its shard is missing or corrupt; any other
+        record from the first member that holds it."""
+        if _frame_record_of(name) is None:
+            errors: list[str] = []
+            for sub in self._subs:
+                if sub is None:
+                    continue
+                try:
+                    return sub.get_bytes(name)
+                except StoreError as exc:
+                    errors.append(str(exc))
+            detail = f" ({errors[0]})" if errors else ""
+            raise StoreError(f"{self._desc} has no readable record {name!r}{detail}")
+        self._ensure_map()
+        with self._lock:
+            entry = self._frame_map.get(name)
+        if entry is None:
+            raise StoreError(f"{self._desc} has no frame record {name!r}")
+        stripe_at, volume, digest = entry
+        sub = self._subs[volume]
+        if sub is not None:
             try:
-                return sub.get_bytes(name)
-            except StoreError as exc:
-                errors.append(str(exc))
-        detail = f" ({errors[0]})" if errors else ""
-        raise StoreError(f"{self._desc} has no readable record {name!r}{detail}")
-
-    def frame_count(self, kind: str) -> int:
-        return sum(stripe.count for stripe in self._ensure_map() if stripe.kind == kind)
-
-    def get_frame(self, kind: str, index: int) -> np.ndarray:
-        name = frame_record_name(kind, index)
-        payload = self._frame_bytes(name)
-        return pgm_from_bytes(payload, f"{self._desc}:{name}")
+                payload = sub.get_bytes(name)
+                if _sha256(payload) == digest:
+                    return payload
+            except StoreError:
+                pass  # fall through to reconstruction, like a missing volume
+        return self._reconstruct_stripe(stripe_at)[name]
 
     def get_frames(self, kind: str, start: int, count: int) -> list[np.ndarray]:
         self._ensure_map()
@@ -634,24 +625,6 @@ class _VolumeSetSource(ArchiveSource):
         )
 
     # -------------------------------------------------------------- #
-    def _frame_bytes(self, name: str) -> bytes:
-        self._ensure_map()
-        with self._lock:
-            entry = self._frame_map.get(name)
-        if entry is None:
-            raise StoreError(f"{self._desc} has no frame record {name!r}")
-        stripe_at, shard, offset, length, digest = entry
-        sub = self._subs[shard.volume]
-        if sub is not None:
-            try:
-                payload = sub.get_bytes(name)
-                if _sha256(payload) == digest:
-                    return payload
-            except StoreError:
-                pass  # fall through to reconstruction, like a missing volume
-        recovered = self._reconstruct_stripe(stripe_at)
-        return recovered[name]
-
     def _shard_payload(self, shard: _ShardEntry, kind: str) -> "bytes | None":
         """One shard's serialised bytes, or ``None`` when damaged/missing."""
         sub = self._subs[shard.volume]

@@ -228,6 +228,22 @@ class TestSessions:
             pass
         assert open_restore(writer.archive).read().payload == b""
 
+    def test_read_from_scans_takes_the_payload_kind_from_the_manifest(self, sql_sample):
+        payload = random_payload(3_000, seed=31)
+        with open_archive(ArchiveConfig(media="test", segment_size=2048)) as writer:
+            writer.write(payload)
+        binary = writer.archive
+        result = open_restore(binary).read_from_scans(binary.data_emblem_images)
+        assert result.payload == payload and result.database is None
+
+        with open_archive(ArchiveConfig(media="test", payload_kind="sql")) as writer:
+            writer.write(sql_sample)
+        sql = writer.archive
+        result = open_restore(sql).read_from_scans(sql.data_emblem_images)
+        assert result.payload == sql_sample
+        assert result.database is not None
+        assert result.database.table("lineitem").row_count == 120
+
     def test_keyword_overrides(self):
         writer = open_archive(codec="store", media="test")
         try:

@@ -150,7 +150,7 @@ class TestDataFirstEqualsEveryFrame:
 
         def data_first() -> bytes:
             with open_restore(archive) as reader:
-                return reader.read_from_scans(scans, payload_kind="binary").payload
+                return reader.read_from_scans(scans).payload
 
         assert _outcome(data_first) == _outcome(every_frame)
 
@@ -162,7 +162,7 @@ class TestDataFirstEqualsEveryFrame:
         parity = stream_layout(len(scans))[1].data_end  # group 1's first parity frame
         scans[3], scans[parity] = scans[parity], scans[3]
         with open_restore(archive) as reader:
-            result = reader.read_from_scans(scans, payload_kind="binary")
+            result = reader.read_from_scans(scans)
         assert result.data_report.emblems_seen == len(scans)
         container, _ = MOCoder(SPEC).decode(scans)
         assert result.payload == registry.get_codec("store").decode(container)
@@ -177,7 +177,7 @@ class TestDataFirstEqualsEveryFrame:
         scans[2] = _one_segment_archive(30).data_emblem_images[30]
         container, _ = MOCoder(SPEC).decode(scans)
         with open_restore(archive) as reader:
-            result = reader.read_from_scans(scans, payload_kind="binary")
+            result = reader.read_from_scans(scans)
         assert result.payload == registry.get_codec("store").decode(container)
         assert result.data_report.emblems_seen == len(scans)
         assert result.data_report.groups_reconstructed == 1
@@ -193,7 +193,7 @@ class TestDataFirstEqualsEveryFrame:
         )
         with open_restore(archive) as reader:
             result = reader.read_from_scans(
-                archive.data_emblem_images, payload_kind="binary", manifest=hostile
+                archive.data_emblem_images, manifest=hostile
             )
         assert result.data_report.emblems_seen == 8
         assert len(result.payload) == record.length
@@ -212,7 +212,7 @@ class TestDataFirstEqualsEveryFrame:
         scans[17], scans[21] = scans[21], scans[17]
         container, _ = MOCoder(SPEC).decode(scans)
         with open_restore(archive) as reader:
-            result = reader.read_from_scans(scans, payload_kind="binary")
+            result = reader.read_from_scans(scans)
         assert result.payload == registry.get_codec("store").decode(container)
         assert result.data_report.emblems_seen == len(scans)
         assert result.data_report.groups_reconstructed == 1
@@ -228,7 +228,7 @@ class TestDataFirstEqualsEveryFrame:
         every_frame = _outcome(lambda: MOCoder(SPEC).decode(scans)[0])
         with open_restore(archive) as reader:
             result = _outcome(
-                lambda: reader.read_from_scans(scans, payload_kind="binary").data_report
+                lambda: reader.read_from_scans(scans).data_report
             )
         if losses > 3:
             assert every_frame[0] is MissingEmblemError and result == every_frame

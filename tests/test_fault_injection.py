@@ -126,7 +126,6 @@ class TestMediaChannelMatrix:
         result = open_restore(archive).read_from_scans(
             scans,
             system_images=system_scans,
-            payload_kind="binary",
             manifest=archive.manifest,
         )
         assert result.payload == payload

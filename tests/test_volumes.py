@@ -32,6 +32,7 @@ from hypothesis import strategies as st
 
 from repro.api import ArchiveConfig, open_archive, open_restore
 from repro.errors import StoreError
+from repro.store import open_source
 
 
 def vol_uri(root: Path, total: int, *, k: int, m: int, stripe: int = 1) -> str:
@@ -151,9 +152,22 @@ class TestCorruption:
                 blob = bytearray(frame.read_bytes())
                 blob[-40] ^= 0xFF
                 frame.write_bytes(bytes(blob))
+        # The set cannot rebuild the stripe and says so ...
+        with open_source(uri) as source:
+            with pytest.raises(StoreError, match="cannot be reconstructed"):
+                source.get_frames("data", 0, 2)
+        # ... so the reader takes its two frames as erasures: the outer code
+        # rebuilds them, the report names each with the set's reason, and
+        # verify fails.
         with open_restore(uri) as reader:
-            with pytest.raises(StoreError):
-                reader.read()
+            result = reader.read()
+            report = reader.verify(deep=True)
+        assert result.payload == payload
+        failed = result.data_report.failed_frames
+        assert [index for index, _ in failed] == [0, 1]
+        assert all("cannot be reconstructed" in reason for _, reason in failed)
+        assert not report.ok
+        assert any(error.startswith("data frame 0: ") for error in report.errors)
 
 
 # --------------------------------------------------------------------------- #
