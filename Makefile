@@ -54,7 +54,8 @@ typecheck:
 		echo "mypy not installed; skipping typecheck (CI runs it)"; exit 0; \
 	fi
 
-## store smoke test: archive -> inspect -> read_range on the container backend
+## store smoke test: archive -> inspect -> read_range on the container backend,
+## whose frame records are 1-bit PBM (P4)
 ## (single shell + trap so .store-smoke is cleaned up even on failure)
 store-smoke:
 	@set -e; rm -rf .store-smoke; mkdir .store-smoke; \
@@ -65,6 +66,10 @@ store-smoke:
 	$(PYTHON) -m repro inspect .store-smoke/backup.ule --json \
 		| $(PYTHON) -c "import json,sys; m=json.load(sys.stdin); \
 		assert m['format_version']==4 and m['segments'], m"; \
+	$(PYTHON) -c "from repro.store import frame_record_name, open_source; \
+	source=open_source('file:.store-smoke/backup.ule'); \
+	record=source.get_bytes(frame_record_name('data', 0)); source.close(); \
+	assert record.startswith(b'P4'), record[:16]"; \
 	$(PYTHON) -m repro restore -i .store-smoke/backup.ule -o .store-smoke/slice.bin \
 		--offset 3000 --length 1000; \
 	$(PYTHON) -c "want=(b'ULE store smoke payload. '*400)[3000:4000]; \
@@ -114,12 +119,12 @@ restore-smoke:
 	$(PYTHON) -m repro archive -i .restore-smoke/payload.bin -o dir:.restore-smoke/damaged \
 		--media test --codec portable --segment-size 2048; \
 	$(PYTHON) -c "import json; from pathlib import Path; import numpy as np; \
-		from repro.media.image import pgm_bytes, pgm_from_bytes; \
+		from repro.media.image import netpbm_from_bytes, pgm_bytes; \
 		from repro.mocoder.mocoder import stream_layout; \
 		d=Path('.restore-smoke/damaged'); r=json.loads((d/'manifest.json').read_text())['segments'][1]; \
 		start=r['emblem_start']; group=stream_layout(r['emblem_count'])[0]; \
 		paths=[d/f'data_emblem_{start + i:04d}.pgm' for i in (0, group.data_end)]; \
-		[p.write_bytes(pgm_bytes(np.full_like(pgm_from_bytes(p.read_bytes()), 255))) for p in paths]"; \
+		[p.write_bytes(pgm_bytes(np.full_like(netpbm_from_bytes(p.read_bytes()), 255))) for p in paths]"; \
 	$(PYTHON) -m repro restore -i dir:.restore-smoke/damaged -o .restore-smoke/damaged.bin; \
 	cmp .restore-smoke/payload.bin .restore-smoke/damaged.bin; \
 	$(PYTHON) -m repro verify dir:.restore-smoke/damaged --json \

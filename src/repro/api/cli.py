@@ -4,9 +4,12 @@ Subcommands
 -----------
 ``archive``
     Archive a payload file onto the target ``-o`` names (``dir:<path>``
-    writes one PGM per frame, ``file:<path>`` a single archive file,
+    writes one Netpbm file per frame, ``file:<path>`` a single archive file,
     ``vol:...`` a sharded volume set; a plain path is sniffed by shape, see
-    :mod:`repro.store.target`), streaming the input through an
+    :mod:`repro.store.target`).  Every frame record is a 1-bit PBM (P4)
+    under its ``data_emblem_NNNN.pgm`` name; readers tell it from the 8-bit
+    PGM (P5) frames of older archives by its magic number, and read both.
+    The input streams through an
     :class:`~repro.api.session.ArchiveWriter` with ``collect=False`` —
     frames go straight to the target as they encode, so peak memory stays
     bounded by the executor window regardless of payload size.  The
@@ -22,6 +25,11 @@ Subcommands
     the payload file, optionally re-running the simulated record/scan cycle
     first (``--via-channel``), or restoring just a byte range
     (``--offset``/``--length`` — only the covering segments are decoded).
+    A full restore reports every frame it could not read — a record that is
+    lost or unparsable, or a frame that failed to decode — one line each,
+    or in ``--json`` as ``emblems_failed`` and ``failed_frames``
+    (``{"data": [[index, reason], ...], "system": [...]}``); the outer code
+    rebuilds such frames as long as a group loses at most three.
 ``verify``
     fsck for archives: walk every manifest generation (lineage, segment
     monotonicity), re-check each segment's CRC-32/SHA-256 content hashes by
@@ -176,12 +184,20 @@ def _cmd_restore(args: argparse.Namespace) -> int:
         else:
             result = reader.read()
         output_path.write_bytes(result.payload)
+        # Frames that failed to decode or could not be read at all, per stream.
+        failed_frames = {
+            stream: [[index, reason] for index, reason in (report.failed_frames if report else ())]
+            for stream, report in (("data", result.data_report),
+                                   ("system", result.system_report))
+        }
         summary = {
             "output": str(output_path),
             "payload_bytes": len(result.payload),
             "payload_kind": reader.manifest.payload_kind,
             "decode_mode": result.decode_mode,
             "emblems_decoded": result.data_report.emblems_decoded,
+            "emblems_failed": sum(len(frames) for frames in failed_frames.values()),
+            "failed_frames": failed_frames,
             "rs_corrections": result.data_report.rs_corrections,
             "groups_reconstructed": result.data_report.groups_reconstructed,
             "emulator_steps": result.emulator_steps,
@@ -194,6 +210,9 @@ def _cmd_restore(args: argparse.Namespace) -> int:
                   f"(bit-exact: {result.bit_exact})")
             for note in result.notes:
                 print(f"  {note}")
+            for stream, frames in failed_frames.items():
+                for index, reason in frames:
+                    print(f"  {stream} frame {index} not read: {reason}")
         return 0
 
 

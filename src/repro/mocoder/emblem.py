@@ -34,6 +34,7 @@ from repro.errors import EmblemDetectionError, EmblemFormatError, MOCoderError
 from repro.mocoder.interleave import deinterleave_blocks_batch
 from repro.mocoder.manchester import manchester_decode_rows, manchester_encode_rows
 from repro.mocoder.reed_solomon import ReedSolomonCode, get_code
+from repro.util.raster import bilevel_tones
 
 #: Pixel value of a dark (inked) cell.
 BLACK = 0
@@ -384,8 +385,8 @@ def render_emblem_batch(emblems: "list[Emblem]") -> np.ndarray:
 def otsu_threshold(image: np.ndarray) -> float:
     """Otsu's threshold on a grayscale image (used to binarise scans).
 
-    The decoder's batched :func:`_otsu_threshold_stack` hands this the scans
-    it cannot threshold itself: non-uint8 stacks and degenerate
+    The decoder's batched :func:`_binarisation_thresholds` hands this the
+    scans it cannot threshold itself: non-uint8 stacks and degenerate
     (single-valued) histograms, whose threshold is the image mean.
     """
     raw = np.asarray(image)
@@ -480,7 +481,8 @@ def _decode_stack(spec: EmblemSpec, stack: np.ndarray) -> "list[tuple[Emblem, in
     Per-image failures are captured, so one bad scan never disturbs its
     batch-mates.  The stages, per scan:
 
-    1. binarise at the scan's Otsu threshold;
+    1. binarise at the scan's Otsu threshold (see
+       :func:`_binarisation_thresholds`);
     2. locate the black frame from the row and column ink profiles (the
        centres of the first and last thick dark band), which fixes the cell
        pitch and origin;
@@ -494,11 +496,7 @@ def _decode_stack(spec: EmblemSpec, stack: np.ndarray) -> "list[tuple[Emblem, in
     outcomes: "list[tuple[Emblem, int] | MOCoderError | None]" = [None] * count
     code = spec.inner_code()
 
-    # Per-image binarisation thresholds.
-    if stack.dtype == np.uint8:
-        thresholds = _otsu_threshold_stack(stack)
-    else:
-        thresholds = np.array([otsu_threshold(stack[i]) for i in range(count)], dtype=np.float64)
+    thresholds = _binarisation_thresholds(stack)
 
     # Ink profiles of every scan in one pass.  int32 accumulators: a profile
     # entry is at most one scan dimension, and int32 halves the memory
@@ -694,14 +692,37 @@ def _sample_stack(
     return total / 5.0
 
 
-def _otsu_threshold_stack(stack: np.ndarray) -> np.ndarray:
-    """Per-image Otsu thresholds for a (count, H, W) uint8 stack.
+def _binarisation_thresholds(stack: np.ndarray) -> np.ndarray:
+    """Per-image Otsu thresholds for a (count, H, W) stack.
 
-    Entry ``i`` equals ``otsu_threshold(stack[i])`` exactly: the histogram is
-    still one bincount per image (that part is intrinsic), but the whole
-    inter-class-variance sweep — a dozen-plus numpy passes per image — runs
-    once across the stack.  Degenerate histograms (empty or single-valued
-    images) fall back to :func:`otsu_threshold` per image.
+    A uint8 image whose pixels are all 0 or 255 with both values present —
+    every stored frame, and every rendered one with 0/255 dust or scratches
+    — takes 0.5 without a histogram.  That is exactly Otsu's answer for it:
+    every split from 0 to 254 gives the same between-class variance,
+    ``argmax`` takes the first, and its bin centre is 0.5.  Gray scans and
+    single-valued images go through :func:`_otsu_threshold_stack`.
+    """
+    count = stack.shape[0]
+    if stack.dtype != np.uint8:
+        return np.array([otsu_threshold(stack[i]) for i in range(count)], dtype=np.float64)
+    thresholds = np.full(count, 0.5)
+    gray = [index for index in range(count) if bilevel_tones(stack[index]) != 2]
+    if gray:
+        thresholds[gray] = _otsu_threshold_stack(stack, gray)
+    return thresholds
+
+
+def _otsu_threshold_stack(
+    stack: np.ndarray, rows: "Sequence[int] | None" = None
+) -> np.ndarray:
+    """Otsu thresholds for the images ``rows`` (default: all) of a
+    (count, H, W) uint8 stack.
+
+    Entry ``i`` equals ``otsu_threshold(stack[rows[i]])`` exactly: the
+    histogram is still one bincount per image (that part is intrinsic), but
+    the whole inter-class-variance sweep — a dozen-plus numpy passes per
+    image — runs once across the images.  Degenerate histograms (empty or
+    single-valued images) fall back to :func:`otsu_threshold` per image.
 
     The per-image histogram counts byte *pairs* (the scan viewed as uint16)
     and folds the 256x256 pair matrix back to two byte histograms.  Emblem
@@ -709,13 +730,14 @@ def _otsu_threshold_stack(stack: np.ndarray) -> np.ndarray:
     few counters; pair counting halves the increments and measures ~30%
     faster, while the fold is exact integer arithmetic — identical counts.
     """
-    count = stack.shape[0]
-    flat = stack.reshape(count, -1)
+    if rows is None:
+        rows = range(stack.shape[0])
+    flat = stack.reshape(stack.shape[0], -1)
     pixels = flat.shape[1]
     even = pixels // 2 * 2
     pairs = flat[:, :even]
-    histograms = np.empty((count, 256), dtype=np.float64)
-    for index in range(count):
+    histograms = np.empty((len(rows), 256), dtype=np.float64)
+    for at, index in enumerate(rows):
         pair_counts = np.bincount(
             pairs[index].view(np.uint16), minlength=65536
         ).reshape(256, 256)
@@ -724,7 +746,7 @@ def _otsu_threshold_stack(stack: np.ndarray) -> np.ndarray:
         histogram = pair_counts.sum(axis=0) + pair_counts.sum(axis=1)
         if even != pixels:
             histogram[flat[index, -1]] += 1
-        histograms[index] = histogram
+        histograms[at] = histogram
     totals = histograms.sum(axis=1)
     bin_centers = np.arange(256, dtype=np.float64) + 0.5
     weight_background = np.cumsum(histograms, axis=1)
@@ -746,8 +768,8 @@ def _otsu_threshold_stack(stack: np.ndarray) -> np.ndarray:
     between_variance[~valid] = -1.0
     thresholds = bin_centers[np.argmax(between_variance, axis=1)]
     degenerate = ~np.any(valid, axis=1)
-    for index in np.nonzero(degenerate)[0]:
-        thresholds[index] = otsu_threshold(stack[index])
+    for at in np.nonzero(degenerate)[0]:
+        thresholds[at] = otsu_threshold(stack[rows[at]])
     return thresholds
 
 

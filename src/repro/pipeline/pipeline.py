@@ -408,9 +408,19 @@ def build_system_artifacts(
     """Steps 4-6 of the archival flow.
 
     Returns the system emblem images (the archived DBCoder decoder) and the
-    rendered Bootstrap text; neither depends on the payload, so the pipeline
-    builds them once per archive regardless of the segment count.
+    rendered Bootstrap text.  Neither depends on the payload, so they are
+    built once per process for the most recent ``(profile, outer_code)``
+    and shared by every archive; the rasters are read-only, so no archive
+    can alter the next one's.
     """
+    images, bootstrap_text = _system_artifacts(profile, outer_code)
+    return list(images), bootstrap_text
+
+
+@functools.lru_cache(maxsize=1)
+def _system_artifacts(
+    profile: MediaProfile, outer_code: bool
+) -> tuple[tuple[np.ndarray, ...], str]:
     system_mocoder = MOCoder(profile.spec, outer_code=outer_code)
     dbcoder_decoder = get_program("lzss_decoder")
     system_stream = system_mocoder.encode(dbcoder_decoder.code, kind=EmblemKind.SYSTEM)
@@ -422,7 +432,9 @@ def build_system_artifacts(
         dynarisc_entry=emulator.entry,
         mocoder_entry=mocoder_decoder.entry,
     )
-    return system_stream.images(), bootstrap.render()
+    images = system_stream.images_array()
+    images.flags.writeable = False  # and so is every frame, a view of it
+    return tuple(images), bootstrap.render()
 
 
 # --------------------------------------------------------------------------- #

@@ -2,9 +2,11 @@
 
 Every backend is a store of opaque, named byte records: its sink implements
 :meth:`ArchiveSink.put_bytes`, its source :meth:`ArchiveSource.names` and
-:meth:`ArchiveSource.get_bytes`.  A frame is a P5 PGM record that only
-:meth:`ArchiveSink.put_frame` serialises and only
-:meth:`ArchiveSource.get_frame` parses; text artefacts are UTF-8 records.
+:meth:`ArchiveSource.get_bytes`.  A frame is a Netpbm record that only
+:meth:`ArchiveSink.put_frame` serialises (as a 1-bit PBM, P4) and only
+:meth:`ArchiveSource.get_frame` parses (P4, or the P5 PGM that older media
+hold, by magic number); text artefacts are UTF-8 records.  Frame record
+names keep their ``.pgm`` suffix whatever the format inside.
 
 A backend owns the physical layout of one archive *target* and exposes two
 session handles:
@@ -26,7 +28,7 @@ session handles:
 Three backends ship registered in :data:`repro.registry.stores`:
 
 ``directory``
-    One file per record: a PGM file per frame plus ``manifest.json`` /
+    One file per record: a Netpbm file per frame plus ``manifest.json`` /
     ``bootstrap.txt`` — the historical directory layout, v1 manifests
     included, now written with a v3+ manifest (appends add
     ``manifest_gen_NNNN.json`` files next to it).
@@ -63,7 +65,7 @@ import numpy as np
 
 from repro.core.archive import ArchiveManifest
 from repro.errors import StoreError
-from repro.media.image import pgm_from_bytes, pgm_parts
+from repro.media.image import netpbm_from_bytes, pbm_bytes
 from repro.store.manifest import manifest_generation_of, manifest_record_name
 
 __all__ = [
@@ -119,14 +121,16 @@ class ArchiveSink:
 
     def put_bytes(self, name: str, *parts: "bytes | memoryview") -> None:
         """Persist the record ``name``, whose opaque payload is ``parts``
-        joined (a part may view a caller's raster, written without a copy
-        where the layout allows); :meth:`ArchiveSource.get_bytes` returns it."""
+        joined; :meth:`ArchiveSource.get_bytes` returns it."""
         raise NotImplementedError
 
     def put_frame(self, kind: str, index: int, image: np.ndarray) -> None:
         """Persist one emblem raster (``kind`` is ``"data"`` or ``"system"``)
-        as a P5 PGM record — the one place a frame is serialised."""
-        self.put_bytes(frame_record_name(kind, index), *pgm_parts(image))
+        as a PBM (P4) record — the one place a frame is serialised.  A raster
+        that is not 2-D uint8 with every pixel 0 or 255 raises
+        :class:`~repro.errors.MediaError` naming the target and the record."""
+        name = frame_record_name(kind, index)
+        self.put_bytes(name, pbm_bytes(image, f"{self._describe()}:{name}"))
 
     def put_frames(
         self, kind: str, start_index: int, images: "Iterable[np.ndarray]"
@@ -134,13 +138,10 @@ class ArchiveSink:
         """Persist a batch of consecutive frames starting at ``start_index``.
 
         The write hot path: the streaming session hands every segment's
-        emblem batch here in one call.  The rasters may be reused once it
-        returns: a sink that holds records by reference writes them out
-        first (:meth:`_flush`).
+        emblem batch here in one call.
         """
         for offset, image in enumerate(images):
             self.put_frame(kind, start_index + offset, image)
-        self._flush()
 
     def put_text(self, name: str, text: str) -> None:
         """Persist a named text artefact (Bootstrap, config) as UTF-8."""
@@ -151,9 +152,9 @@ class ArchiveSink:
         record name — appended generations never overwrite their parent."""
         self.put_text(manifest_record_name(manifest.generation), manifest.to_json() + "\n")
 
-    def _flush(self) -> None:
-        """Write out the records held by reference (a no-op for sinks that
-        write each record as it comes)."""
+    def _describe(self) -> str:
+        """Human name of the target, for error messages."""
+        return type(self).__name__
 
     def close(self) -> None:
         """Finalise the target (idempotent)."""
@@ -233,11 +234,12 @@ class ArchiveSource:
             ) from exc
 
     def get_frame(self, kind: str, index: int) -> np.ndarray:
-        """One emblem raster, parsed from its P5 PGM record — the one place
-        a frame record is parsed.  A record that does not parse raises
+        """One emblem raster, parsed from its PBM (P4) or PGM (P5) record by
+        magic number — the one place a frame record is parsed.  The raster is
+        fresh and writable.  A record that does not parse raises
         :class:`~repro.errors.MediaError` naming the target and the record."""
         name = frame_record_name(kind, index)
-        return pgm_from_bytes(self.get_bytes(name), f"{self._describe()}:{name}")
+        return netpbm_from_bytes(self.get_bytes(name), f"{self._describe()}:{name}")
 
     def get_frames(self, kind: str, start: int, count: int) -> list[np.ndarray]:
         """A contiguous run of frames (the unit partial restore fetches)."""
@@ -296,9 +298,12 @@ class _DirectorySink(ArchiveSink):
     def put_bytes(self, name: str, *parts: "bytes | memoryview") -> None:
         try:
             with open(self.directory / name, "wb") as stream:
-                stream.writelines(parts)  # zero-copy: a raster view goes straight out
+                stream.writelines(parts)
         except OSError as exc:
             raise StoreError(f"{self.directory}: cannot write {name!r}: {exc}") from exc
+
+    def _describe(self) -> str:
+        return str(self.directory)
 
 
 class _DirectorySource(ArchiveSource):
@@ -326,7 +331,7 @@ class DirectoryBackend(StorageBackend):
     """One file per record on disk — the historical directory layout."""
 
     name = "directory"
-    description = "one PGM file per frame in a directory (the classic layout)"
+    description = "one Netpbm file per frame in a directory (the classic layout)"
 
     def create(self, target: "str | Path") -> ArchiveSink:
         return _DirectorySink(Path(target))
@@ -566,10 +571,8 @@ class _ContainerSink(ArchiveSink):
     stays untouched on the medium as the fallback state.
 
     Records are coalesced in a pending-parts list and written out with one
-    ``writelines`` call per ~4 MiB (and once per :meth:`put_frames` batch,
-    through :meth:`_flush`), so the per-record cost is list appends, not
-    stream writes.  Frame payloads are buffered as memoryviews of the
-    caller's rasters — zero copies until the bytes hit the file.
+    ``writelines`` call per ~4 MiB (and at close), so the per-record cost is
+    list appends, not stream writes.
     """
 
     def __init__(self, path: Path, appending: bool = False):
@@ -603,6 +606,9 @@ class _ContainerSink(ArchiveSink):
                 raise StoreError(f"{path}: cannot create container archive: {exc}") from exc
             self._stream.write(CONTAINER_MAGIC)
             self._offset = len(CONTAINER_MAGIC)
+
+    def _describe(self) -> str:
+        return str(self.path)
 
     def _flush(self) -> None:
         if self._pending:
@@ -845,11 +851,15 @@ def _memory_key(target: "str | Path") -> str:
 
 
 class _MemorySink(ArchiveSink):
-    def __init__(self, records: dict[str, bytes]):
+    def __init__(self, key: str, records: dict[str, bytes]):
+        self._key = key
         self._records = records
 
     def put_bytes(self, name: str, *parts: "bytes | memoryview") -> None:
         self._records[name] = b"".join(parts)
+
+    def _describe(self) -> str:
+        return f"mem:{self._key}"
 
 
 class _MemorySource(ArchiveSource):
@@ -877,9 +887,10 @@ class MemoryBackend(StorageBackend):
     description = "in-process dict store (targets are 'mem:<name>' keys)"
 
     def create(self, target: "str | Path") -> ArchiveSink:
+        key = _memory_key(target)
         records: dict[str, bytes] = {}
-        _MEMORY_TARGETS[_memory_key(target)] = records
-        return _MemorySink(records)
+        _MEMORY_TARGETS[key] = records
+        return _MemorySink(key, records)
 
     def append(self, target: "str | Path") -> ArchiveSink:
         key = _memory_key(target)
@@ -889,7 +900,7 @@ class MemoryBackend(StorageBackend):
                 f"no memory archive named {key!r} exists in this process; "
                 "append needs an existing archive to extend"
             )
-        return _MemorySink(records)
+        return _MemorySink(key, records)
 
     def open(self, target: "str | Path") -> ArchiveSource:
         key = _memory_key(target)

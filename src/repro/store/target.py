@@ -7,7 +7,7 @@ paths — goes through :func:`parse_target`, which returns a typed
 volume set, its geometry:
 
 ``dir:/path/to/archive``
-    A ``directory`` backend archive (one PGM file per frame).
+    A ``directory`` backend archive (one Netpbm file per frame).
 ``file:/path/to/archive.ule``
     A ``container`` backend archive (single indexed record file).
 ``mem:name``

@@ -309,7 +309,7 @@ class _VolumeSetSink(ArchiveSink):
     ):
         self._geometry = geometry
         self._subs = subs
-        self._describe = describe
+        self._desc = describe
         self._outer: OuterCode = get_outer_code(geometry.data, geometry.parity)
         self._pending: dict[str, list[tuple[int, bytes]]] = {kind: [] for kind in FRAME_KINDS}
         self._base_stripes = base_stripes
@@ -322,7 +322,7 @@ class _VolumeSetSink(ArchiveSink):
     # -------------------------------------------------------------- #
     def put_bytes(self, name: str, *parts: "bytes | memoryview") -> None:
         if self._closed:
-            raise StoreError(f"{self._describe}: volume-set sink is closed")
+            raise StoreError(f"{self._desc}: volume-set sink is closed")
         frame = _frame_record_of(name)
         if frame is None:
             for sub in self._subs:
@@ -336,6 +336,9 @@ class _VolumeSetSink(ArchiveSink):
         pending.append((index, payload))
         if len(pending) == self._geometry.data * self._geometry.stripe:
             self._flush_stripe(kind)
+
+    def _describe(self) -> str:
+        return self._desc
 
     def _flush_stripe(self, kind: str) -> None:
         pending = self._pending[kind]
@@ -456,6 +459,8 @@ class _VolumeSetSource(ArchiveSource):
         )  # lint: guarded-by(_lock)
         #: stripe index -> event set once its in-flight repair finishes.
         self._repairs: dict[int, threading.Event] = {}  # lint: guarded-by(_lock)
+        #: stripe index -> why it cannot be rebuilt (the first failed repair).
+        self._unrepairable: dict[int, str] = {}  # lint: guarded-by(_lock)
         self._pool = ThreadPoolExecutor(
             max_workers=min(self._geometry.total, _MAX_FETCH_WORKERS),
             thread_name_prefix="repro-volume",
@@ -659,8 +664,10 @@ class _VolumeSetSource(ArchiveSource):
         Single-flight per stripe: a degraded ``get_frames`` fans frames of the
         *same* stripe across the fetch pool, and each one lands here.  Only the
         first caller runs the (expensive) repair; the rest wait on its event and
-        then read the cache.  A waiter that finds the cache still empty (the
-        repair raised) takes over and retries rather than inheriting the error.
+        then read the cache.  A stripe that cannot be rebuilt fails once per
+        source: its :class:`StoreError` is remembered and raised again to every
+        later caller, so a reader that refetches the stripe's lost frames one
+        by one does not re-read and re-hash the stripe for each of them.
         """
         while True:
             with self._lock:
@@ -668,6 +675,9 @@ class _VolumeSetSource(ArchiveSource):
                 if cached is not None:
                     self._reconstructed.move_to_end(stripe_at)
                     return cached
+                failure = self._unrepairable.get(stripe_at)
+                if failure is not None:
+                    raise StoreError(failure)
                 pending = self._repairs.get(stripe_at)
                 if pending is None:
                     pending = self._repairs[stripe_at] = threading.Event()
@@ -675,6 +685,10 @@ class _VolumeSetSource(ArchiveSource):
             pending.wait()
         try:
             return self._repair_stripe(stripe_at)
+        except StoreError as exc:
+            with self._lock:
+                self._unrepairable[stripe_at] = str(exc)
+            raise
         finally:
             with self._lock:
                 del self._repairs[stripe_at]

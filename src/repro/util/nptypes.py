@@ -5,7 +5,7 @@ crosses the boundary but not *what* it holds; these aliases pin the dtype
 contracts the codecs actually rely on:
 
 * every emblem raster is 8-bit grayscale (``uint8``, 0 = ink, 255 = blank) —
-  the PGM writer, the Manchester cell detector and the channel simulations
+  the Netpbm writers, the Manchester cell detector and the channel simulations
   all assume that range without rescaling;
 * Reed-Solomon parity and codeword buffers are GF(2^8) *symbols*, one per
   ``uint8`` — arithmetic on wider dtypes would silently leave the field;

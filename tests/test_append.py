@@ -480,7 +480,7 @@ class TestVerify:
                                                    write_archive):
         """A blanked frame parses fine (shallow passes) but fails the
         per-segment hash re-decode (deep catches it)."""
-        from repro.media.image import pgm_bytes, pgm_from_bytes
+        from repro.media.image import netpbm_from_bytes, pgm_bytes
 
         payload = make_payload(6_000, seed=62)
         target = tmp_path / "arch"
@@ -491,7 +491,7 @@ class TestVerify:
         for index in range(victim.emblem_start,
                            victim.emblem_start + victim.emblem_count):
             frame_path = target / f"data_emblem_{index:04d}.pgm"
-            image = pgm_from_bytes(frame_path.read_bytes())
+            image = netpbm_from_bytes(frame_path.read_bytes())
             frame_path.write_bytes(pgm_bytes(np.full_like(image, 255)))
 
         with open_restore(target) as reader:

@@ -49,9 +49,9 @@ CAPACITY = SPEC.payload_capacity
 
 def _blank_frame(path) -> None:
     """Overwrite a stored frame's raster with white (nothing decodes)."""
-    from repro.media.image import pgm_bytes, pgm_from_bytes
+    from repro.media.image import netpbm_from_bytes, pgm_bytes
 
-    path.write_bytes(pgm_bytes(np.full_like(pgm_from_bytes(path.read_bytes()), 255)))
+    path.write_bytes(pgm_bytes(np.full_like(netpbm_from_bytes(path.read_bytes()), 255)))
 
 
 # --------------------------------------------------------------------------- #

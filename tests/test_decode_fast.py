@@ -13,11 +13,14 @@ against the fallback the fast path itself hands degenerate input to):
 - the vectorised GF(256) matrix product vs its row-at-a-time oracle, and
   volume-style ``reconstruct_group`` erasures over it;
 - ``_band_centers_rows`` vs ``EmblemSampler._band_centers``;
-- ``_otsu_threshold_stack`` vs ``otsu_threshold``;
+- ``_otsu_threshold_stack`` vs ``otsu_threshold``, and the histogram-free
+  threshold of a 0/255 raster vs the histogram path forced;
 - the Bootstrap letter codec vs its per-character loops;
 - the restore pipeline's ``chunk_bounds`` minimum-chunk floor and
   serial/chunked data-first decode equality.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,9 +38,13 @@ from repro.bootstrap.letters import (
     letters_to_bytes,
 )
 from repro.errors import LetterCodecError, MOCoderError
+from repro.media.distortions import add_dust, add_scratches
 from repro.mocoder import EmblemKind, MOCoder
+from repro.mocoder import emblem as emblem_module
 from repro.mocoder.emblem import (
     _band_centers_rows,
+    _binarisation_thresholds,
+    _decode_stack,
     _otsu_threshold_stack,
     build_emblem,
     decode_image_batch,
@@ -287,6 +294,63 @@ class TestSamplerHelpers:
         thresholds = _otsu_threshold_stack(stack)
         for index in range(count):
             assert thresholds[index] == otsu_threshold(stack[index])
+
+
+class TestBilevelThreshold:
+    """A uint8 raster of 0 and 255 pixels, both present, skips the Otsu
+    histogram; its decode must come out exactly as with the histogram."""
+
+    @staticmethod
+    def _outcomes(stack):
+        return [
+            (type(outcome), str(outcome)) if isinstance(outcome, MOCoderError)
+            else (outcome[0].header, outcome[0].payload, outcome[1])
+            for outcome in _decode_stack(SPEC, stack)
+        ]
+
+    def _assert_histogram_agrees(self, images):
+        stack = np.stack(images)
+        pixels = stack.shape[1] * stack.shape[2]
+        two_tone = [
+            np.isin(image, (0, 255)).all() and 0 < np.count_nonzero(image) < pixels
+            for image in images
+        ]
+        thresholds = _binarisation_thresholds(stack)
+        assert [value == 0.5 for value in thresholds[two_tone]] == [True] * sum(two_tone)
+        fast = self._outcomes(stack)
+        with mock.patch.object(emblem_module, "bilevel_tones", lambda image: 0):
+            assert np.array_equal(_binarisation_thresholds(stack), thresholds)
+            forced = self._outcomes(stack)
+        assert fast == forced
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_bilevel_rasters_decode_as_with_the_histogram(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        images = []
+        for index in range(data.draw(st.integers(1, 5))):
+            image = _scan(rng, index)
+            damage = data.draw(st.sampled_from(
+                ["clean", "dust", "scratches", "dust-and-scratches", "white", "black", "gray"]
+            ))
+            if "dust" in damage:
+                image = add_dust(image, int(rng.integers(1, 400)), int(rng.integers(1, 8)), rng)
+            if "scratches" in damage:
+                image = add_scratches(image, int(rng.integers(1, 6)), int(rng.integers(1, 6)), rng)
+            if damage in ("white", "black"):
+                image = np.full_like(image, 255 if damage == "white" else 0)
+            if damage == "gray":
+                image = np.where(image == 0, np.uint8(30), np.uint8(225))
+                image[rng.integers(0, image.shape[0]), :] = int(rng.integers(0, 256))
+            images.append(image)
+        self._assert_histogram_agrees(images)
+
+    def test_a_batch_mixing_bilevel_and_gray_scans(self, rng):
+        bilevel = [_scan(rng, index) for index in range(3)]
+        gray = bilevel[1] // 2 + 100
+        black = np.zeros_like(bilevel[0])
+        dusty = add_dust(bilevel[2], 300, 6, rng)
+        self._assert_histogram_agrees([bilevel[0], gray, black, dusty, bilevel[1]])
 
 
 class TestLetterCodec:

@@ -296,7 +296,7 @@ class TestDecodeModesAgreeUnderDamage:
         archived decoder under DynaRisc return the same bytes and the same
         data report from read() and read_range(); with 4 blanked both fail
         with the same error."""
-        from repro.media.image import pgm_bytes, pgm_from_bytes
+        from repro.media.image import netpbm_from_bytes, pgm_bytes
         from repro.store import frame_record_name
 
         directory = tmp_path / "arch"
@@ -308,7 +308,7 @@ class TestDecodeModesAgreeUnderDamage:
         assert 4 <= data_frames <= GROUP_DATA
         for index in (1, 3, 0, 2)[:blanked]:
             frame_path = directory / frame_record_name("data", index)
-            frame = pgm_from_bytes(frame_path.read_bytes())
+            frame = netpbm_from_bytes(frame_path.read_bytes())
             frame_path.write_bytes(pgm_bytes(np.full_like(frame, 255)))
 
         outcomes = {}

@@ -173,27 +173,58 @@ class TestOtherTargets:
             assert any(error.startswith("data frame 3: ") for error in report.errors)
 
 
-def test_cli_restores_bit_exact_and_verify_names_both_records(directory, payload, tmp_path):
-    (directory / "data_emblem_0003.pgm").unlink()
-    truncated = directory / "data_emblem_0016.pgm"
-    truncated.write_bytes(truncated.read_bytes()[:10])
+def _run_cli(*args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *args],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
 
-    def run(*args: str) -> subprocess.CompletedProcess:
-        return subprocess.run(
-            [sys.executable, "-m", "repro", *args],
-            capture_output=True, text=True, env=env, timeout=300,
-        )
 
+def _lose_records_3_and_16(directory: Path) -> None:
+    """Delete data record 3 and cut data record 16 to 10 bytes."""
+    (directory / "data_emblem_0003.pgm").unlink()
+    truncated = directory / "data_emblem_0016.pgm"
+    truncated.write_bytes(truncated.read_bytes()[:10])
+
+
+def test_cli_restores_bit_exact_and_verify_names_both_records(directory, payload, tmp_path):
+    _lose_records_3_and_16(directory)
     restored = tmp_path / "restored.bin"
-    proc = run("restore", "-i", f"dir:{directory}", "-o", str(restored))
+    proc = _run_cli("restore", "-i", f"dir:{directory}", "-o", str(restored))
     assert proc.returncode == 0, proc.stderr
     assert restored.read_bytes() == payload
-    proc = run("verify", f"dir:{directory}", "--json")
+    proc = _run_cli("verify", f"dir:{directory}", "--json")
     assert proc.returncode != 0
     errors = json.loads(proc.stdout)["errors"]
     assert any("data_emblem_0003.pgm" in error for error in errors)
     assert any("data_emblem_0016.pgm" in error for error in errors)
+
+
+def test_cli_restore_reports_the_frames_it_could_not_read(directory, payload, tmp_path):
+    restored = tmp_path / "restored.bin"
+    clean = _run_cli("restore", "-i", f"dir:{directory}", "-o", str(restored))
+    assert clean.returncode == 0, clean.stderr
+    assert "not read" not in clean.stdout
+
+    _lose_records_3_and_16(directory)
+    proc = _run_cli("restore", "-i", f"dir:{directory}", "-o", str(restored))
+    assert proc.returncode == 0, proc.stderr
+    assert restored.read_bytes() == payload
+    lines = [line for line in proc.stdout.splitlines() if "not read" in line]
+    assert len(lines) == 2, proc.stdout
+    assert "data frame 3 not read: " in lines[0] and "data_emblem_0003.pgm" in lines[0]
+    assert "data frame 16 not read: " in lines[1] and "data_emblem_0016.pgm" in lines[1]
+
+    proc = _run_cli("restore", "-i", f"dir:{directory}", "-o", str(restored), "--json")
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(proc.stdout)
+    assert summary["emblems_failed"] == 2
+    assert summary["failed_frames"]["system"] == []
+    [(lost, lost_reason), (cut, cut_reason)] = summary["failed_frames"]["data"]
+    assert (lost, cut) == (3, 16)
+    assert "data_emblem_0003.pgm" in lost_reason and "data_emblem_0016.pgm" in cut_reason
+    assert summary["groups_reconstructed"] == 2  # frames 3 and 16 sit in two groups

@@ -10,7 +10,6 @@ from repro.media import (
     DNAChannel,
     MicrofilmChannel,
     PaperChannel,
-    pgm_from_bytes,
     read_pgm,
     write_pgm,
 )
@@ -22,7 +21,9 @@ from repro.media.distortions import (
     to_bitonal,
 )
 from repro.media.film import MICROFILM_REEL, ReelModel
+from repro.media.image import netpbm_from_bytes, pbm_bytes
 from repro.media.paper import a4_pixels
+from repro.util.raster import bilevel_tones
 
 
 class TestImageIO:
@@ -50,15 +51,69 @@ class TestImageIO:
         (b"P5\n4 2\n255\n" + b"\x00" * 7, "needs 8"),
         (b"P5\n4 2\n255", "needs 8"),
         (b"P5\n99999999999 99999999999\n255\n\x00", "needs"),
+        (b"P4\nab 2\n" + b"\x00" * 2, "PBM header token"),
+        (b"P4\n-3 2\n" + b"\x00" * 2, "PBM header token"),
+        (b"P4\n4", "PBM header token"),
+        (b"P4\n0 2\n", "is empty"),
+        (b"P4\n4 0\n", "is empty"),
+        (b"P4\n9 2\n" + b"\x00" * 3, "needs 4"),
+        (b"P4\n4 2", "needs 2"),
+        (b"P4\n99999999999 99999999999\n\x00", "needs"),
+        (b"P6\n1 1\n255\n\x00\x00\x00", "not a binary PBM"),
     ], ids=["non-digit", "negative", "signed", "non-ascii-digit", "truncated-header",
             "zero-width", "zero-height", "16-bit", "short-raster", "no-raster",
-            "huge-size"])
+            "huge-size", "pbm-non-digit", "pbm-negative", "pbm-truncated-header",
+            "pbm-zero-width", "pbm-zero-height", "pbm-short-raster", "pbm-no-raster",
+            "pbm-huge-size", "other-magic"])
     def test_hostile_pgm_frames_raise_media_error(self, data, message):
         """A frame record read back from the medium is validated before use:
-        anything but an 8-bit raster of at least 1x1 pixels that is all
-        there raises MediaError naming the record."""
+        anything but an 8-bit PGM or a 1-bit PBM raster of at least 1x1
+        pixels that is all there raises MediaError naming the record."""
         with pytest.raises(MediaError, match=f"frame-7.*{message}"):
-            pgm_from_bytes(data, "frame-7")
+            netpbm_from_bytes(data, "frame-7")
+
+    def test_pbm_roundtrip_packs_rows_msb_first_with_zero_padding(self, rng):
+        for width in [*range(1, 18), 3280]:
+            height = 2 if width > 17 else 5
+            image = rng.integers(0, 2, size=(height, width), dtype=np.uint8) * 255
+            data = pbm_bytes(image)
+            header = f"P4\n{width} {height}\n".encode("ascii")
+            assert data.startswith(header)
+            rows = np.frombuffer(data, np.uint8, offset=len(header)).reshape(height, -1)
+            assert rows.shape[1] == (width + 7) // 8
+            bits = np.unpackbits(rows, axis=1)
+            assert np.array_equal(bits[:, :width], (image == 0).astype(np.uint8))  # 1 = black
+            assert not bits[:, width:].any(), width  # padding bits are zero
+            restored = netpbm_from_bytes(data)
+            assert restored.dtype == np.uint8 and restored.flags.writeable
+            assert np.array_equal(restored, image)
+            padded = rows.copy()
+            padded[:, -1] |= (1 << (-width % 8)) - 1  # set every padding bit
+            assert np.array_equal(netpbm_from_bytes(header + padded.tobytes()), image)
+
+    def test_bilevel_tones_is_exact_for_every_pixel_value(self):
+        for value in range(256):
+            tone = value in (0, 255)
+            assert bilevel_tones(np.array([[value]], np.uint8)) == (1 if tone else 0)
+            both = np.array([[0, value], [255, 0]], np.uint8)
+            assert bilevel_tones(both) == (2 if tone else 0), value
+            assert bilevel_tones(both.T) == bilevel_tones(both)  # a strided view
+        assert bilevel_tones(np.zeros((0, 3), np.uint8)) == 0
+
+    def test_pbm_header_may_carry_comments(self):
+        image = netpbm_from_bytes(b"P4 # made by hand\n3 # width\n2\n\xa0\x40")
+        assert image.tolist() == [[0, 255, 0], [255, 0, 255]]
+
+    @pytest.mark.parametrize("image", [
+        np.array([[0, 255], [254, 0]], dtype=np.uint8),
+        np.array([[0, 1]], dtype=np.uint8),
+        np.array([[0, 255]], dtype=np.int64),
+        np.zeros((2, 2, 2), dtype=np.uint8),
+        np.zeros((0, 4), dtype=np.uint8),
+    ], ids=["gray-254", "gray-1", "int64", "3-d", "empty"])
+    def test_pbm_refuses_anything_but_a_bilevel_uint8_raster(self, image):
+        with pytest.raises(MediaError, match="frame-9"):
+            pbm_bytes(image, "frame-9")
 
 
 class TestDistortions:

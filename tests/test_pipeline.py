@@ -366,3 +366,25 @@ class TestEstimateEmblems:
         payload = compressible_payload(20_000, seed=3)
         archive = build_archive(config, payload)
         assert config.estimate_emblems(len(payload)) >= archive.manifest.data_emblem_count
+
+
+class TestSystemArtifacts:
+    def test_archives_share_read_only_system_frames(self):
+        """The system frames do not depend on the payload: every archive of
+        one medium gets the same rasters, built once, and they are read-only,
+        so writing into one raises instead of corrupting the next archive."""
+        config = ArchiveConfig(media="test", codec="store")
+        archives = []
+        for payload in (b"first archive", b"second archive"):
+            with open_archive(config) as writer:
+                writer.write(payload)
+            archives.append(writer.archive)
+        first, second = (archive.system_emblem_images for archive in archives)
+        assert len(first) == len(second) > 0
+        assert all(mine is theirs for mine, theirs in zip(first, second))
+        with pytest.raises(ValueError, match="read-only"):
+            first[0][0, 0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            first[-1].fill(0)
+        with open_restore(archives[1]) as reader:
+            assert reader.read().payload == b"second archive"

@@ -2,8 +2,9 @@
 
 Every backend is a store of named byte records: a sink writes them
 (``put_bytes``), a source lists and returns them (``names`` /
-``get_bytes``).  A frame is a P5 PGM record: ``ArchiveSink.put_frame``
-writes it and ``ArchiveSource.get_frame`` reads it, and no other code in
+``get_bytes``).  A frame is a 1-bit PBM (P4) record, or on older media an
+8-bit PGM (P5) one: ``ArchiveSink.put_frame`` writes it and
+``ArchiveSource.get_frame`` reads either, and no other code in
 ``repro.store`` serialises or parses one — an AST check below pins that.
 The contract tests run the same script on every backend, the volume set
 included.
@@ -20,7 +21,7 @@ import pytest
 import repro.store
 from repro.core.archive import ArchiveManifest
 from repro.errors import MediaError, StoreError
-from repro.media.image import pgm_bytes
+from repro.media.image import pbm_bytes, pgm_bytes
 from repro.store import MemoryBackend, frame_record_name, open_sink, open_source
 
 STORE_DIR = Path(repro.store.__file__).parent
@@ -30,7 +31,7 @@ FRAMES = 5
 
 def _frames(count: int, seed: int = 21) -> list[np.ndarray]:
     rng = np.random.default_rng(seed)
-    return [rng.integers(0, 256, size=(24, 32), dtype=np.uint8) for _ in range(count)]
+    return [rng.integers(0, 2, size=(24, 32), dtype=np.uint8) * 255 for _ in range(count)]
 
 
 @pytest.fixture(params=["dir", "file", "mem", "vol"])
@@ -58,21 +59,24 @@ def written(target):
     them, a text record, a record that is not UTF-8, and a manifest."""
     uri, label = target
     frames = _frames(FRAMES)
-    manifest = ArchiveManifest(
-        profile_name="test-small",
-        dbcoder_profile="store",
-        archive_bytes=1,
-        archive_crc32=0,
-        data_emblem_count=FRAMES + 1,
-        system_emblem_count=0,
-    )
     with open_sink(uri) as sink:
         sink.put_frames("data", 0, frames)
         sink.put_bytes(frame_record_name("data", FRAMES), b"P5\n32 24\n255\n", b"short")
         sink.put_text("note.txt", "plain text")
         sink.put_bytes("latin.txt", "café".encode("latin-1"))
-        sink.put_manifest(manifest)
+        sink.put_manifest(_manifest(FRAMES + 1))
     return uri, label, frames
+
+
+def _manifest(data_frames: int) -> ArchiveManifest:
+    return ArchiveManifest(
+        profile_name="test-small",
+        dbcoder_profile="store",
+        archive_bytes=1,
+        archive_crc32=0,
+        data_emblem_count=data_frames,
+        system_emblem_count=0,
+    )
 
 
 class TestRecordContract:
@@ -88,11 +92,37 @@ class TestRecordContract:
         assert np.array_equal(last, frames[-1])
 
     def test_a_frame_record_is_the_pgm_of_its_raster(self, written):
+        """The record keeps its ``.pgm`` name; inside it is the P4 PBM."""
         uri, _, frames = written
         with open_source(uri) as source:
             for index, frame in enumerate(frames):
-                assert source.get_bytes(frame_record_name("data", index)) == pgm_bytes(frame)
+                assert source.get_bytes(frame_record_name("data", index)) == pbm_bytes(frame)
             assert source.get_text("note.txt") == "plain text"
+
+    def test_a_p5_frame_record_still_reads(self, target):
+        """Frames of older media are P5 PGM records under the same names."""
+        uri, _ = target
+        frames = _frames(2, seed=4)
+        with open_sink(uri) as sink:
+            for index, frame in enumerate(frames):
+                sink.put_bytes(frame_record_name("data", index), pgm_bytes(frame))
+            sink.put_manifest(_manifest(len(frames)))
+        with open_source(uri) as source:
+            got = source.get_frames("data", 0, len(frames))
+        for want, have in zip(frames, got):
+            assert np.array_equal(want, have) and have.flags.writeable
+
+    def test_a_gray_raster_is_refused_naming_the_target_and_the_record(self, target):
+        uri, label = target
+        gray = np.full((24, 32), 255, dtype=np.uint8)
+        gray[3, 5] = 128
+        name = frame_record_name("data", 2)
+        with open_sink(uri) as sink:
+            sink.put_frame("data", 0, _frames(1)[0])
+            for bad in (gray, gray.astype(np.uint16), np.zeros((2, 3, 4), np.uint8)):
+                with pytest.raises(MediaError) as excinfo:
+                    sink.put_frame("data", 2, bad)
+                assert label in str(excinfo.value) and name in str(excinfo.value)
 
     def test_a_missing_record_raises_store_error(self, written):
         uri, label, _ = written
@@ -163,10 +193,12 @@ def _callers(*names: str) -> set[tuple[str | None, str]]:
 
 class TestOneFrameCodec:
     def test_only_put_frame_serialises_a_frame(self):
-        assert _callers("pgm_parts", "pgm_bytes") == {("ArchiveSink", "put_frame")}
+        assert _callers("pbm_bytes", "pgm_bytes") == {("ArchiveSink", "put_frame")}
 
     def test_only_get_frame_parses_a_frame(self):
-        assert _callers("pgm_from_bytes") == {("ArchiveSource", "get_frame")}
+        assert _callers("netpbm_from_bytes", "pgm_from_bytes") == {
+            ("ArchiveSource", "get_frame")
+        }
 
     def test_no_backend_redefines_the_record_readers_and_writers(self):
         redefined = [

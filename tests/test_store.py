@@ -362,7 +362,7 @@ class TestBufferedContainerSink:
     def _frames(count, seed=5):
         rng = np.random.default_rng(seed)
         return [
-            rng.integers(0, 256, size=(24, 32), dtype=np.uint8) for _ in range(count)
+            rng.integers(0, 2, size=(24, 32), dtype=np.uint8) * 255 for _ in range(count)
         ]
 
     def test_put_frames_bytes_identical_to_per_frame_writes(self, tmp_path):
@@ -517,7 +517,7 @@ class TestPartialRestore:
     def test_corrupt_frame_fails_hash_check_only_when_touched(self, tmp_path, make_payload,
                                                               write_archive):
         """Damage in segment 3 is invisible to a read confined to segment 0."""
-        from repro.media.image import pgm_bytes, pgm_from_bytes
+        from repro.media.image import netpbm_from_bytes, pgm_bytes
 
         payload = make_payload(8_192, seed=15)
         target = tmp_path / "arch"
@@ -528,7 +528,7 @@ class TestPartialRestore:
         # Blank every frame of the last segment on the medium.
         for index in range(victim.emblem_start, victim.emblem_start + victim.emblem_count):
             frame_path = target / f"data_emblem_{index:04d}.pgm"
-            image = pgm_from_bytes(frame_path.read_bytes())
+            image = netpbm_from_bytes(frame_path.read_bytes())
             frame_path.write_bytes(pgm_bytes(np.full_like(image, 255)))
 
         from repro.errors import ReproError
@@ -685,12 +685,12 @@ class TestDataFirstFetch:
         """A blanked data frame in either group decodes the rest of the
         segment: the inner group's parity frames that came along in the data
         fetch, and the last group's parity run in one more fetch."""
-        from repro.media.image import pgm_bytes, pgm_from_bytes
+        from repro.media.image import netpbm_from_bytes, pgm_bytes
 
         directory = tmp_path / "arch"
         payload = self._archive(f"dir:{directory}", make_payload, write_archive)
         frame_path = directory / f"data_emblem_{position:04d}.pgm"
-        image = pgm_from_bytes(frame_path.read_bytes())
+        image = netpbm_from_bytes(frame_path.read_bytes())
         frame_path.write_bytes(pgm_bytes(np.full_like(image, 255)))
         source = RecordingSource(open_source(f"dir:{directory}"))
         with open_restore(source) as reader:

@@ -203,6 +203,39 @@ class TestSingleFlightRepair:
             f"stripes repaired more than once: {sorted(repairs)}"
         )
 
+    def test_a_stripe_that_cannot_be_rebuilt_fails_once_per_source(
+        self, tmp_path, make_payload, monkeypatch
+    ):
+        """A failed repair is remembered: the reader's frame-by-frame refetch
+        of the stripe's lost frames raises the same error without reading
+        and hashing the stripe again, and the outer code still rebuilds the
+        two lost frames of segment 0."""
+        from repro.store import volumes as volumes_mod
+
+        payload = make_payload(5_120, seed=96)
+        uri = vol_uri(tmp_path, 3, k=2, m=1, stripe=4)
+        write_volume_archive(uri, payload, segment_size=2048)
+        # Stripe 0: frames 0-3 on volume 0, frames 4-7 on volume 1.
+        (tmp_path / "vol0" / "data_emblem_0001.pgm").unlink()
+        (tmp_path / "vol1" / "data_emblem_0006.pgm").unlink()
+
+        repairs: list[int] = []
+        original = volumes_mod._VolumeSetSource._repair_stripe
+
+        def counting(self, stripe_at):
+            repairs.append(stripe_at)
+            return original(self, stripe_at)
+
+        monkeypatch.setattr(volumes_mod._VolumeSetSource, "_repair_stripe", counting)
+        with open_restore(uri) as reader:
+            result = reader.read()
+        assert result.payload == payload
+        assert repairs == [0]
+        failed = result.data_report.failed_frames
+        assert [index for index, _ in failed] == [1, 6]
+        assert all("cannot be reconstructed" in reason for _, reason in failed)
+        assert result.data_report.groups_reconstructed == 1
+
 
 # --------------------------------------------------------------------------- #
 # Append sessions stripe new generations consistently
