@@ -260,7 +260,12 @@ class ArchiveManifest:
 
 @dataclass
 class MicrOlonysArchive:
-    """Everything that goes onto the analog medium for one database."""
+    """Everything that goes onto the analog medium for one database.
+
+    An archive built in memory shares its ``system_emblem_images`` with
+    every other archive of the same profile and outer code; those rasters
+    are read-only, so copy one before damaging it.
+    """
 
     manifest: ArchiveManifest
     data_emblem_images: list[np.ndarray]

@@ -9,7 +9,7 @@ distortions the paper discusses (dust, scratches, fading, lens curvature,
 unsteady scanner motion, re-thresholding).
 """
 
-from repro.media.image import pgm_bytes, pgm_from_bytes, read_pgm, write_pgm
+from repro.media.image import pgm_bytes, read_pgm, write_pgm
 from repro.media.distortions import DistortionProfile
 from repro.media.channel import MediaChannel, ScanOutcome
 from repro.media.paper import PaperChannel
@@ -18,7 +18,6 @@ from repro.media.dna import DNAChannel
 
 __all__ = [
     "pgm_bytes",
-    "pgm_from_bytes",
     "read_pgm",
     "write_pgm",
     "DistortionProfile",

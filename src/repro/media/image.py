@@ -40,11 +40,6 @@ def write_pgm(path: str | Path, image: GrayImage) -> None:
         stream.write(pgm_bytes(image))
 
 
-def pgm_from_bytes(data: bytes, name: str = "<bytes>") -> GrayImage:
-    """Parse binary PGM (P5) bytes into a uint8 array."""
-    return _parse_pgm(data, name)
-
-
 def read_pgm(path: str | Path) -> GrayImage:
     """Read a binary PGM (P5) file into a uint8 array."""
     with open(path, "rb") as stream:

@@ -119,9 +119,9 @@ class ArchiveSink:
     and manifests reach it as serialised records.
     """
 
-    def put_bytes(self, name: str, *parts: "bytes | memoryview") -> None:
-        """Persist the record ``name``, whose opaque payload is ``parts``
-        joined; :meth:`ArchiveSource.get_bytes` returns it."""
+    def put_bytes(self, name: str, payload: bytes) -> None:
+        """Persist the record ``name`` with its opaque ``payload``;
+        :meth:`ArchiveSource.get_bytes` returns it."""
         raise NotImplementedError
 
     def put_frame(self, kind: str, index: int, image: np.ndarray) -> None:
@@ -295,10 +295,10 @@ class _DirectorySink(ArchiveSink):
         except OSError as exc:
             raise StoreError(f"{directory}: cannot create directory archive: {exc}") from exc
 
-    def put_bytes(self, name: str, *parts: "bytes | memoryview") -> None:
+    def put_bytes(self, name: str, payload: bytes) -> None:
         try:
             with open(self.directory / name, "wb") as stream:
-                stream.writelines(parts)
+                stream.write(payload)
         except OSError as exc:
             raise StoreError(f"{self.directory}: cannot write {name!r}: {exc}") from exc
 
@@ -570,7 +570,7 @@ class _ContainerSink(ArchiveSink):
     and a new trailer, so the previous generation's (index, trailer) pair
     stays untouched on the medium as the fallback state.
 
-    Records are coalesced in a pending-parts list and written out with one
+    Records are coalesced in a pending list and written out with one
     ``writelines`` call per ~4 MiB (and at close), so the per-record cost is
     list appends, not stream writes.
     """
@@ -579,8 +579,8 @@ class _ContainerSink(ArchiveSink):
         self.path = path
         self._index: dict[str, tuple[int, int]] = {}
         self._closed = False
-        #: Packed-but-unwritten record parts (bytes / memoryview) + their size.
-        self._pending: "list[bytes | memoryview]" = []
+        #: Packed-but-unwritten record headers and payloads + their size.
+        self._pending: list[bytes] = []
         self._pending_bytes = 0
         #: Pre-session file size; abort() truncates back to it (append only).
         self._rollback_size: int | None = None
@@ -616,18 +616,18 @@ class _ContainerSink(ArchiveSink):
             self._pending = []
             self._pending_bytes = 0
 
-    def put_bytes(self, name: str, *parts: "bytes | memoryview") -> None:
-        """Queue one record whose payload is the concatenation of ``parts``."""
+    def put_bytes(self, name: str, payload: bytes) -> None:
+        """Queue one record."""
         if self._closed:
             raise StoreError(f"{self.path}: container sink is closed")
         if name in self._index:
             raise StoreError(f"{self.path}: record {name!r} already written")
         encoded = name.encode("utf-8")
-        payload_len = sum(len(part) for part in parts)
+        payload_len = len(payload)
         self._pending.append(
             _NAME_LEN.pack(len(encoded)) + encoded + _PAYLOAD_LEN.pack(payload_len)
         )
-        self._pending.extend(parts)
+        self._pending.append(payload)
         header = _record_header_size(name)
         self._pending_bytes += header + payload_len
         self._index[name] = (self._offset + header, payload_len)
@@ -855,8 +855,8 @@ class _MemorySink(ArchiveSink):
         self._key = key
         self._records = records
 
-    def put_bytes(self, name: str, *parts: "bytes | memoryview") -> None:
-        self._records[name] = b"".join(parts)
+    def put_bytes(self, name: str, payload: bytes) -> None:
+        self._records[name] = payload
 
     def _describe(self) -> str:
         return f"mem:{self._key}"

@@ -320,16 +320,15 @@ class _VolumeSetSink(ArchiveSink):
         self._closed = False
 
     # -------------------------------------------------------------- #
-    def put_bytes(self, name: str, *parts: "bytes | memoryview") -> None:
+    def put_bytes(self, name: str, payload: bytes) -> None:
         if self._closed:
             raise StoreError(f"{self._desc}: volume-set sink is closed")
         frame = _frame_record_of(name)
         if frame is None:
             for sub in self._subs:
-                sub.put_bytes(name, *parts)
+                sub.put_bytes(name, payload)
             return
         kind, index = frame
-        payload = b"".join(parts)
         pending = self._pending[kind]
         member = len(pending) // self._geometry.stripe
         self._subs[member].put_bytes(name, payload)
@@ -459,7 +458,8 @@ class _VolumeSetSource(ArchiveSource):
         )  # lint: guarded-by(_lock)
         #: stripe index -> event set once its in-flight repair finishes.
         self._repairs: dict[int, threading.Event] = {}  # lint: guarded-by(_lock)
-        #: stripe index -> why it cannot be rebuilt (the first failed repair).
+        #: stripe index -> why its last repair failed; a run fetch
+        #: (``get_frames``) drops the entries of the stripes it covers.
         self._unrepairable: dict[int, str] = {}  # lint: guarded-by(_lock)
         self._pool = ThreadPoolExecutor(
             max_workers=min(self._geometry.total, _MAX_FETCH_WORKERS),
@@ -623,6 +623,14 @@ class _VolumeSetSource(ArchiveSource):
 
     def get_frames(self, kind: str, start: int, count: int) -> list[np.ndarray]:
         self._ensure_map()
+        with self._lock:
+            # Retry the run's stripes whose repair failed before: a member
+            # record may be back, or its read error may have been transient.
+            if self._unrepairable:
+                for index in range(start, start + count):
+                    entry = self._frame_map.get(frame_record_name(kind, index))
+                    if entry is not None:
+                        self._unrepairable.pop(entry[0], None)
         # Shard-parallel fetch: frames on distinct member backends overlap;
         # results come back in frame order, the first error propagating.
         return list(
@@ -665,9 +673,10 @@ class _VolumeSetSource(ArchiveSource):
         *same* stripe across the fetch pool, and each one lands here.  Only the
         first caller runs the (expensive) repair; the rest wait on its event and
         then read the cache.  A stripe that cannot be rebuilt fails once per
-        source: its :class:`StoreError` is remembered and raised again to every
-        later caller, so a reader that refetches the stripe's lost frames one
-        by one does not re-read and re-hash the stripe for each of them.
+        run fetch: its :class:`StoreError` is remembered and raised again to
+        every later caller until the next :meth:`get_frames` covering the
+        stripe, so a reader that refetches the run's lost frames one by one
+        does not re-read and re-hash the stripe for each of them.
         """
         while True:
             with self._lock:

@@ -21,12 +21,16 @@ def bilevel_tones(image: GrayImage) -> int:
     exactly when its int8 maximum is at most 0 and its minimum at least -1:
     two reductions and no temporary.  Measured on a 3,280 x 3,296 microfilm
     frame, they take ~1.2 ms against ~4.9 ms for comparing the pixel sum
-    with 255 times the count of non-zero pixels.
+    with 255 times the count of non-zero pixels.  The maximum goes first: a
+    gray scan's dark pixels lie from 1 to 127, so it stops after one.
     """
     if image.size == 0:
         return 0
     signed = image.view(np.int8)
-    low, high = int(signed.min()), int(signed.max())
-    if low < -1 or high > 0:
+    high = int(signed.max())
+    if high > 0:
+        return 0
+    low = int(signed.min())
+    if low < -1:
         return 0
     return 2 if low < high else 1

@@ -236,6 +236,28 @@ class TestSingleFlightRepair:
         assert all("cannot be reconstructed" in reason for _, reason in failed)
         assert result.data_report.groups_reconstructed == 1
 
+    def test_a_failed_repair_is_retried_by_the_next_read(self, tmp_path, make_payload):
+        """The failure is remembered for one run fetch only: once a lost
+        record is put back, the next read() on the same source rebuilds the
+        stripe and restores with no failed frame."""
+        payload = make_payload(5_120, seed=96)
+        uri = vol_uri(tmp_path, 3, k=2, m=1, stripe=4)
+        write_volume_archive(uri, payload, segment_size=2048)
+        record = tmp_path / "vol0" / "data_emblem_0001.pgm"
+        kept = record.read_bytes()
+        record.unlink()
+        (tmp_path / "vol1" / "data_emblem_0006.pgm").unlink()
+
+        with open_restore(uri) as reader:
+            first = reader.read()
+            record.write_bytes(kept)
+            second = reader.read()
+        assert first.payload == payload
+        assert [index for index, _ in first.data_report.failed_frames] == [1, 6]
+        assert second.payload == payload
+        assert second.data_report.failed_frames == []
+        assert second.data_report.emblems_failed == 0
+
 
 # --------------------------------------------------------------------------- #
 # Append sessions stripe new generations consistently
