@@ -75,7 +75,8 @@ store-smoke:
 	$(PYTHON) -c "want=(b'ULE store smoke payload. '*400)[3000:4000]; \
 	got=open('.store-smoke/slice.bin','rb').read(); assert got==want, 'slice mismatch'"
 
-## CLI smoke test: archive -> inspect -> restore a tiny payload bit-exactly
+## CLI smoke test: archive -> inspect -> restore a tiny payload bit-exactly,
+## then `profiles` lists exactly the three built-in codecs
 ## (single shell + trap so .cli-smoke is cleaned up even on failure)
 cli-smoke:
 	@set -e; rm -rf .cli-smoke; mkdir .cli-smoke; \
@@ -87,7 +88,9 @@ cli-smoke:
 	$(PYTHON) -m repro restore -i .cli-smoke/arch -o .cli-smoke/restored.bin \
 		--via-channel --seed 7; \
 	cmp .cli-smoke/payload.bin .cli-smoke/restored.bin; \
-	$(PYTHON) -m repro profiles --json | $(PYTHON) -c "import json,sys; json.load(sys.stdin)"
+	$(PYTHON) -m repro profiles --json | $(PYTHON) -c "import json,sys; \
+	codecs=sorted(c['name'] for c in json.load(sys.stdin)['codecs']); \
+	assert codecs==['dense','portable','store'], codecs"
 
 ## restore smoke: --via-channel through the streaming channel path on a
 ## thread pool, a full restore streamed segment by segment from the file:

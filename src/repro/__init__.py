@@ -12,8 +12,9 @@ Public API highlights
   (session-based streaming I/O — the one way to archive and the one way to
   restore), :func:`~repro.api.run_end_to_end` (all seven Figure 2a steps
   in one call) and the ``python -m repro`` CLI.
-* :mod:`repro.registry` — named, pluggable registries for codecs, media
-  channels, executors, distortion profiles and storage backends.
+* :mod:`repro.registry` — named registries for codecs (the three DBCoder
+  profiles), media channels, executors, distortion profiles and storage
+  backends.
 * :mod:`repro.store` — the on-media layout layer: versioned self-describing
   manifests (v2), ``directory``/``container``/``memory`` storage backends,
   and the random-access sources behind

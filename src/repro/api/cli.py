@@ -25,11 +25,12 @@ Subcommands
     the payload file, optionally re-running the simulated record/scan cycle
     first (``--via-channel``), or restoring just a byte range
     (``--offset``/``--length`` — only the covering segments are decoded).
-    A full restore reports every frame it could not read — a record that is
-    lost or unparsable, or a frame that failed to decode — one line each,
-    or in ``--json`` as ``emblems_failed`` and ``failed_frames``
-    (``{"data": [[index, reason], ...], "system": [...]}``); the outer code
-    rebuilds such frames as long as a group loses at most three.
+    A restore, full or partial, reports every frame it could not read — a
+    record that is lost or unparsable, or a frame that failed to decode —
+    one line each, or in ``--json`` as ``emblems_failed`` and
+    ``failed_frames`` (``{"data": [[index, reason], ...], "system": [...]}``);
+    the outer code rebuilds such frames as long as a group loses at most
+    three.
 ``verify``
     fsck for archives: walk every manifest generation (lineage, segment
     monotonicity), re-check each segment's CRC-32/SHA-256 content hashes by
@@ -59,6 +60,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from repro import registry
 from repro.api.config import ArchiveConfig
@@ -85,6 +87,21 @@ def _load_config(args: argparse.Namespace) -> ArchiveConfig:
     if getattr(args, "no_outer_code", False):
         overrides["outer_code"] = False
     return config.replace(**overrides) if overrides else config
+
+
+def _failed_frames(
+    streams: dict[str, Iterable[tuple[int, str]]],
+) -> dict[str, list[list[object]]]:
+    """``{stream: [[index, reason], ...]}``: the frames a restore could not
+    read or decode, as ``--json`` reports them."""
+    return {stream: [[index, reason] for index, reason in frames]
+            for stream, frames in streams.items()}
+
+
+def _print_failed_frames(failed_frames: dict[str, list[list[object]]]) -> None:
+    for stream, frames in failed_frames.items():
+        for index, reason in frames:
+            print(f"  {stream} frame {index} not read: {reason}")
 
 
 # --------------------------------------------------------------------------- #
@@ -163,6 +180,7 @@ def _cmd_restore(args: argparse.Namespace) -> int:
             )
             payload = reader.read_range(offset, length)
             output_path.write_bytes(payload)
+            failed_frames = _failed_frames(reader.failed_frames)
             summary = {
                 "output": str(output_path),
                 "offset": offset,
@@ -170,6 +188,8 @@ def _cmd_restore(args: argparse.Namespace) -> int:
                 "segments_decoded": reader.segments_decoded,
                 "frames_decoded": reader.frames_decoded,
                 "segments_total": max(len(reader.manifest.segments), 1),
+                "emblems_failed": sum(len(frames) for frames in failed_frames.values()),
+                "failed_frames": failed_frames,
             }
             if args.json:
                 print(json.dumps(summary, indent=2, sort_keys=True))
@@ -178,18 +198,18 @@ def _cmd_restore(args: argparse.Namespace) -> int:
                       f"{output_path} (decoded {reader.segments_decoded} of "
                       f"{summary['segments_total']} segments, "
                       f"{reader.frames_decoded} frames)")
+                _print_failed_frames(failed_frames)
             return 0
         if args.via_channel:
             result = reader.read_via_channel(seed=args.seed)
         else:
             result = reader.read()
         output_path.write_bytes(result.payload)
-        # Frames that failed to decode or could not be read at all, per stream.
-        failed_frames = {
-            stream: [[index, reason] for index, reason in (report.failed_frames if report else ())]
-            for stream, report in (("data", result.data_report),
-                                   ("system", result.system_report))
-        }
+        system = result.system_report
+        failed_frames = _failed_frames({
+            "data": result.data_report.failed_frames,
+            "system": system.failed_frames if system is not None else [],
+        })
         summary = {
             "output": str(output_path),
             "payload_bytes": len(result.payload),
@@ -210,9 +230,7 @@ def _cmd_restore(args: argparse.Namespace) -> int:
                   f"(bit-exact: {result.bit_exact})")
             for note in result.notes:
                 print(f"  {note}")
-            for stream, frames in failed_frames.items():
-                for index, reason in frames:
-                    print(f"  {stream} frame {index} not read: {reason}")
+            _print_failed_frames(failed_frames)
         return 0
 
 
@@ -427,7 +445,7 @@ def _cmd_profiles(args: argparse.Namespace) -> int:
         ],
         "media_aliases": registry.media.aliases(),
         "codecs": [
-            {"name": name, "description": codec.description, "builtin": codec.is_builtin}
+            {"name": name, "description": codec.profile.description}
             for name, codec in registry.codecs.items()
         ],
         "executors": registry.executors.names(),
@@ -447,8 +465,7 @@ def _cmd_profiles(args: argparse.Namespace) -> int:
     print(f"  aliases: {', '.join(f'{a} -> {t}' for a, t in sorted(aliases.items()))}")
     print("codecs:")
     for entry in listing["codecs"]:
-        kind = "builtin" if entry["builtin"] else "user"
-        print(f"  {entry['name']:<22} [{kind}] {entry['description']}")
+        print(f"  {entry['name']:<22} {entry['description']}")
     print(f"executors: {', '.join(listing['executors'])} "
           f"(suffix ':N' pins the worker count)")
     print(f"distortions: {', '.join(listing['distortions'])}")

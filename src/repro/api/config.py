@@ -18,6 +18,7 @@ from typing import Any
 
 from repro import registry
 from repro.core.profiles import MediaProfile
+from repro.dbcoder.dbcoder import DBCoder
 from repro.dbcoder.formats import HEADER_SIZE as CONTAINER_HEADER_SIZE
 from repro.errors import ConfigError, UnknownNameError
 from repro.media.channel import MediaChannel
@@ -74,8 +75,8 @@ class ArchiveConfig:
         (``"paper"``, ``"microfilm"``, ``"cinema"``, ``"dna"``, ``"test"``,
         or a canonical profile name).  Canonicalised on construction.
     codec:
-        Compression codec name from :data:`repro.registry.codecs`
-        (``"store"`` / ``"portable"`` / ``"dense"`` or a user codec).
+        Compression codec name from :data:`repro.registry.codecs`:
+        ``"store"``, ``"portable"`` or ``"dense"``.
     executor:
         Pipeline executor spec: a registry name optionally suffixed with a
         worker count (``"serial"``, ``"thread:4"``, ``"process"``, ``"auto"``).
@@ -242,7 +243,7 @@ class ArchiveConfig:
         """The resolved media profile (emblem geometry and channel factory)."""
         return registry.get_media(self.media)
 
-    def resolve_codec(self) -> "registry.Codec":
+    def resolve_codec(self) -> DBCoder:
         """The resolved compression codec."""
         return registry.get_codec(self.codec)
 

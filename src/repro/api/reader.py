@@ -303,9 +303,11 @@ class ArchiveReader:
     request — no other data frame is read from the medium, and
     multi-segment requests decode in parallel through the configured
     executor.  :attr:`segments_decoded` / :attr:`frames_decoded` tally the
-    work done across the session's partial reads; ``frames_decoded``
-    counts the frames actually decoded (data frames, plus the parity of a
-    segment that falls short), not the frames the segments hold.
+    work done across the session's partial reads, and
+    :attr:`failed_frames` the frames they could not read or decode;
+    ``frames_decoded`` counts the frames actually decoded (data frames, plus
+    the parity of a segment that falls short), not the frames the segments
+    hold.
     :meth:`verify` alone decodes every frame, parity included, and warns
     on each that fails.
 
@@ -339,6 +341,10 @@ class ArchiveReader:
         self.segments_decoded = 0
         self.frames_decoded = 0
         self.segments_cached = 0
+        #: ``(index, reason)`` of every frame that partial reads could not
+        #: read or decode, per stream: the data frames of the segments they
+        #: decoded, and the system frames the emulated modes decode once.
+        self.failed_frames: dict[str, list[tuple[int, str]]] = {"data": [], "system": []}
         self._profile = config.media_profile()
         self._executor: SegmentExecutor | None = None
 
@@ -429,7 +435,9 @@ class ArchiveReader:
         count = self._system_count
         if not count:
             return None
-        return self._pipeline(self.manifest).decode_system(count, self._system_frames)[0]
+        decoder, report = self._pipeline(self.manifest).decode_system(count, self._system_frames)
+        self.failed_frames["system"].extend(report.failed_frames)
+        return decoder
 
     # ------------------------------------------------------------------ #
     def read(self) -> RestorationResult:
@@ -614,19 +622,9 @@ class ArchiveReader:
         ``decoder_code`` on each container (the reference decoders stand in
         when there is none).  Yields each segment, its verified payload and
         the emulator steps it took."""
-        decoder = None
-        if self.config.decode_mode != "python":
-            from repro import registry  # lazy: registry imports repro.store
-
-            if not registry.get_codec(manifest.dbcoder_profile).is_builtin:
-                raise RestorationError(
-                    f"codec {manifest.dbcoder_profile!r} is user-registered; the "
-                    "archived DynaRisc decoder only handles the PORTABLE profile — "
-                    "restore with decode_mode='python'"
-                )
-            decoder = decoder_code
+        decoder = decoder_code if self.config.decode_mode != "python" else None
         for decoded in self._pipeline(manifest, channel).iter_decode(
-            manifest, records, frames_for, decode_payload=decoder is None
+            records, frames_for, decode_payload=decoder is None
         ):
             if decoder is None:
                 assert decoded.payload is not None  # decode_payload=True
@@ -708,6 +706,7 @@ class ArchiveReader:
                 record = decoded.record
                 self.segments_decoded += 1
                 self.frames_decoded += decoded.report.emblems_seen
+                self.failed_frames["data"].extend(decoded.report.failed_frames)
                 parts_by_position[position] = payload
                 if cache is not None and record.sha256 is not None:
                     cache.put(record.sha256, payload)
@@ -959,7 +958,7 @@ class ArchiveReader:
         for record in active.segments:
             try:
                 for decoded in pipeline.iter_decode(
-                    active, [record],
+                    [record],
                     lambda segment, start, count: audited(
                         "data", segment.emblem_start + start, self._frames(segment, start, count)
                     ),

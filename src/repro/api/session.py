@@ -95,7 +95,6 @@ class ArchiveWriter:
         self,
         config: ArchiveConfig,
         *,
-        payload_kind: str | None = None,
         progress: Callable[[SegmentRecord], None] | None = None,
         on_batch: Callable[[EncodedSegment], None] | None = None,
         collect: bool | None = None,
@@ -103,7 +102,6 @@ class ArchiveWriter:
         append_base: ArchiveManifest | None = None,
     ):
         self.config = config
-        self.payload_kind = payload_kind if payload_kind is not None else config.payload_kind
         self.progress = progress
         self.on_batch = on_batch
         self.target = target
@@ -271,12 +269,12 @@ class ArchiveWriter:
         segments = (base.segments if base else ()) + tuple(self._records)
         manifest = ArchiveManifest(
             profile_name=self._profile.name,
-            dbcoder_profile=self._pipeline.codec.manifest_name,
+            dbcoder_profile=self._pipeline.dbcoder_profile.name,
             archive_bytes=self._length,
             archive_crc32=self._crc,
             data_emblem_count=sum(record.emblem_count for record in segments),
             system_emblem_count=system_count,
-            payload_kind=self.payload_kind,
+            payload_kind=self.config.payload_kind,
             segment_size=self.config.segment_size,
             segments=segments,
             config=self.config.to_dict(),
@@ -382,13 +380,16 @@ def _resolve_append(
     in :func:`open_restore`; either way the resolved config must name the
     same media profile, codec and outer-code choice the archive was written
     with — an appended generation has to decode under the stack the
-    superseded generations already committed to the medium.
+    superseded generations already committed to the medium.  The payload
+    kind is the base manifest's unless ``overrides`` name one.
     """
     from repro import registry  # lazy: registry imports repro.store
 
     with open_source(target) as source:
         base = source.manifest()
     config = _resolve_config(config, overrides, base)
+    if "payload_kind" not in overrides:
+        config = config.replace(payload_kind=base.payload_kind)
     if config.media != registry.media.resolve_name(base.profile_name):
         raise ArchiveError(
             f"cannot append with media {config.media!r} to an archive written "
@@ -410,7 +411,6 @@ def _resolve_append(
 def open_archive(
     config: ArchiveConfig | None = None,
     *,
-    payload_kind: str | None = None,
     progress: Callable[[SegmentRecord], None] | None = None,
     on_batch: Callable[[EncodedSegment], None] | None = None,
     collect: bool | None = None,
@@ -446,7 +446,9 @@ def open_archive(
     :meth:`~ArchiveReader.restore_segment` work transparently across the
     generation boundary.  When no ``config`` is given the target describes
     itself, exactly as in :func:`open_restore`; the media profile, codec and
-    outer-code choice must match the archive being extended.
+    outer-code choice must match the archive being extended, and the
+    payload kind stays the extended archive's unless ``payload_kind=``
+    overrides it.
     """
     if append:
         if target is None:
@@ -455,16 +457,13 @@ def open_archive(
         # one spec.
         spec = parse_target(target)
         config, base = _resolve_append(spec, config, overrides)
-        if payload_kind is None:
-            payload_kind = base.payload_kind
         return ArchiveWriter(
-            config, payload_kind=payload_kind, progress=progress, on_batch=on_batch,
-            collect=collect, target=spec, append_base=base,
+            config, progress=progress, on_batch=on_batch, collect=collect,
+            target=spec, append_base=base,
         )
     config = _resolve_config(config, overrides)
     return ArchiveWriter(
-        config, payload_kind=payload_kind, progress=progress, on_batch=on_batch,
-        collect=collect, target=target,
+        config, progress=progress, on_batch=on_batch, collect=collect, target=target
     )
 
 
@@ -550,7 +549,6 @@ def run_end_to_end(
     config: ArchiveConfig | None = None,
     payload: bytes = b"",
     *,
-    payload_kind: str | None = None,
     progress: Callable[[SegmentRecord], None] | None = None,
     **overrides: object,
 ) -> EndToEndResult:
@@ -566,7 +564,7 @@ def run_end_to_end(
     restored payload.
     """
     config = _resolve_config(config, overrides)
-    with open_archive(config, payload_kind=payload_kind, progress=progress) as writer:
+    with open_archive(config, progress=progress) as writer:
         writer.write(payload)
     archive = writer.archive
 

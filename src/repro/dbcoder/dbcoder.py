@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.errors import DecompressionError
+from repro.errors import ContainerFormatError, DecompressionError
 from repro.dbcoder.arithmetic import arithmetic_decode, arithmetic_encode
 from repro.dbcoder.formats import pack_container, unpack_container
 from repro.dbcoder.lz77 import lzss_compress, lzss_decompress
@@ -34,6 +34,18 @@ class Profile(enum.IntEnum):
     DENSE = 2
     """LZSS followed by adaptive arithmetic coding — the paper's stated
     LZ77 + arithmetic-coding pipeline, used when density matters most."""
+
+    @property
+    def description(self) -> str:
+        """One line on the profile, as ``repro profiles`` lists it."""
+        return _DESCRIPTIONS[self]
+
+
+_DESCRIPTIONS = {
+    Profile.STORE: "no compression (baseline and debugging aid)",
+    Profile.PORTABLE: "byte-aligned LZSS; decodable by the archived DynaRisc decoder",
+    Profile.DENSE: "LZSS + adaptive arithmetic coding (maximum density)",
+}
 
 
 @dataclass(frozen=True)
@@ -102,12 +114,20 @@ class DBCoder:
 
         Raises
         ------
+        ContainerFormatError
+            If the container is malformed or names no DBCoder profile.
         DecompressionError
             If the recovered data does not match the stored length/CRC, i.e.
             the restoration would not be bit-for-bit faithful.
         """
         header, payload = unpack_container(container)
-        profile = Profile(header.profile_id)
+        try:
+            profile = Profile(header.profile_id)
+        except ValueError:
+            raise ContainerFormatError(
+                f"container names unknown DBCoder profile id {header.profile_id} "
+                f"(known ids: {', '.join(str(known.value) for known in Profile)})"
+            ) from None
         data = self.decompress_payload(payload, profile)
         if len(data) != header.original_length:
             raise DecompressionError(

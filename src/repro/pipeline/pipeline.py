@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import hashlib
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
@@ -39,10 +39,10 @@ import numpy as np
 if TYPE_CHECKING:
     from repro.media.channel import MediaChannel
 
-from repro.core.archive import ArchiveManifest, SegmentRecord
+from repro.core.archive import SegmentRecord
 from repro.core.profiles import MediaProfile, TEST_PROFILE
 from repro.bootstrap.document import build_bootstrap
-from repro.dbcoder.dbcoder import Profile
+from repro.dbcoder.dbcoder import DBCoder, Profile
 from repro.dynarisc.programs import get_program
 from repro.errors import RestorationError
 from repro.mocoder.emblem import AbsentFrame, EmblemKind, EmblemSpec, Frame
@@ -85,9 +85,11 @@ class ChannelSpec:
     rasters onto the named medium and *scan* them back (with per-frame
     seeding, see :meth:`repro.media.channel.MediaChannel.scan_frames`) before
     decoding — the channel simulation streams batch by batch through the
-    executor instead of staging a whole-archive record/scan pass.  Everything
-    is named through :mod:`repro.registry` so the spec pickles into
-    process-pool workers.
+    executor instead of staging a whole-archive record/scan pass.  The spec
+    names its medium through :mod:`repro.registry`; the names resolve once,
+    where the spec is made, and the channel built from them pickles with the
+    spec, so process-pool workers look no name up (a medium registered at
+    run time exists only in the process that registered it).
     """
 
     #: Media profile registry name (the channel factory).
@@ -96,11 +98,15 @@ class ChannelSpec:
     distortion: str | None = None
     #: Base scan seed; per-frame streams derive from (seed, lane, frame index).
     seed: int | None = None
+    #: The channel every lane simulates, built from the names on construction.
+    _channel: "MediaChannel" = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_channel", self.build_channel())
 
     def build_channel(self) -> "MediaChannel":
-        """Instantiate the named channel (the single construction point —
-        callers on the consumer thread and in executor workers alike must
-        build channels here so every lane simulates the same medium)."""
+        """A fresh instance of the named channel, with any distortion
+        override applied."""
         from repro import registry  # deferred: registry imports this package
 
         channel = registry.get_media(self.media).channel()
@@ -113,7 +119,7 @@ class ChannelSpec:
     ) -> list[Frame]:
         """Record ``images`` onto the simulated medium and scan them back;
         an :class:`~repro.mocoder.emblem.AbsentFrame` stays absent."""
-        channel = self.build_channel()
+        channel = self._channel
         scans = list(images)
         present = [
             (at, image) for at, image in enumerate(images) if not isinstance(image, AbsentFrame)
@@ -131,9 +137,8 @@ class ChannelSpec:
 @dataclass(frozen=True)
 class _EncodeJob:
     spec: EmblemSpec
-    #: Registry name of the compression codec (see :data:`repro.registry.codecs`);
-    #: a plain string so the job pickles into process-pool workers.
-    codec: str
+    #: The segment's codec; it pickles as its profile into process-pool workers.
+    codec: DBCoder
     outer_code: bool
     kind: int
     index: int
@@ -159,9 +164,7 @@ class _EncodeResult:
 
 def _encode_segment_job(job: _EncodeJob) -> _EncodeResult:
     """Steps 2-3 for one segment: DBCoder container -> emblem rasters."""
-    from repro import registry  # deferred: registry imports this package
-
-    container = registry.get_codec(job.codec).encode(job.data)
+    container = job.codec.encode(job.data)
     mocoder = MOCoder(job.spec, outer_code=job.outer_code)
     stream = mocoder.encode(container, kind=EmblemKind(job.kind))
     return _EncodeResult(
@@ -187,10 +190,9 @@ class _DecodeJob:
     spec: EmblemSpec
     outer_code: bool
     record: SegmentRecord
-    #: Codec registry name from the archive manifest (``"PORTABLE"`` and
-    #: friends resolve case-insensitively to the built-ins); ``None`` stops
-    #: the decode at the DBCoder container.
-    codec: str | None
+    #: The decoder of the segment's DBCoder container, whose header names
+    #: its profile; ``None`` stops the decode at the container.
+    codec: DBCoder | None
     #: The segment's frame layout; ``None`` when every frame is decoded.
     layout: tuple[FrameGroup, ...] | None
     #: How many jobs the segment was split into (1: this job may finish it).
@@ -235,15 +237,13 @@ def _finish_segment(
     record: SegmentRecord,
     emblems: dict[int, Emblem],
     report: DecodeReport,
-    codec: str | None,
+    codec: DBCoder | None,
 ) -> "DecodedSegment":
     """Reassemble a segment's container; with a codec, decode and verify it."""
-    from repro import registry  # deferred: registry imports this package
-
     container, report = mocoder.assemble(emblems, report)
     payload = None
     if codec is not None:
-        payload = registry.get_codec(codec).decode(container)
+        payload = codec.decode(container)
         _verify_segment_payload(record, payload)
     return DecodedSegment(record=record, payload=payload, report=report, container=container)
 
@@ -449,10 +449,8 @@ class ArchivePipeline:
         Media profile selecting the emblem geometry.
     dbcoder_profile:
         Compression codec applied to every segment: a
-        :class:`~repro.dbcoder.Profile`, a registry name (``"portable"``,
-        ``"dense"``, ... — including user codecs registered with
-        :func:`repro.registry.register_codec`), or a
-        :class:`~repro.registry.Codec` instance.
+        :class:`~repro.dbcoder.Profile`, a registry name (``"store"``,
+        ``"portable"``, ``"dense"``), or a :class:`~repro.dbcoder.DBCoder`.
     outer_code:
         Whether each segment's emblem stream gets 17+3 parity groups.
     segment_size:
@@ -467,27 +465,15 @@ class ArchivePipeline:
     def __init__(
         self,
         profile: MediaProfile = TEST_PROFILE,
-        dbcoder_profile: "Profile | str" = Profile.PORTABLE,
+        dbcoder_profile: "Profile | str | DBCoder" = Profile.PORTABLE,
         outer_code: bool = True,
         segment_size: int | None = DEFAULT_SEGMENT_SIZE,
         executor: str | SegmentExecutor = "serial",
     ):
         from repro import registry  # deferred: registry imports this package
-        from repro.errors import RegistryError
 
         self.profile = profile
         self.codec = registry.get_codec(dbcoder_profile)
-        # Jobs ship only the codec *name* (they must pickle into workers), so
-        # the codec has to be resolvable by name wherever jobs run — fail
-        # fast here rather than deep inside an executor.
-        if self.codec.name not in registry.codecs:
-            raise RegistryError(
-                f"codec {self.codec.name!r} is not registered; register it with "
-                "repro.registry.register_codec() (or registry.codecs.register) "
-                "before constructing a pipeline — segment jobs resolve codecs "
-                "by name"
-            )
-        #: The built-in DBCoder profile, or ``None`` for user codecs.
         self.dbcoder_profile = self.codec.profile
         self.outer_code = outer_code
         self.segment_size = segment_size
@@ -512,7 +498,7 @@ class ArchivePipeline:
             for segment in iter_segments(source, self.segment_size):
                 yield _EncodeJob(
                     spec=self.profile.spec,
-                    codec=self.codec.name,
+                    codec=self.codec,
                     outer_code=self.outer_code,
                     kind=int(kind),
                     index=segment.index,
@@ -584,7 +570,6 @@ class RestorePipeline:
 
     def iter_decode(
         self,
-        manifest: ArchiveManifest,
         records: Iterable[SegmentRecord],
         frames_for: "Callable[[SegmentRecord, int, int | None], Sequence[Frame]]",
         decode_payload: bool = True,
@@ -607,14 +592,15 @@ class RestorePipeline:
 
         Each segment is verified against its record's CRC-32 and SHA-256;
         ``decode_payload=False`` stops at the DBCoder container (the
-        emulated modes run the database-layout decoder themselves).
+        emulated modes run the database-layout decoder themselves); else
+        each container decodes by the profile its own header names.
         ``map_ordered`` preserves submission order, so all chunks of one
         segment arrive consecutively and the segment finishes as soon as its
         last chunk lands, while later jobs keep decoding in the executor.
         """
         spec = self.profile.spec
         mocoder = MOCoder(spec, outer_code=self.outer_code)
-        codec = (manifest.dbcoder_profile or "portable") if decode_payload else None
+        codec = DBCoder() if decode_payload else None
         executor = get_executor(self.executor)
         reads: deque[_StreamRead] = deque()
 

@@ -1,22 +1,22 @@
-"""Named, pluggable registries: one string-keyed contract for every substrate.
+"""Named registries: one string-keyed contract for every substrate.
 
 The ULE paper's core argument is a *single self-describing contract* between
 the writer and the future reader; this module is the in-process half of that
-contract.  Every pluggable substrate of the library — compression codecs,
-media channels, pipeline executors and scanner distortion models — is
-resolvable by a short string name, so an :class:`repro.api.ArchiveConfig`
-(and therefore a saved ``config.json``) fully describes a run without any
-Python object wiring.
+contract.  Every substrate of the library — compression codecs, media
+channels, pipeline executors, scanner distortion models and storage
+backends — is resolvable by a short string name, so an
+:class:`repro.api.ArchiveConfig` (and therefore a saved ``config.json``)
+fully describes a run without any Python object wiring.
 
 Five registries ship populated with the built-ins:
 
-* :data:`codecs` — DBCoder compression codecs (``store`` / ``portable`` /
-  ``dense``); user codecs register a byte-level compress/decompress pair via
-  :func:`register_codec`.
+* :data:`codecs` — the three DBCoder profiles (``store`` / ``portable`` /
+  ``dense``), each a :class:`~repro.dbcoder.DBCoder`.  The table is fixed:
+  an archive's decoder is always one this package ships.
 * :data:`media` — :class:`~repro.core.profiles.MediaProfile` entries pairing
   an emblem geometry with its analog channel (paper, microfilm, cinema film,
   synthetic DNA), with short aliases (``paper``, ``microfilm``, ``cinema``,
-  ``dna``, ``test``).
+  ``dna``, ``test``).  ``media.register`` adds a geometry at run time.
 * :data:`executors` — factories for the pipeline's segment executors
   (``serial`` / ``thread`` / ``process`` / ``auto``).
 * :data:`distortions` — named scanner/medium degradation profiles.
@@ -26,27 +26,15 @@ Five registries ship populated with the built-ins:
 
 Lookups are case-insensitive and failures raise
 :class:`~repro.errors.UnknownNameError` with a did-you-mean suggestion.
-
-Plugin discovery: the ``REPRO_PLUGINS`` environment variable names a
-comma-separated list of modules imported when this module loads.  A plugin
-module registers its codecs/media/backends at import time, and because
-*worker processes re-import this module*, plugins named there resolve inside
-``process``-executor workers too — the supported way to run a
-:func:`register_codec` codec under the process pool.  Codecs registered only
-by calling :func:`register_codec` in the parent process remain invisible to
-workers; run those with the ``serial``/``thread`` executors.
 """
 
 from __future__ import annotations
 
 import difflib
-import importlib
 import os
-import warnings
-from dataclasses import dataclass, field
 from typing import Callable, Generic, Iterator, TypeVar
 
-from repro.errors import DecompressionError, RegistryError, UnknownNameError
+from repro.errors import RegistryError, UnknownNameError
 from repro.core.profiles import (
     CINEMA_PROFILE,
     DNA_PROFILE,
@@ -57,7 +45,6 @@ from repro.core.profiles import (
     TEST_PROFILE,
 )
 from repro.dbcoder.dbcoder import DBCoder, Profile
-from repro.dbcoder.formats import pack_container, unpack_container
 from repro.media.distortions import (
     AGED_MICROFILM,
     CINEMA_SCAN,
@@ -78,13 +65,11 @@ from repro.store.backends import (
     StorageBackend,
 )
 from repro.store.volumes import VolumeSetBackend
-from repro.util.crc import crc32_of
 
 ValueT = TypeVar("ValueT")
 
 __all__ = [
     "Registry",
-    "Codec",
     "codecs",
     "media",
     "executors",
@@ -95,10 +80,6 @@ __all__ = [
     "get_executor_factory",
     "get_distortion",
     "get_store",
-    "register_codec",
-    "load_plugins",
-    "CUSTOM_CODEC_PROFILE_ID",
-    "PLUGINS_ENV_VAR",
 ]
 
 
@@ -224,120 +205,23 @@ class Registry(Generic[ValueT]):
 # --------------------------------------------------------------------------- #
 # Codecs
 # --------------------------------------------------------------------------- #
-#: Container profile identifier reserved for user-registered codecs; the
-#: codec is then dispatched by *name* (from the archive manifest), never by
-#: this byte.
-CUSTOM_CODEC_PROFILE_ID = 0xFF
+#: Compression codecs, by name: the three DBCoder profiles and nothing else,
+#: so every archive decodes with a decoder this package ships.  Manifests
+#: record a codec as its profile's name (``"PORTABLE"``), which resolves here
+#: case-insensitively.
+codecs: Registry[DBCoder] = Registry("codec")
+
+for _codec_profile in Profile:
+    codecs.register(_codec_profile.name, DBCoder(_codec_profile))
 
 
-@dataclass(frozen=True)
-class Codec:
-    """A named DBCoder-level compression codec.
-
-    Built-in codecs wrap a :class:`~repro.dbcoder.Profile`; user codecs
-    supply a raw byte-level ``compress``/``decompress`` pair and get the same
-    self-describing container (length + CRC-32 of the original data) wrapped
-    around their stream, so every codec's restore path is integrity-checked.
-    """
-
-    name: str
-    description: str = ""
-    profile: Profile | None = None
-    compress: Callable[[bytes], bytes] | None = field(default=None, repr=False)
-    decompress: Callable[[bytes], bytes] | None = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.profile is None and (self.compress is None or self.decompress is None):
-            raise RegistryError(
-                f"codec {self.name!r} needs either a DBCoder profile or both "
-                "compress and decompress callables"
-            )
-
-    @property
-    def is_builtin(self) -> bool:
-        """True when the codec is one of the DBCoder profiles."""
-        return self.profile is not None
-
-    @property
-    def manifest_name(self) -> str:
-        """The name recorded in archive manifests.
-
-        Built-ins keep the historical ``Profile.name`` spelling
-        (``"PORTABLE"``) so pre-registry manifests and new ones agree.
-        """
-        return self.profile.name if self.profile is not None else self.name
-
-    # ------------------------------------------------------------------ #
-    def encode(self, data: bytes) -> bytes:
-        """Compress ``data`` into a self-describing DBCoder container."""
-        if self.profile is not None:
-            return DBCoder(self.profile).encode(data)
-        return pack_container(CUSTOM_CODEC_PROFILE_ID, data, self.compress(data))
-
-    def decode(self, container: bytes) -> bytes:
-        """Decode a container produced by :meth:`encode`, verifying length/CRC."""
-        if self.profile is not None:
-            return DBCoder().decode(container)
-        header, stream = unpack_container(container)
-        data = self.decompress(stream)
-        if len(data) != header.original_length or crc32_of(data) != header.original_crc32:
-            raise DecompressionError(
-                f"codec {self.name!r}: restored data fails the archived length/CRC check"
-            )
-        return data
-
-
-#: Compression codecs, by name.
-codecs: Registry[Codec] = Registry("codec")
-
-codecs.register(
-    "store",
-    Codec("store", "no compression (baseline and debugging aid)", Profile.STORE),
-)
-codecs.register(
-    "portable",
-    Codec(
-        "portable",
-        "byte-aligned LZSS; decodable by the archived DynaRisc decoder",
-        Profile.PORTABLE,
-    ),
-)
-codecs.register(
-    "dense",
-    Codec(
-        "dense",
-        "LZSS + adaptive arithmetic coding (maximum density)",
-        Profile.DENSE,
-    ),
-)
-
-
-def get_codec(name: "str | Profile | Codec") -> Codec:
+def get_codec(name: "str | Profile | DBCoder") -> DBCoder:
     """Resolve a codec from a registry name, a DBCoder profile, or itself."""
-    if isinstance(name, Codec):
+    if isinstance(name, DBCoder):
         return name
     if isinstance(name, Profile):
         return codecs.get(name.name)
     return codecs.get(name)
-
-
-def register_codec(
-    name: str,
-    compress: Callable[[bytes], bytes],
-    decompress: Callable[[bytes], bytes],
-    description: str = "",
-    *,
-    overwrite: bool = False,
-) -> Codec:
-    """Register a user codec from a byte-level compress/decompress pair.
-
-    The callables must be picklable (module-level functions) to work with
-    the ``process`` executor; see the module docs for the worker-process
-    caveat.
-    """
-    codec = Codec(name=Registry._normalize(name), description=description,
-                  compress=compress, decompress=decompress)
-    return codecs.register(name, codec, overwrite=overwrite)
 
 
 # --------------------------------------------------------------------------- #
@@ -427,42 +311,3 @@ def get_store(name: "str | StorageBackend") -> StorageBackend:
     if isinstance(name, StorageBackend):
         return name
     return stores.get(name)
-
-
-# --------------------------------------------------------------------------- #
-# Plugin discovery
-# --------------------------------------------------------------------------- #
-#: Environment variable naming plugin modules (comma-separated import paths).
-PLUGINS_ENV_VAR = "REPRO_PLUGINS"
-
-
-def load_plugins(spec: str | None = None) -> list[str]:
-    """Import every plugin module named in ``spec`` (or ``$REPRO_PLUGINS``).
-
-    Each module is imported once (normal ``sys.modules`` semantics) and is
-    expected to register its codecs/media/executors/backends at import time.
-    Because worker processes re-import :mod:`repro.registry`, plugins listed
-    in the environment variable are resolvable inside ``process``-executor
-    workers as well.  A module that fails to import is skipped with a
-    :class:`RuntimeWarning` — a broken plugin must not take the whole
-    library down.  Returns the names that imported successfully.
-    """
-    if spec is None:
-        spec = os.environ.get(PLUGINS_ENV_VAR, "")
-    loaded: list[str] = []
-    for name in (part.strip() for part in spec.split(",")):
-        if not name:
-            continue
-        try:
-            importlib.import_module(name)
-            loaded.append(name)
-        except Exception as exc:  # noqa: BLE001 — any plugin failure is non-fatal
-            warnings.warn(
-                f"{PLUGINS_ENV_VAR} module {name!r} failed to import: {exc}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    return loaded
-
-
-load_plugins()

@@ -7,6 +7,7 @@ channels and codecs selected purely by name, that sessions join their
 worker threads, and a ``python -m repro`` CLI smoke test via subprocess.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -24,14 +25,17 @@ from repro import (
     registry,
     run_end_to_end,
 )
+from repro.dbcoder import DBCoder, Profile, pack_container
 from repro.errors import (
     ArchiveError,
     ConfigError,
+    ContainerFormatError,
     RegistryError,
     ReproError,
     RestorationError,
     UnknownNameError,
 )
+from repro.mocoder import MOCoder
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -160,30 +164,56 @@ class TestRegistry:
         with pytest.raises(UnknownNameError):
             reg.unregister("ghost")
 
-    def test_custom_codec_roundtrips_through_the_facade(self):
-        name = "xor-55-test"
-        if name in registry.codecs:
-            registry.codecs.unregister(name)
-        registry.register_codec(name, _xor55, _xor55, "XOR with 0x55 (test codec)")
-        try:
-            payload = b"custom codec payload " * 64
-            result = run_end_to_end(
-                ArchiveConfig(media="test", codec=name, scan_seed=5), payload
-            )
-            assert result.payload == payload
-            assert result.archive.manifest.dbcoder_profile == name
-            # The archived DynaRisc decoder only knows the built-in profiles,
-            # for full and partial reads alike.
-            with open_restore(result.archive, decode_mode="dynarisc") as reader:
-                for read in (reader.read, lambda: reader.read_range(0, 10)):
-                    with pytest.raises(RestorationError, match="user-registered"):
-                        read()
-        finally:
-            registry.codecs.unregister(name)
+    def test_codecs_are_the_three_dbcoder_profiles(self):
+        assert registry.codecs.names() == ["dense", "portable", "store"]
+        for profile in Profile:
+            # Manifests record the profile's name ("PORTABLE").
+            codec = registry.get_codec(profile.name)
+            assert isinstance(codec, DBCoder) and codec.profile is profile
+            assert registry.get_codec(profile) is codec
+            assert registry.get_codec(codec) is codec
+        for retired in ("Codec", "register_codec", "load_plugins", "PLUGINS_ENV_VAR",
+                        "CUSTOM_CODEC_PROFILE_ID"):
+            assert not hasattr(registry, retired)
 
 
-def _xor55(data: bytes) -> bytes:
-    return bytes(byte ^ 0x55 for byte in data)
+class TestUserCodecArchives:
+    """A codec registered at run time used to write containers with profile
+    id 255 under its own name.  No decoder for them ships, so restoring such
+    an archive fails with a typed error."""
+
+    @pytest.fixture
+    def user_codec_archive(self):
+        payload = b"user codec payload " * 40
+        with open_archive(ArchiveConfig(media="test", codec="store")) as writer:
+            writer.write(payload)
+        archive = writer.archive
+        container = pack_container(255, payload, bytes(byte ^ 0x55 for byte in payload))
+        frames = MOCoder(registry.get_media("test").spec).encode_to_images(container)
+        assert len(frames) == len(archive.data_emblem_images)
+        manifest = dataclasses.replace(
+            archive.manifest, dbcoder_profile="xor55",
+            config={**archive.manifest.config, "codec": "xor55"},
+        )
+        return dataclasses.replace(archive, manifest=manifest, data_emblem_images=frames)
+
+    def test_a_self_described_restore_names_the_unknown_codec(self, user_codec_archive):
+        with pytest.raises(
+            ConfigError, match=r"unknown codec 'xor55' \(valid names: dense, portable, store\)"
+        ):
+            open_restore(user_codec_archive)
+
+    def test_an_explicit_config_restore_names_the_container_profile(self, user_codec_archive):
+        scans = user_codec_archive.data_emblem_images
+        with open_restore(user_codec_archive, ArchiveConfig(media="test")) as reader:
+            for read in (reader.read, lambda: reader.read_from_scans(scans)):
+                with pytest.raises(ContainerFormatError, match="profile id 255"):
+                    read()
+        with open_restore(
+            user_codec_archive, ArchiveConfig(media="test", decode_mode="dynarisc")
+        ) as reader:
+            with pytest.raises(RestorationError, match="profile id 255"):
+                reader.read()
 
 
 # --------------------------------------------------------------------------- #

@@ -215,6 +215,49 @@ class TestManifestLineage:
             assert manifest.generation == 1 and manifest.parent is not None
             assert reader.read().payload == payload
 
+    def test_manifest_and_config_give_one_payload_kind(self, tmp_path, make_payload):
+        """``payload_kind=`` is an ordinary config override: the manifest's
+        kind is the embedded config's, and an append keeps it unless it
+        overrides it."""
+        target = f"dir:{tmp_path / 'arch'}"
+        payload = make_payload(3_000, seed=53)
+
+        def kinds():
+            with open_source(target) as source:
+                manifest = source.manifest()
+            with open_restore(target) as reader:
+                session_kind = reader.config.payload_kind
+            return manifest.payload_kind, manifest.config["payload_kind"], session_kind
+
+        with open_archive(payload_kind="sql", target=target) as writer:
+            writer.write(payload[:1_000])
+        assert kinds() == ("sql", "sql", "sql")
+        with open_archive(target=target, append=True) as writer:
+            writer.write(payload[1_000:2_000])
+        assert kinds() == ("sql", "sql", "sql")
+        with open_archive(target=target, append=True, payload_kind="binary") as writer:
+            writer.write(payload[2_000:])
+        assert kinds() == ("binary", "binary", "binary")
+
+    def test_append_keeps_the_manifest_kind_of_a_disagreeing_archive(
+        self, tmp_path, make_payload, write_archive
+    ):
+        """Archives written with ``open_archive``'s former ``payload_kind``
+        parameter hold the kind in the manifest alone; appends keep it."""
+        directory = tmp_path / "arch"
+        payload = make_payload(3_000, seed=54)
+        write_archive(f"dir:{directory}", payload[:2_000])
+        fields = json.loads((directory / "manifest.json").read_text())
+        assert fields["config"]["payload_kind"] == "binary"
+        fields["payload_kind"] = "sql"
+        (directory / "manifest.json").write_text(json.dumps(fields))
+
+        write_archive(f"dir:{directory}", payload[2_000:], append=True)
+        with open_source(f"dir:{directory}") as source:
+            manifest = source.manifest()
+        assert manifest.generation == 1
+        assert manifest.payload_kind == manifest.config["payload_kind"] == "sql"
+
     #: The config an archive written with ``write_archive``'s defaults
     #: embedded before the target URI became the only place a backend or a
     #: volume geometry is chosen, and before restore chunking followed the

@@ -217,6 +217,13 @@ class TestContainer:
         with pytest.raises(ContainerFormatError):
             unpack_container(container[:-2])
 
+    @pytest.mark.parametrize("profile_id", [3, 255])
+    def test_unknown_profile_id_is_a_container_format_error(self, profile_id):
+        """Any profile byte but 0-2 (255 is what user codecs once wrote)."""
+        container = pack_container(profile_id, b"abc", b"abc")
+        with pytest.raises(ContainerFormatError, match=f"profile id {profile_id} "):
+            DBCoder().decode(container)
+
 
 class TestDBCoderProfiles:
     @pytest.mark.parametrize("profile", list(Profile))

@@ -54,7 +54,7 @@ from repro.mocoder.interleave import deinterleave_blocks_batch
 from repro.mocoder.mocoder import DecodeReport
 from repro.mocoder.outer_code import OuterCode, _gf_matrix_multiply
 from repro.mocoder.reed_solomon import get_code
-from repro.core.archive import ArchiveManifest, SegmentRecord
+from repro.core.archive import SegmentRecord
 from repro.core.profiles import get_profile
 from repro.pipeline import RestorePipeline, pipeline as pipeline_module
 from repro.pipeline.pipeline import MIN_DECODE_CHUNK, chunk_bounds
@@ -416,9 +416,6 @@ class TestChunkFloor:
         assert len(chunk_bounds(5, 2, min_chunk=1)) == 2
         crc = crc32_of(payload)
         record = SegmentRecord(0, 0, len(payload), crc, 0, len(images), len(payload))
-        manifest = ArchiveManifest(
-            "test-small", "STORE", len(payload), crc, len(images), 0, segments=(record,)
-        )
         fetches = []
 
         def frames_for(_record, start, count):
@@ -426,7 +423,7 @@ class TestChunkFloor:
             return images[start:] if count is None else images[start:start + count]
 
         pipeline = RestorePipeline(get_profile("test"), executor="thread:2")
-        [decoded] = pipeline.iter_decode(manifest, [record], frames_for, decode_payload=False)
+        [decoded] = pipeline.iter_decode([record], frames_for, decode_payload=False)
         assert fetches == [(0, 5)]
         assert decoded.payload is None
         assert decoded.container == serial_payload

@@ -7,9 +7,15 @@ inside a function body run on first call, not at import time, and stay
 allowed in any direction; the library uses them on purpose where a lower
 layer names a higher one at run time:
 
-* ``core``, ``pipeline`` and ``store`` reach :mod:`repro.registry` by name
+* ``core``, ``pipeline`` and ``store`` reach :mod:`repro.registry`
   (``from repro import registry`` inside the function that resolves a
-  codec, media profile or backend);
+  name): ``core.profiles.get_profile`` and ``store`` resolve media and
+  backends, and ``pipeline`` resolves an executor (``get_executor``), an
+  archive's codec (``ArchivePipeline.__init__``) and a channel's media and
+  distortion (``ChannelSpec.build_channel``, when a spec is made), all on
+  the calling thread.  Segment jobs carry their codec and channel, so no
+  executor worker looks a name up, and none of
+  :data:`SEGMENT_JOB_FUNCTIONS` imports the registry;
 * ``api`` reaches :mod:`repro.server` in the CLI's ``serve`` command, so
   plain CLI runs never load the service stack.
 
@@ -120,6 +126,31 @@ def test_module_level_imports_point_down_the_layers(layer):
                 f"{path.relative_to(SRC)} imports {module} at module level, but "
                 f"{target!r} sits above {layer!r} in the layering"
             )
+
+
+#: The functions the pipeline runs inside executor workers, per segment.
+SEGMENT_JOB_FUNCTIONS = ("_encode_segment_job", "_decode_job", "_finish_segment")
+
+
+def test_segment_jobs_import_no_registry():
+    """A worker decodes with the codec its job carries; it never looks a
+    name up in :mod:`repro.registry`, whatever the start method."""
+    tree = ast.parse((PACKAGE / "pipeline" / "pipeline.py").read_text())
+    functions = {
+        node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+    }
+    for name in SEGMENT_JOB_FUNCTIONS:
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.ImportFrom):
+                imported = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            else:
+                continue
+            for module in imported:
+                assert not module.startswith("repro.registry"), (
+                    f"{name} imports {module} at line {node.lineno}"
+                )
 
 
 def test_src_holds_no_oracles():

@@ -228,3 +228,50 @@ def test_cli_restore_reports_the_frames_it_could_not_read(directory, payload, tm
     assert (lost, cut) == (3, 16)
     assert "data_emblem_0003.pgm" in lost_reason and "data_emblem_0016.pgm" in cut_reason
     assert summary["groups_reconstructed"] == 2  # frames 3 and 16 sit in two groups
+
+
+def test_cli_partial_restore_reports_the_frames_it_could_not_read(directory, payload, tmp_path):
+    """``--offset``/``--length`` reports the frames of the segments it decoded."""
+    (directory / "data_emblem_0003.pgm").unlink()
+    restored = tmp_path / "slice.bin"
+    partial = ("restore", "-i", f"dir:{directory}", "-o", str(restored))
+    proc = _run_cli(*partial, "--offset", "0", "--length", "1000")
+    assert proc.returncode == 0, proc.stderr
+    assert restored.read_bytes() == payload[:1000]
+    lines = [line for line in proc.stdout.splitlines() if "not read" in line]
+    assert len(lines) == 1, proc.stdout
+    assert "data frame 3 not read: " in lines[0] and "data_emblem_0003.pgm" in lines[0]
+
+    proc = _run_cli(*partial, "--offset", "0", "--length", "1000", "--json")
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(proc.stdout)
+    assert summary["emblems_failed"] == 1 and summary["segments_decoded"] == 1
+    [(index, reason)] = summary["failed_frames"]["data"]
+    assert index == 3 and "data_emblem_0003.pgm" in reason
+    assert summary["failed_frames"]["system"] == []
+
+    # A slice of segment 2 decodes none of segment 0's frames.
+    proc = _run_cli(*partial, "--offset", "4500", "--length", "500", "--json")
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(proc.stdout)
+    assert summary["emblems_failed"] == 0
+    assert summary["failed_frames"] == {"data": [], "system": []}
+
+
+def test_cli_emulated_partial_restore_reports_a_lost_system_record(
+    tmp_path, payload, write_archive
+):
+    """The emulated modes decode the system stream once for partial reads."""
+    target = tmp_path / "portable"
+    write_archive(f"dir:{target}", payload)
+    (target / "system_emblem_0000.pgm").unlink()
+    restored = tmp_path / "slice.bin"
+    proc = _run_cli("restore", "-i", f"dir:{target}", "-o", str(restored),
+                    "--offset", "100", "--length", "2000", "--decode-mode", "dynarisc",
+                    "--json")
+    assert proc.returncode == 0, proc.stderr
+    assert restored.read_bytes() == payload[100:2100]
+    summary = json.loads(proc.stdout)
+    assert summary["emblems_failed"] == 1 and summary["failed_frames"]["data"] == []
+    [(index, reason)] = summary["failed_frames"]["system"]
+    assert index == 0 and "system_emblem_0000.pgm" in reason

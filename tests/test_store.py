@@ -5,7 +5,8 @@ backends (directory / container / memory) round-tripping archives from the
 persisted bytes alone, random-access ``read_range`` / ``restore_segment``
 equalling the corresponding slice of a full restore across media and codecs
 while decoding strictly fewer frames, container damage tolerance (index-less
-linear scan), and worker-side plugin discovery via ``REPRO_PLUGINS``.
+linear scan), and process-pool archive and restore under the ``spawn`` and
+``forkserver`` start methods.
 
 Archive-building goes through the shared ``make_payload`` / ``write_archive``
 factory fixtures in ``conftest.py``; the incremental-append and verify/fsck
@@ -741,57 +742,59 @@ class TestManifestTiling:
 
 
 # --------------------------------------------------------------------------- #
-# Worker-side plugin discovery (REPRO_PLUGINS)
+# Process executors under every multiprocessing start method
 # --------------------------------------------------------------------------- #
-class TestPluginDiscovery:
-    def test_load_plugins_warns_on_broken_module(self):
-        with pytest.warns(RuntimeWarning, match="failed to import"):
-            assert registry.load_plugins("no_such_module_xyzzy") == []
+class TestStartMethods:
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_process_pool_archives_and_restores(self, method, tmp_path):
+        """Segment jobs carry all their workers need, codec and channel
+        included.
 
-    def test_custom_codec_resolves_inside_process_workers(self, tmp_path):
-        """A REPRO_PLUGINS codec encodes under a spawn-based process pool.
-
-        ``spawn`` start method forces workers to re-import everything, so
-        this fails without worker-side plugin discovery (under ``fork`` the
-        parent's registry would leak into workers and hide the bug).
+        Under ``spawn`` and ``forkserver`` (Linux's default from Python 3.14)
+        a worker inherits nothing from the parent, not even a medium the
+        parent registered at run time, so a ``process:2`` archive and its
+        ``process:2`` restores (full, partial and through the channel) run
+        on what the jobs pickle alone.  Each start method gets a fresh
+        interpreter.
         """
-        (tmp_path / "repro_plug_test.py").write_text(textwrap.dedent("""
-            from repro import registry
-
-            def _flip(data: bytes) -> bytes:
-                return bytes(byte ^ 0xA5 for byte in data)
-
-            registry.register_codec("plug-flip", _flip, _flip, "plugin test codec",
-                                    overwrite=True)
-        """))
         script = tmp_path / "driver.py"
-        script.write_text(textwrap.dedent("""
+        script.write_text(textwrap.dedent(f"""
+            import dataclasses
             import multiprocessing
-            from repro import ArchiveConfig, open_archive, open_restore
+            import sys
+
+            from repro import ArchiveConfig, open_archive, open_restore, registry
+            from repro.core.profiles import TEST_PROFILE
 
             if __name__ == "__main__":
-                multiprocessing.set_start_method("spawn", force=True)
-                payload = b"plugin payload " * 400
-                config = ArchiveConfig(media="test", codec="plug-flip",
-                                       segment_size=1024, executor="process:2")
-                with open_archive(config, target="mem:plug") as writer:
+                multiprocessing.set_start_method({method!r}, force=True)
+                registry.media.register(
+                    "run-time-medium", dataclasses.replace(TEST_PROFILE, name="run-time-medium")
+                )
+                payload = b"start method payload " * 400 + bytes(range(256)) * 8
+                target = "dir:" + sys.argv[1]
+                config = ArchiveConfig(media="run-time-medium", codec="portable",
+                                       segment_size=2048, executor="process:2")
+                with open_archive(config, target=target) as writer:
                     writer.write(payload)
-                restored = open_restore("mem:plug", executor="serial").read().payload
-                assert restored == payload, "plugin codec round trip failed"
-                print("PLUGIN-OK")
+                assert len(writer.archive.manifest.segments) == 6
+                with open_restore(target, executor="process:2") as reader:
+                    assert reader.read().payload == payload, "read() differs"
+                    assert reader.read_range(1500, 3000) == payload[1500:4500]
+                    assert reader.segments_decoded == 3
+                    assert reader.read_via_channel(seed=3).payload == payload
+                print("START-METHOD-OK", multiprocessing.get_start_method())
         """))
         env = dict(os.environ)
-        env["REPRO_PLUGINS"] = "repro_plug_test"
         env["PYTHONPATH"] = os.pathsep.join(
-            [str(REPO_ROOT / "src"), str(tmp_path)]
-            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+            [str(REPO_ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
         )
         proc = subprocess.run(
-            [sys.executable, str(script)], capture_output=True, text=True,
-            env=env, timeout=600,
+            [sys.executable, str(script), str(tmp_path / "archive")],
+            capture_output=True, text=True, env=env, timeout=600,
         )
         assert proc.returncode == 0, proc.stderr
-        assert "PLUGIN-OK" in proc.stdout
+        assert f"START-METHOD-OK {method}" in proc.stdout
 
 
 # --------------------------------------------------------------------------- #
