@@ -76,7 +76,9 @@ store-smoke:
 	got=open('.store-smoke/slice.bin','rb').read(); assert got==want, 'slice mismatch'"
 
 ## CLI smoke test: archive -> inspect -> restore a tiny payload bit-exactly,
-## then `profiles` lists exactly the three built-in codecs
+## then `profiles --json` lists exactly the shipped names, in order: six
+## media and their six aliases, three codecs, four executors, four
+## distortions and four stores
 ## (single shell + trap so .cli-smoke is cleaned up even on failure)
 cli-smoke:
 	@set -e; rm -rf .cli-smoke; mkdir .cli-smoke; \
@@ -89,8 +91,19 @@ cli-smoke:
 		--via-channel --seed 7; \
 	cmp .cli-smoke/payload.bin .cli-smoke/restored.bin; \
 	$(PYTHON) -m repro profiles --json | $(PYTHON) -c "import json,sys; \
-	codecs=sorted(c['name'] for c in json.load(sys.stdin)['codecs']); \
-	assert codecs==['dense','portable','store'], codecs"
+	listing=json.load(sys.stdin); \
+	names={key: value if key=='media_aliases' else \
+	[item if isinstance(item,str) else item['name'] for item in value] \
+	for key, value in listing.items()}; \
+	media=['cinema-35mm-2k','dna-oligo','microfilm-16mm','microfilm-16mm-dense', \
+	'paper-a4-600dpi','test-small']; \
+	aliases=['cinema','dna','microfilm','microfilm-dense','paper','test']; \
+	expected={'media': media, 'media_aliases': dict(zip(aliases, media)), \
+	'codecs': ['dense','portable','store'], \
+	'executors': ['auto','process','serial','thread'], \
+	'distortions': ['aged-microfilm','cinema-scan','office-scan','pristine'], \
+	'stores': ['container','directory','memory','volumes']}; \
+	assert names==expected, names"
 
 ## restore smoke: --via-channel through the streaming channel path on a
 ## thread pool, a full restore streamed segment by segment from the file:

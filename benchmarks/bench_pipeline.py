@@ -39,9 +39,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import registry
 from repro.api import ArchiveConfig, open_archive, open_restore
-from repro.core.profiles import MediaProfile
+from repro.core.profiles import PROFILES, MediaProfile, register_profile
 from repro.media.distortions import OFFICE_SCAN
 from repro.media.paper import PaperChannel
 from repro.mocoder.emblem import EmblemSpec
@@ -60,9 +59,9 @@ BENCH_PROFILE = MediaProfile(
     channel_factory=lambda: PaperChannel(dpi=300, distortion=OFFICE_SCAN.scaled(0.25)),
 )
 
-# Plug the bench profile into the media registry so configs select it by name.
-if BENCH_PROFILE.name not in registry.media:
-    registry.media.register(BENCH_PROFILE.name, BENCH_PROFILE)
+# Add the bench profile to the media table so configs select it by name.
+if BENCH_PROFILE.name not in PROFILES:
+    register_profile(BENCH_PROFILE)
 
 
 def _make_payload(size: int, seed: int = 20210101) -> bytes:

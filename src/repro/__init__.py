@@ -12,9 +12,13 @@ Public API highlights
   (session-based streaming I/O — the one way to archive and the one way to
   restore), :func:`~repro.api.run_end_to_end` (all seven Figure 2a steps
   in one call) and the ``python -m repro`` CLI.
-* :mod:`repro.registry` — named registries for codecs (the three DBCoder
-  profiles), media channels, executors, distortion profiles and storage
-  backends.
+* every name a config accepts resolves through the table beside what it
+  names: :data:`repro.core.PROFILES` (media, with short aliases; extended by
+  :func:`repro.core.register_profile`), the :class:`repro.dbcoder.Profile`
+  names (codecs), :data:`repro.pipeline.executors.EXECUTORS`,
+  :data:`repro.media.distortions.DISTORTIONS` and
+  :data:`repro.store.BACKENDS`, each lookup case-insensitive with a
+  did-you-mean :class:`~repro.errors.UnknownNameError`.
 * :mod:`repro.store` — the on-media layout layer: versioned self-describing
   manifests (v2), ``directory``/``container``/``memory`` storage backends,
   and the random-access sources behind
@@ -58,7 +62,6 @@ _EXPORTS: dict[str, str] = {
     "open_restore": "repro.api",
     "run_end_to_end": "repro.api",
     # whole submodules
-    "registry": "repro",
     "store": "repro",
     "devtools": "repro",
     "server": "repro",
@@ -124,7 +127,7 @@ def __dir__() -> list[str]:
 
 
 if TYPE_CHECKING:  # static importers see the eager imports
-    from repro import registry, server, store  # noqa: F401
+    from repro import server, store  # noqa: F401
     from repro.api import (  # noqa: F401
         ArchiveConfig,
         ArchiveReader,

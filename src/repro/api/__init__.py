@@ -4,7 +4,7 @@ This package is the canonical way in and out of the system:
 
 * :class:`ArchiveConfig` — one JSON-round-trippable dataclass naming every
   pluggable choice (media channel, codec, executor, distortion, segment
-  size, decode mode) through :mod:`repro.registry`;
+  size, decode mode) by a name its own module's table resolves;
 * :func:`open_archive` / :func:`open_restore` — session-based streaming I/O
   over the pipeline (context managers, chunked ``write``, progress
   callbacks), persisting to / reading from the :mod:`repro.store` backend a

@@ -50,8 +50,9 @@ Subcommands
     appends, ranged reads through a shared decoded-segment cache, verify
     and inspect endpoints (see :mod:`repro.server`).
 ``profiles``
-    List every registered media channel, codec, executor, distortion
-    profile and storage backend (``--json`` for machine-readable output).
+    List every name a config or target accepts: media channels and their
+    aliases, codecs, executors, distortion profiles and storage backends
+    (``--json`` for machine-readable output).
 """
 
 from __future__ import annotations
@@ -62,11 +63,14 @@ import sys
 from pathlib import Path
 from typing import Iterable
 
-from repro import registry
 from repro.api.config import ArchiveConfig
 from repro.api.session import open_archive, open_restore
+from repro.core.profiles import MEDIA_ALIASES, PROFILES
+from repro.dbcoder.dbcoder import Profile
 from repro.errors import ReproError, StoreError
-from repro.store import open_source, parse_target, repair_container, scan_container
+from repro.media.distortions import DISTORTIONS
+from repro.pipeline.executors import EXECUTORS
+from repro.store import BACKENDS, open_source, parse_target, repair_container, scan_container
 
 #: Chunk size used when streaming the input file into the writer.
 _READ_CHUNK = 1 << 20
@@ -441,18 +445,18 @@ def _cmd_profiles(args: argparse.Namespace) -> int:
                 "description": profile.description,
                 "emblem_payload_bytes": profile.spec.payload_capacity,
             }
-            for name, profile in registry.media.items()
+            for name, profile in sorted(PROFILES.items())
         ],
-        "media_aliases": registry.media.aliases(),
+        "media_aliases": dict(MEDIA_ALIASES),
         "codecs": [
-            {"name": name, "description": codec.profile.description}
-            for name, codec in registry.codecs.items()
+            {"name": profile.name.lower(), "description": profile.description}
+            for profile in sorted(Profile, key=lambda profile: profile.name)
         ],
-        "executors": registry.executors.names(),
-        "distortions": registry.distortions.names(),
+        "executors": sorted(EXECUTORS),
+        "distortions": sorted(DISTORTIONS),
         "stores": [
             {"name": name, "description": backend.description}
-            for name, backend in registry.stores.items()
+            for name, backend in sorted(BACKENDS.items())
         ],
     }
     if args.json:

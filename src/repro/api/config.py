@@ -2,11 +2,18 @@
 
 An :class:`ArchiveConfig` names every pluggable choice of the seven-step
 flow — media channel, compression codec, outer code, segment size, executor,
-restoration decode mode, scanner distortion — by *string* through
-:mod:`repro.registry`, so a config is plain data: it JSON round-trips, ships
-alongside an archive, and fully reproduces a run on another machine.  This
-is the paper's self-describing-contract idea applied to the library's own
-surface area.
+restoration decode mode, scanner distortion — by *string*, so a config is
+plain data: it JSON round-trips, ships alongside an archive, and fully
+reproduces a run on another machine.  This is the paper's
+self-describing-contract idea applied to the library's own surface area.
+
+Each name resolves through the table that lives with what it names:
+:data:`~repro.core.profiles.PROFILES` (with its aliases) for media, the
+:class:`~repro.dbcoder.Profile` names for codecs,
+:data:`~repro.pipeline.executors.EXECUTORS` and
+:data:`~repro.media.distortions.DISTORTIONS`.  A config stores each name
+canonical (lower case, aliases resolved) and rejects an unknown one with
+the did-you-mean message of :class:`~repro.errors.UnknownNameError`.
 """
 
 from __future__ import annotations
@@ -16,14 +23,14 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
-from repro import registry
-from repro.core.profiles import MediaProfile
-from repro.dbcoder.dbcoder import DBCoder
+from repro.core.profiles import MediaProfile, get_profile, media_name
+from repro.dbcoder.dbcoder import DBCoder, Profile, codec_name
 from repro.dbcoder.formats import HEADER_SIZE as CONTAINER_HEADER_SIZE
 from repro.errors import ConfigError, UnknownNameError
 from repro.media.channel import MediaChannel
+from repro.media.distortions import distortion_name
 from repro.mocoder.mocoder import MOCoder
-from repro.pipeline.executors import parse_executor_spec
+from repro.pipeline.executors import executor_name, parse_executor_spec
 from repro.pipeline.pipeline import ChannelSpec
 from repro.pipeline.segmenter import segment_count
 
@@ -71,14 +78,15 @@ class ArchiveConfig:
     Parameters
     ----------
     media:
-        Media channel name from :data:`repro.registry.media`
+        Media channel name from :data:`repro.core.profiles.PROFILES`
         (``"paper"``, ``"microfilm"``, ``"cinema"``, ``"dna"``, ``"test"``,
         or a canonical profile name).  Canonicalised on construction.
     codec:
-        Compression codec name from :data:`repro.registry.codecs`:
+        Compression codec name, a :class:`~repro.dbcoder.Profile` name:
         ``"store"``, ``"portable"`` or ``"dense"``.
     executor:
-        Pipeline executor spec: a registry name optionally suffixed with a
+        Pipeline executor spec: a name from
+        :data:`repro.pipeline.executors.EXECUTORS` optionally suffixed with a
         worker count (``"serial"``, ``"thread:4"``, ``"process"``, ``"auto"``).
         Restore fetches each segment's frames inside the executor's
         submission window and splits a segment of at least
@@ -96,7 +104,7 @@ class ArchiveConfig:
         (the archived decoder under an emulator).
     distortion:
         Optional distortion-profile name from
-        :data:`repro.registry.distortions` overriding the channel's default
+        :data:`repro.media.distortions.DISTORTIONS` overriding the channel's default
         scanner model; ``None`` keeps the channel default.
     scan_seed:
         Seed for the simulated record/scan cycle (reproducible damage).
@@ -123,14 +131,12 @@ class ArchiveConfig:
     def __post_init__(self) -> None:
         self._check_types()
         try:
-            object.__setattr__(self, "media", registry.media.resolve_name(self.media))
-            object.__setattr__(self, "codec", registry.codecs.resolve_name(self.codec))
+            object.__setattr__(self, "media", media_name(self.media))
+            object.__setattr__(self, "codec", codec_name(self.codec))
             name, workers = parse_executor_spec(self.executor)
-            registry.executors.resolve_name(name)
+            executor_name(name)
             if self.distortion is not None:
-                object.__setattr__(
-                    self, "distortion", registry.distortions.resolve_name(self.distortion)
-                )
+                object.__setattr__(self, "distortion", distortion_name(self.distortion))
         except UnknownNameError as exc:
             raise ConfigError(str(exc)) from exc
         except ValueError as exc:
@@ -142,7 +148,7 @@ class ArchiveConfig:
         if self.distortion is not None:
             # Reject overrides the channel would silently ignore (e.g. the
             # DNA channel, whose error model is strand-level).
-            if not _channel_supports_distortion(registry.get_media(self.media)):
+            if not _channel_supports_distortion(get_profile(self.media)):
                 raise ConfigError(
                     f"media channel {self.media!r} does not apply raster "
                     "distortion profiles; its degradation is configured on "
@@ -210,7 +216,7 @@ class ArchiveConfig:
         Raises
         ------
         ConfigError
-            On unknown keys, unknown registry names, or invalid values.
+            On unknown keys, unknown names, or invalid values.
         """
         if not isinstance(fields, dict):
             raise ConfigError(f"config must be a JSON object, got {type(fields).__name__}")
@@ -241,11 +247,11 @@ class ArchiveConfig:
     # ------------------------------------------------------------------ #
     def media_profile(self) -> MediaProfile:
         """The resolved media profile (emblem geometry and channel factory)."""
-        return registry.get_media(self.media)
+        return get_profile(self.media)
 
     def resolve_codec(self) -> DBCoder:
-        """The resolved compression codec."""
-        return registry.get_codec(self.codec)
+        """The resolved compression codec: the DBCoder of the named profile."""
+        return DBCoder(Profile[self.codec.upper()])
 
     def channel(self) -> MediaChannel:
         """A fresh media channel for step 7 (record/scan), with any

@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from types import TracebackType
 from typing import Callable, Iterator, Protocol, Sequence
 
-import numpy as np
-
 from repro.api.config import ArchiveConfig
 from repro.bootstrap.document import BootstrapDocument
 from repro.core.archive import ArchiveManifest, MicrOlonysArchive, SegmentRecord
@@ -50,7 +48,6 @@ from repro.store import (
     BOOTSTRAP_NAME,
     ArchiveSource,
     frame_record_name,
-    load_archive,
     manifest_digest,
     manifest_generation_of,
 )
@@ -191,18 +188,18 @@ def _restore_units(manifest: ArchiveManifest) -> tuple[SegmentRecord, ...]:
     return (whole,)
 
 
-def _cut(frames: list[np.ndarray], start: int, count: int | None) -> list[np.ndarray]:
+def _cut(frames: Sequence[Frame], start: int, count: int | None) -> Sequence[Frame]:
     """``frames[start:start + count]``; ``count=None`` runs to the end."""
     return frames[start:] if count is None else frames[start:start + count]
 
 
 def _scans_for(
-    scans: list[np.ndarray],
+    scans: Sequence[Frame],
     manifest: ArchiveManifest,
     record: SegmentRecord,
     start: int,
     count: int | None,
-) -> list[np.ndarray]:
+) -> Sequence[Frame]:
     """A run of ``record``'s scans, cut from a list holding every data scan
     in order (the frame provider of :meth:`ArchiveReader.read_from_scans`).
 
@@ -359,10 +356,24 @@ class ArchiveReader:
     @property
     def archive(self) -> MicrOlonysArchive:
         """The full archive artefact, every frame in memory (loaded on first
-        use; no read needs it — it is for callers that want the rasters)."""
+        use; no read needs it — it is for callers that want the rasters).
+
+        Each stream is fetched in one ``get_frames`` call through the same
+        erasure path as every read: a lost or unparsable record is an
+        :class:`~repro.mocoder.emblem.AbsentFrame` in its frame list, which
+        :meth:`read_from_scans` rebuilds through the outer code."""
         if self._archive is None:
-            self._archive = load_archive(self._source)
-            self._manifest = self._archive.manifest
+            manifest = self.manifest
+            self._archive = MicrOlonysArchive(
+                manifest=manifest,
+                data_emblem_images=list(
+                    self._source_run("data", 0, manifest.data_emblem_count, 0, None)
+                ),
+                system_emblem_images=list(
+                    self._source_run("system", 0, manifest.system_emblem_count, 0, None)
+                ),
+                bootstrap_text=self._source.get_text(BOOTSTRAP_NAME),
+            )
         return self._archive
 
     def _pipeline(
@@ -462,8 +473,8 @@ class ArchiveReader:
 
     def read_from_scans(
         self,
-        data_images: list[np.ndarray],
-        system_images: "list[np.ndarray] | None" = None,
+        data_images: Sequence[Frame],
+        system_images: "Sequence[Frame] | None" = None,
         bootstrap_text: str | None = None,
         payload_kind: str | None = None,
         manifest: ArchiveManifest | None = None,
@@ -473,7 +484,8 @@ class ArchiveReader:
         ``manifest`` defaults to the session's own, and ``payload_kind``
         (``"sql"`` loads the restored dump into a database) to the
         manifest's.  Each segment of a multi-segment manifest needs one scan
-        per recorded frame (damaged frames may be blank, but not absent); a
+        per recorded frame (a damaged frame may be blank or an
+        :class:`~repro.mocoder.emblem.AbsentFrame`, but not left out); a
         one-segment or pre-pipeline archive is one unit spanning every scan
         provided, so there the outer code rebuilds absent frames too.  Scans
         are decoded data frames first, like every read, and the rest only

@@ -23,12 +23,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator
 
-import numpy as np
-
 from repro.api.config import ArchiveConfig
 from repro.api.reader import ArchiveReader, RestorationResult, SegmentCacheLike
 from repro.core.archive import ArchiveManifest, MicrOlonysArchive, SegmentRecord
+from repro.core.profiles import media_name
+from repro.dbcoder.dbcoder import codec_name
 from repro.errors import ArchiveError, ConfigError, RestorationError
+from repro.mocoder.emblem import Frame
 from repro.pipeline.pipeline import (
     ArchivePipeline,
     EncodedSegment,
@@ -138,14 +139,14 @@ class ArchiveWriter:
         self._profile = config.media_profile()
         self._pipeline = ArchivePipeline(
             profile=self._profile,
-            dbcoder_profile=config.resolve_codec(),
+            codec=config.resolve_codec(),
             outer_code=config.outer_code,
             segment_size=config.segment_size,
             executor=config.executor,
         )
         self._queue: "queue.Queue[bytes | object]" = queue.Queue(maxsize=8)
         self._records: list[SegmentRecord] = []
-        self._images: list[np.ndarray] = []
+        self._images: list[Frame] = []
         # The encoder thread stores a failure here; the caller's thread
         # consumes (reads *and clears*) it — that pair must be atomic or two
         # racing callers could both observe, or both miss, the error.
@@ -269,7 +270,7 @@ class ArchiveWriter:
         segments = (base.segments if base else ()) + tuple(self._records)
         manifest = ArchiveManifest(
             profile_name=self._profile.name,
-            dbcoder_profile=self._pipeline.dbcoder_profile.name,
+            dbcoder_profile=self._pipeline.codec.profile.name,
             archive_bytes=self._length,
             archive_crc32=self._crc,
             data_emblem_count=sum(record.emblem_count for record in segments),
@@ -296,7 +297,7 @@ class ArchiveWriter:
         self.archive = MicrOlonysArchive(
             manifest=manifest,
             data_emblem_images=self._images,
-            system_emblem_images=system_images,
+            system_emblem_images=list(system_images),
             bootstrap_text=bootstrap_text,
         )
         return self.archive
@@ -383,19 +384,17 @@ def _resolve_append(
     superseded generations already committed to the medium.  The payload
     kind is the base manifest's unless ``overrides`` name one.
     """
-    from repro import registry  # lazy: registry imports repro.store
-
     with open_source(target) as source:
         base = source.manifest()
     config = _resolve_config(config, overrides, base)
     if "payload_kind" not in overrides:
         config = config.replace(payload_kind=base.payload_kind)
-    if config.media != registry.media.resolve_name(base.profile_name):
+    if config.media != media_name(base.profile_name):
         raise ArchiveError(
             f"cannot append with media {config.media!r} to an archive written "
             f"on {base.profile_name!r}; the emblem geometry must match"
         )
-    if config.codec != registry.codecs.resolve_name(base.dbcoder_profile):
+    if config.codec != codec_name(base.dbcoder_profile):
         raise ArchiveError(
             f"cannot append with codec {config.codec!r} to an archive written "
             f"with {base.dbcoder_profile!r}"

@@ -2,7 +2,9 @@
 
 * :mod:`repro.core.profiles` — the media profiles (emblem geometry plus the
   simulated channel) of paper, microfilm, cinema film, DNA and the small
-  test medium;
+  test medium, and the media name table: :data:`PROFILES` with its
+  :data:`MEDIA_ALIASES`, read by :func:`get_profile` and extended at run
+  time by :func:`register_profile`;
 * :mod:`repro.core.archive` — what goes onto the medium: the
   :class:`ArchiveManifest` with its per-segment records, and the
   :class:`MicrOlonysArchive` artefact of data emblems, system emblems and
@@ -21,8 +23,10 @@ from repro.core.profiles import (
     CINEMA_PROFILE,
     TEST_PROFILE,
     DNA_PROFILE,
+    MEDIA_ALIASES,
     get_profile,
     PROFILES,
+    register_profile,
 )
 from repro.core.archive import ArchiveManifest, MicrOlonysArchive, SegmentRecord
 
@@ -36,7 +40,9 @@ __all__ = [
     "TEST_PROFILE",
     "DNA_PROFILE",
     "PROFILES",
+    "MEDIA_ALIASES",
     "get_profile",
+    "register_profile",
     "ArchiveManifest",
     "MicrOlonysArchive",
 ]

@@ -3,8 +3,9 @@
 A :class:`MicrOlonysArchive` is exactly what gets written to the analog
 medium (step 7 of Figure 2a): the data emblems, the system emblems holding
 the DBCoder decoder, and the Bootstrap text.  :mod:`repro.store` persists
-it (``open_archive(target=...)``) and loads it back
-(:func:`repro.store.load_archive`).
+it (``open_archive(target=...)``) and a reader loads it back
+(:attr:`repro.api.ArchiveReader.archive`), a lost frame record as an
+:class:`~repro.mocoder.emblem.AbsentFrame`.
 
 The :class:`ArchiveManifest` layout version and the upgrade of older
 layouts (:func:`upgrade_manifest_fields`) live here, next to the manifest
@@ -18,9 +19,8 @@ import json
 import warnings
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.errors import StoreError
+from repro.mocoder.emblem import Frame
 
 #: Current on-media manifest layout version.
 MANIFEST_FORMAT_VERSION = 4
@@ -268,8 +268,8 @@ class MicrOlonysArchive:
     """
 
     manifest: ArchiveManifest
-    data_emblem_images: list[np.ndarray]
-    system_emblem_images: list[np.ndarray]
+    data_emblem_images: list[Frame]
+    system_emblem_images: list[Frame]
     bootstrap_text: str
     notes: list[str] = field(default_factory=list)
 

@@ -6,6 +6,11 @@ that a ~1.2 MB SQL archive lands on ~26 A4 pages (about 50 KB per page, §4);
 the conservative microfilm profile reproduces the 102 KB-image-in-3-emblems
 experiment, while the dense microfilm profile reproduces the 1.3 GB-per-66 m
 reel figure.
+
+:data:`PROFILES` is the media name table: a config's ``media`` and a
+manifest's ``profile_name`` resolve through it (:func:`get_profile`), by
+canonical name or by one of the :data:`MEDIA_ALIASES`, and
+:func:`register_profile` adds a medium at run time.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.errors import RegistryError, resolve_name
 from repro.media.channel import MediaChannel
 from repro.media.distortions import OFFICE_SCAN
 from repro.media.dna import DNAEmblemChannel
@@ -123,8 +129,8 @@ DNA_PROFILE = MediaProfile(
     ),
 )
 
-#: All named profiles.
-PROFILES = {
+#: The media name table: every profile, by its lower-case name.
+PROFILES: dict[str, MediaProfile] = {
     profile.name: profile
     for profile in (
         PAPER_PROFILE,
@@ -136,16 +142,46 @@ PROFILES = {
     )
 }
 
+#: Short names for the built-in media: alias -> :data:`PROFILES` key.
+MEDIA_ALIASES = {
+    "cinema": CINEMA_PROFILE.name,
+    "dna": DNA_PROFILE.name,
+    "microfilm": MICROFILM_PROFILE.name,
+    "microfilm-dense": MICROFILM_DENSE_PROFILE.name,
+    "paper": PAPER_PROFILE.name,
+    "test": TEST_PROFILE.name,
+}
+
+
+def media_name(name: str) -> str:
+    """The :data:`PROFILES` key ``name`` spells, in any case or as an alias.
+
+    Raises :class:`~repro.errors.UnknownNameError` (a
+    :class:`~repro.errors.ReproError` that still subclasses ``KeyError``)
+    with a did-you-mean suggestion.
+    """
+    return resolve_name("media channel", name, sorted(PROFILES), MEDIA_ALIASES)
+
 
 def get_profile(name: str) -> MediaProfile:
-    """Look a media profile up by name (alias-aware).
+    """Look a media profile up by name or alias (see :func:`media_name`)."""
+    return PROFILES[media_name(name)]
 
-    Delegates to :data:`repro.registry.media`, so short aliases like
-    ``"paper"`` resolve too and unknown names raise
-    :class:`~repro.errors.UnknownNameError` (a :class:`~repro.errors.
-    ReproError` that still subclasses ``KeyError``) with a did-you-mean
-    suggestion.
+
+def register_profile(profile: MediaProfile) -> None:
+    """Add ``profile`` to :data:`PROFILES`, so configs can name it.
+
+    The medium exists in this process only: segment jobs carry the channel
+    they need, so process-pool workers never look it up.
+
+    Raises
+    ------
+    RegistryError
+        If the name is empty, or already names a profile or an alias.
     """
-    from repro import registry  # local import: registry registers *us*
-
-    return registry.get_media(name)
+    key = profile.name.strip().lower()
+    if not key:
+        raise RegistryError("media channel names must be non-empty")
+    if key in PROFILES or key in MEDIA_ALIASES:
+        raise RegistryError(f"media channel {profile.name!r} is already registered")
+    PROFILES[key] = profile

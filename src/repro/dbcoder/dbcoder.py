@@ -6,6 +6,10 @@ performs: it takes the software-independent textual archive produced by
 the inverse, normally executed inside the emulated DynaRisc environment at
 restoration time; the Python implementation here is the reference model and
 the encoder-side tool.
+
+The :class:`Profile` names are the codec table: :func:`codec_name` resolves
+a config's ``"portable"`` or a manifest's ``"PORTABLE"`` to the lower-case
+name a config stores, and ``DBCoder(Profile[name.upper()])`` is its codec.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.errors import ContainerFormatError, DecompressionError
+from repro.errors import ContainerFormatError, DecompressionError, resolve_name
 from repro.dbcoder.arithmetic import arithmetic_decode, arithmetic_encode
 from repro.dbcoder.formats import pack_container, unpack_container
 from repro.dbcoder.lz77 import lzss_compress, lzss_decompress
@@ -46,6 +50,13 @@ _DESCRIPTIONS = {
     Profile.PORTABLE: "byte-aligned LZSS; decodable by the archived DynaRisc decoder",
     Profile.DENSE: "LZSS + adaptive arithmetic coding (maximum density)",
 }
+
+
+def codec_name(name: str) -> str:
+    """The codec ``name`` spells, in any case: a :class:`Profile` name in
+    lower case.  An unknown name raises
+    :class:`~repro.errors.UnknownNameError` with a did-you-mean suggestion."""
+    return resolve_name("codec", name, sorted(profile.name.lower() for profile in Profile))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ Rule IDs (stable; see ``--explain`` for full rationales):
 - ``REP201`` — on-media format literals (magics, struct formats) only in
   their owning module; everyone else imports the named constant.
 - ``REP301`` — no lambdas/closures handed to executor-submitted jobs.
-- ``REP401`` — every name registered in :mod:`repro.registry` resolves.
+- ``REP401`` — every name in the media, codec, executor, distortion and
+  store tables resolves, and every media alias names a profile.
 - ``REP601`` — benchmark ``*_vs_*`` ratio keys carry a "higher/lower is
   better" direction comment.
 - ``REP501`` — fields annotated ``# lint: guarded-by(<lock>)`` are only

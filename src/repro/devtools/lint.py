@@ -15,7 +15,7 @@ REP101    no global-state randomness outside ``repro/util/rng.py``
 REP102    no bare ``except:`` and no silently swallowed broad excepts
 REP201    on-media format literals live only in their owning module
 REP301    no lambdas/closures handed to executor-submitted jobs
-REP401    every name registered in :mod:`repro.registry` resolves at import
+REP401    every name in the media/codec/executor/distortion/store tables resolves
 REP501    ``# lint: guarded-by(<lock>)`` fields touched only under their lock
 REP601    benchmark ``*_vs_*`` ratio keys document their direction
 ========  ====================================================================
@@ -36,8 +36,8 @@ Annotation conventions (written in comments, parsed via :mod:`tokenize`):
 
 The module is deliberately stdlib-only (``ast`` + ``tokenize``); linting
 never imports the code under analysis, so it runs without numpy/scipy
-installed.  The single exception is REP401, which *does* import
-:mod:`repro.registry` to prove the registered names resolve — when that
+installed.  The single exception is REP401, which *does* import the
+modules that hold the name tables to prove every name resolves — when that
 import fails (e.g. no numpy in a minimal checkout) the rule is skipped with
 a notice instead of failing the run.
 """
@@ -52,7 +52,7 @@ import textwrap
 from dataclasses import dataclass, field
 from pathlib import Path
 from tokenize import COMMENT, TokenError, generate_tokens
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.devtools.contracts import (
     EXECUTOR_SUBMIT_METHODS,
@@ -450,14 +450,19 @@ class ExecutorPickleRule(Rule):
 
 
 class RegistryRule(Rule):
-    """Every name registered in :mod:`repro.registry` resolves at import time.
+    """Every name in the library's name tables resolves at import time.
 
-    The registries are the in-process half of the paper's self-description
+    The name tables are the in-process half of the paper's self-description
     contract: an archive manifest names its codec/media/store purely by
-    string, so a name that registers but does not resolve (a dangling alias,
-    an entry whose factory raises) is a latent restore failure.  This rule
-    *imports* ``repro.registry`` and resolves every registered name and
-    alias in every registry.
+    string, so a name a table lists that does not resolve (a dangling media
+    alias, a key its lookup does not return) is a latent restore failure.
+    This rule *imports* the modules that hold the tables —
+    :data:`repro.core.profiles.PROFILES` with its aliases, the
+    :class:`repro.dbcoder.Profile` names,
+    :data:`repro.pipeline.executors.EXECUTORS`,
+    :data:`repro.media.distortions.DISTORTIONS` and
+    :data:`repro.store.BACKENDS` — and resolves every name and alias through
+    the lookup a config uses.
 
     Unlike the other rules this requires the library's runtime dependencies;
     when the import fails (e.g. numpy is not installed) the check is skipped
@@ -465,41 +470,49 @@ class RegistryRule(Rule):
     """
 
     id = "REP401"
-    title = "registered registry names must resolve"
+    title = "every name in the name tables must resolve"
 
     def __init__(self) -> None:
         self._notices: list[str] = []
 
     def check_project(self) -> Iterator[Finding]:
         try:
-            from repro import registry
+            from repro.core.profiles import MEDIA_ALIASES, PROFILES, media_name
+            from repro.dbcoder.dbcoder import Profile, codec_name
+            from repro.media.distortions import DISTORTIONS, distortion_name
+            from repro.pipeline.executors import EXECUTORS, executor_name
+            from repro.store import BACKENDS
         except Exception as exc:  # noqa: BLE001 — any import failure means
             # the runtime check cannot run here; parse-only rules still did.
             self._notices.append(
-                f"{self.id} skipped: repro.registry not importable ({exc})"
+                f"{self.id} skipped: the name tables are not importable ({exc})"
             )
             return
-        for reg in (
-            registry.codecs,
-            registry.media,
-            registry.executors,
-            registry.distortions,
-            registry.stores,
-        ):
-            names = set(reg.names())
-            for name in sorted(names):
+        for alias, target in sorted(MEDIA_ALIASES.items()):
+            if target not in PROFILES:
+                yield Finding(
+                    self.id, "repro.core.profiles.MEDIA_ALIASES", 0,
+                    f"alias {alias!r} points at unregistered name {target!r}",
+                )
+        tables: list[tuple[str, list[str], Callable[[str], str]]] = [
+            ("repro.core.profiles.PROFILES", sorted(PROFILES), media_name),
+            ("repro.dbcoder.Profile", [profile.name for profile in Profile], codec_name),
+            ("repro.pipeline.executors.EXECUTORS", sorted(EXECUTORS), executor_name),
+            ("repro.media.distortions.DISTORTIONS", sorted(DISTORTIONS), distortion_name),
+            ("repro.store.BACKENDS", sorted(BACKENDS), lambda name: BACKENDS[name].name),
+        ]
+        for table, names, resolve in tables:
+            for name in names:
                 try:
-                    reg.get(name)
+                    resolved = resolve(name)
                 except Exception as exc:  # noqa: BLE001 — report, don't crash
                     yield Finding(
-                        self.id, f"repro.registry[{reg.kind}]", 0,
-                        f"registered name {name!r} does not resolve: {exc}",
+                        self.id, table, 0, f"name {name!r} does not resolve: {exc}"
                     )
-            for alias, target in sorted(reg.aliases().items()):
-                if target not in names:
+                    continue
+                if resolved != name.lower():
                     yield Finding(
-                        self.id, f"repro.registry[{reg.kind}]", 0,
-                        f"alias {alias!r} points at unregistered name {target!r}",
+                        self.id, table, 0, f"name {name!r} resolves to {resolved!r}"
                     )
 
     def notices(self) -> list[str]:

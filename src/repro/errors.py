@@ -4,9 +4,17 @@ Every error raised by the library derives from :class:`ReproError`, so callers
 can catch a single base class.  Sub-hierarchies mirror the major subsystems:
 the virtual machines, the database coder, the media coder, the analog media
 channels, the Bootstrap document, and the DBMS substrate.
+
+:func:`resolve_name` is the one lookup behind every name table (media,
+codecs, executors, distortions, target schemes): it lives here, the lowest
+layer, beside the :class:`UnknownNameError` it raises, so each table can sit
+in the module that defines its values.
 """
 
 from __future__ import annotations
+
+import difflib
+from typing import Collection, Mapping
 
 
 class ReproError(Exception):
@@ -182,19 +190,19 @@ class BadRequestError(ServerError):
 
 
 # --------------------------------------------------------------------------- #
-# Registries and the unified configuration facade
+# Name tables and the unified configuration facade
 # --------------------------------------------------------------------------- #
 class RegistryError(ReproError):
-    """Base class for registry registration/lookup errors."""
+    """Base class for name-table registration/lookup errors."""
 
 
 class UnknownNameError(RegistryError, KeyError):
-    """A registry lookup (codec, media channel, executor, ...) failed.
+    """A name-table lookup (codec, media channel, executor, ...) failed.
 
-    Carries the failed ``name``, the registry ``kind``, the valid ``choices``
+    Carries the failed ``name``, the table's ``kind``, the valid ``choices``
     and a did-you-mean ``suggestion`` (closest valid name, when one is close
-    enough).  Inherits :class:`KeyError` so pre-registry callers that caught
-    ``KeyError`` from ``get_profile`` keep working.
+    enough).  Inherits :class:`KeyError` so callers that catch ``KeyError``
+    from ``get_profile`` keep working.
     """
 
     def __init__(self, kind: str, name: str, choices: list[str], suggestion: str | None = None):
@@ -219,6 +227,30 @@ class UnknownNameError(RegistryError, KeyError):
         # __init__ with the rendered message instead of the four fields; this
         # matters when the error crosses a process-pool boundary.
         return (UnknownNameError, (self.kind, self.name, self.choices, self.suggestion))
+
+
+def resolve_name(
+    kind: str,
+    name: str,
+    names: Collection[str],
+    aliases: Mapping[str, str] | None = None,
+) -> str:
+    """The entry of a name table that ``name`` spells.
+
+    ``names`` are the table's canonical (lower-case) names and ``aliases``
+    map short spellings onto them; a lookup ignores case and surrounding
+    space.  A miss raises :class:`UnknownNameError` for ``kind``, listing
+    ``names`` in the order given and then the sorted aliases, and suggesting
+    the closest of them.
+    """
+    key = str(name).strip().lower()
+    aliases = aliases or {}
+    resolved = aliases.get(key, key)
+    if resolved in names:
+        return resolved
+    choices = [*names, *sorted(aliases)]
+    close = difflib.get_close_matches(key, choices, n=1, cutoff=0.5)
+    raise UnknownNameError(kind, name, choices, close[0] if close else None)
 
 
 class ConfigError(ArchiveError):

@@ -9,6 +9,8 @@ be a source of degradation".  Each of those effects is modelled here as a
 parameterised, seedable transform on a grayscale raster, and
 :class:`DistortionProfile` bundles them into a single reproducible channel
 model used by the media channels and by the robustness benchmarks.
+:data:`DISTORTIONS` names the four built-in profiles, so a config can pick
+one by name (:func:`distortion_name`).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
+from repro.errors import resolve_name
 from repro.util.rng import deterministic_rng
 
 
@@ -251,3 +254,15 @@ CINEMA_SCAN = DistortionProfile(
     lens_curvature=0.0003,
     blur_radius=0.4,
 )
+
+#: The distortion name table: the built-in profiles, by name.
+DISTORTIONS = {
+    profile.name: profile for profile in (PRISTINE, OFFICE_SCAN, AGED_MICROFILM, CINEMA_SCAN)
+}
+
+
+def distortion_name(name: str) -> str:
+    """The :data:`DISTORTIONS` key ``name`` spells, in any case; an unknown
+    name raises :class:`~repro.errors.UnknownNameError` with a did-you-mean
+    suggestion."""
+    return resolve_name("distortion profile", name, sorted(DISTORTIONS))

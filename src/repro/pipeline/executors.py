@@ -16,6 +16,12 @@ The executor decides *where* that function runs:
 All executors preserve submission order and bound the number of in-flight
 segments, so downstream consumers see a deterministic stream and peak memory
 stays proportional to ``window``, not to the payload.
+
+:data:`EXECUTORS` is the executor name table (``serial``, ``thread``,
+``process`` and ``auto``); :func:`get_executor` resolves a ``"name:workers"``
+spec through it.  A pool without a worker count, and ``auto``'s choice, use
+the CPUs this process may run on (its affinity mask where the platform has
+one), not every CPU the machine shows.
 """
 
 from __future__ import annotations
@@ -26,8 +32,19 @@ from collections import deque
 from types import TracebackType
 from typing import Callable, Iterable, Iterator, TypeVar
 
+from repro.errors import resolve_name
+
 ItemT = TypeVar("ItemT")
 ResultT = TypeVar("ResultT")
+
+
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on: its affinity mask where the
+    platform has one (a process pinned to one CPU gets 1), else every CPU
+    the machine shows."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 class SegmentExecutor:
@@ -82,7 +99,7 @@ class _PoolExecutor(SegmentExecutor):
     """
 
     def __init__(self, workers: int | None = None, window: int | None = None):
-        self.workers = max(1, workers if workers is not None else (os.cpu_count() or 1))
+        self.workers = max(1, workers if workers is not None else _usable_cpus())
         self.window = max(1, window if window is not None else 2 * self.workers)
         self._pool: Executor | None = None
 
@@ -163,15 +180,37 @@ def parse_executor_spec(spec: str) -> tuple[str, int | None]:
     return name, workers
 
 
+def _auto_executor(workers: int | None = None) -> SegmentExecutor:
+    """``auto``: a process pool when this process may use more than one CPU,
+    else serial."""
+    if _usable_cpus() > 1:
+        return ProcessPoolSegmentExecutor(workers=workers)
+    return SerialExecutor()
+
+
+#: The executor name table: factories (``workers -> SegmentExecutor``), by name.
+EXECUTORS: dict[str, Callable[[int | None], SegmentExecutor]] = {
+    "auto": _auto_executor,
+    "process": ProcessPoolSegmentExecutor,
+    "serial": lambda workers=None: SerialExecutor(),
+    "thread": ThreadPoolSegmentExecutor,
+}
+
+
+def executor_name(name: str) -> str:
+    """The :data:`EXECUTORS` key ``name`` spells, in any case; an unknown
+    name raises :class:`~repro.errors.UnknownNameError` with a did-you-mean
+    suggestion."""
+    return resolve_name("executor", name, sorted(EXECUTORS))
+
+
 def get_executor(spec: "str | SegmentExecutor | None") -> SegmentExecutor:
     """Resolve an executor from a name, ``"name:workers"`` spec, or instance.
 
     ``"serial"`` (and ``None``) run inline; ``"thread"`` / ``"process"`` use
-    all visible CPUs; ``"thread:4"`` pins the worker count; ``"auto"`` picks
-    a process pool when more than one CPU is visible and serial otherwise.
-    Names resolve through :data:`repro.registry.executors`, so
-    user-registered executor factories work here (and therefore in every
-    pipeline/API entry point); unknown names raise
+    every CPU this process may run on; ``"thread:4"`` pins the worker count;
+    ``"auto"`` picks a process pool when that is more than one CPU and
+    serial otherwise.  Unknown names raise
     :class:`~repro.errors.UnknownNameError` with a did-you-mean suggestion.
     """
     if spec is None:
@@ -179,6 +218,4 @@ def get_executor(spec: "str | SegmentExecutor | None") -> SegmentExecutor:
     if isinstance(spec, SegmentExecutor):
         return spec
     name, workers = parse_executor_spec(spec)
-    from repro import registry  # local import: registry registers the built-ins
-
-    return registry.get_executor_factory(name)(workers)
+    return EXECUTORS[executor_name(name)](workers)

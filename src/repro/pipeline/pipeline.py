@@ -40,11 +40,12 @@ if TYPE_CHECKING:
     from repro.media.channel import MediaChannel
 
 from repro.core.archive import SegmentRecord
-from repro.core.profiles import MediaProfile, TEST_PROFILE
+from repro.core.profiles import MediaProfile, TEST_PROFILE, get_profile
 from repro.bootstrap.document import build_bootstrap
-from repro.dbcoder.dbcoder import DBCoder, Profile
+from repro.dbcoder.dbcoder import DBCoder
 from repro.dynarisc.programs import get_program
 from repro.errors import RestorationError
+from repro.media.distortions import DISTORTIONS, distortion_name
 from repro.mocoder.emblem import AbsentFrame, EmblemKind, EmblemSpec, Frame
 from repro.mocoder.mocoder import (
     DecodedRun,
@@ -86,15 +87,16 @@ class ChannelSpec:
     seeding, see :meth:`repro.media.channel.MediaChannel.scan_frames`) before
     decoding — the channel simulation streams batch by batch through the
     executor instead of staging a whole-archive record/scan pass.  The spec
-    names its medium through :mod:`repro.registry`; the names resolve once,
+    names its medium and distortion (:data:`~repro.core.profiles.PROFILES`,
+    :data:`~repro.media.distortions.DISTORTIONS`); the names resolve once,
     where the spec is made, and the channel built from them pickles with the
     spec, so process-pool workers look no name up (a medium registered at
     run time exists only in the process that registered it).
     """
 
-    #: Media profile registry name (the channel factory).
+    #: Media profile name or alias (the channel factory).
     media: str
-    #: Optional distortion-profile registry name overriding the channel default.
+    #: Optional distortion-profile name overriding the channel default.
     distortion: str | None = None
     #: Base scan seed; per-frame streams derive from (seed, lane, frame index).
     seed: int | None = None
@@ -107,11 +109,9 @@ class ChannelSpec:
     def build_channel(self) -> "MediaChannel":
         """A fresh instance of the named channel, with any distortion
         override applied."""
-        from repro import registry  # deferred: registry imports this package
-
-        channel = registry.get_media(self.media).channel()
+        channel = get_profile(self.media).channel()
         if self.distortion is not None:
-            channel.distortion = registry.get_distortion(self.distortion)
+            channel.distortion = DISTORTIONS[distortion_name(self.distortion)]
         return channel
 
     def simulate(
@@ -447,10 +447,9 @@ class ArchivePipeline:
     ----------
     profile:
         Media profile selecting the emblem geometry.
-    dbcoder_profile:
-        Compression codec applied to every segment: a
-        :class:`~repro.dbcoder.Profile`, a registry name (``"store"``,
-        ``"portable"``, ``"dense"``), or a :class:`~repro.dbcoder.DBCoder`.
+    codec:
+        The :class:`~repro.dbcoder.DBCoder` applied to every segment
+        (default: the ``PORTABLE`` profile).
     outer_code:
         Whether each segment's emblem stream gets 17+3 parity groups.
     segment_size:
@@ -465,16 +464,13 @@ class ArchivePipeline:
     def __init__(
         self,
         profile: MediaProfile = TEST_PROFILE,
-        dbcoder_profile: "Profile | str | DBCoder" = Profile.PORTABLE,
+        codec: DBCoder | None = None,
         outer_code: bool = True,
         segment_size: int | None = DEFAULT_SEGMENT_SIZE,
         executor: str | SegmentExecutor = "serial",
     ):
-        from repro import registry  # deferred: registry imports this package
-
         self.profile = profile
-        self.codec = registry.get_codec(dbcoder_profile)
-        self.dbcoder_profile = self.codec.profile
+        self.codec = codec if codec is not None else DBCoder()
         self.outer_code = outer_code
         self.segment_size = segment_size
         self.executor = executor

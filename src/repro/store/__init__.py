@@ -1,14 +1,13 @@
 """``repro.store`` — the on-media layout layer behind the ``repro.api`` sessions.
 
-Three parts, mirroring the tentpole it implements:
+Its parts:
 
 * :mod:`repro.store.manifest` — the versioned, self-describing **manifest
   v3** (format version, embedded :class:`~repro.api.ArchiveConfig`,
   per-segment content hashes, and the ``generation``/``parent`` append
   lineage) plus the v1/v2 deprecation shims;
-* :mod:`repro.store.backends` — pluggable **storage backends**
-  (``directory`` / ``container`` / ``memory``), registered in
-  :data:`repro.registry.stores`, each exposing a streaming
+* :mod:`repro.store.backends` — the **storage backends**
+  (``directory`` / ``container`` / ``memory``), each exposing a streaming
   :class:`~repro.store.backends.ArchiveSink` (creatable fresh or reopened
   for append) and a random-access
   :class:`~repro.store.backends.ArchiveSource` that always serves the
@@ -21,14 +20,12 @@ Three parts, mirroring the tentpole it implements:
 * :mod:`repro.store.volumes` — **sharded volume sets**: frames striped
   across K data volumes plus M cross-shard Reed-Solomon parity volumes,
   surviving the loss of any M whole members;
-* the helpers below — backend resolution (:func:`open_sink` /
-  :func:`open_append_sink` / :func:`open_source`; a missing target fails
-  inside the backend with a :class:`~repro.errors.StoreError`),
-  :func:`manifest_digest` (the
-  parent-pinning hash of the append lineage) and :func:`load_archive` for
-  materialising a full :class:`~repro.core.archive.MicrOlonysArchive` from
-  any source (reads never need it: they fetch each segment's frames from
-  the source as they decode).
+* the helpers below — :data:`BACKENDS`, every backend by the name
+  :func:`parse_target` gives it; backend resolution (:func:`open_sink` /
+  :func:`open_append_sink` / :func:`open_source`; a misspelt scheme fails
+  inside :func:`parse_target` with a did-you-mean error, a missing target
+  inside the backend with a :class:`~repro.errors.StoreError`); and
+  :func:`manifest_digest`, the parent-pinning hash of the append lineage.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
-from repro.core.archive import ArchiveManifest, MicrOlonysArchive
+from repro.core.archive import ArchiveManifest
 from repro.errors import StoreError
 from repro.store.backends import (
     BOOTSTRAP_NAME,
@@ -79,7 +76,6 @@ __all__ = [
     "open_append_sink",
     "open_source",
     "frame_record_name",
-    "load_archive",
     "manifest_digest",
     "manifest_generation_of",
     "manifest_record_name",
@@ -89,17 +85,23 @@ __all__ = [
 ]
 
 
+#: Every storage backend, by the name :func:`parse_target` gives it
+#: (:attr:`TargetSpec.store`).
+BACKENDS: dict[str, StorageBackend] = {
+    backend.name: backend
+    for backend in (ContainerBackend(), DirectoryBackend(), MemoryBackend(), VolumeSetBackend())
+}
+
+
 def _local(target: "str | Path | TargetSpec") -> "tuple[StorageBackend, str]":
     """The backend and backend-native target of a *local* archive target."""
-    from repro import registry  # lazy: registry imports this package
-
     spec = parse_target(target)
     if spec.store is None:
         raise StoreError(
             f"remote target {spec.target!r} cannot be opened as a local "
             "archive; use the repro.server client paths (e.g. `repro inspect`)"
         )
-    return registry.get_store(spec.store), spec.target
+    return BACKENDS[spec.store], spec.target
 
 
 def open_sink(target: "str | Path | TargetSpec") -> ArchiveSink:
@@ -129,28 +131,3 @@ def manifest_digest(manifest: ArchiveManifest) -> str:
     supersedes.
     """
     return hashlib.sha256(manifest.to_json().encode("utf-8")).hexdigest()
-
-
-def load_archive(source: "ArchiveSource | str | Path | TargetSpec") -> MicrOlonysArchive:
-    """Materialise a full in-memory archive artefact from any source.
-
-    This reads *every* frame the superseding manifest describes into
-    memory, for callers that want the rasters themselves; every restore,
-    full or partial, fetches frames from the source segment by segment.
-    """
-    opened = not isinstance(source, ArchiveSource)
-    if opened:
-        source = open_source(source)
-    try:
-        manifest = source.manifest()
-        return MicrOlonysArchive(
-            manifest=manifest,
-            data_emblem_images=source.get_frames("data", 0, manifest.data_emblem_count),
-            system_emblem_images=source.get_frames(
-                "system", 0, manifest.system_emblem_count
-            ),
-            bootstrap_text=source.get_text(BOOTSTRAP_NAME),
-        )
-    finally:
-        if opened:
-            source.close()

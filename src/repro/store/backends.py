@@ -25,7 +25,8 @@ session handles:
   manifest — the newest generation that parses — falling back generation by
   generation when an append was torn.
 
-Three backends ship registered in :data:`repro.registry.stores`:
+Three backends live here (:data:`repro.store.BACKENDS` names them, with the
+volume set of :mod:`repro.store.volumes`):
 
 ``directory``
     One file per record: a Netpbm file per frame plus ``manifest.json`` /

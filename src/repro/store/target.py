@@ -26,19 +26,19 @@ a filesystem path
     target is a ``container`` when its name ends in ``.ule`` and a
     ``directory`` otherwise.
 
-Unknown schemes raise the registry-style did-you-mean
-:class:`~repro.errors.UnknownNameError`; an empty path or ``mem:`` key and a
+Unknown schemes raise the did-you-mean
+:class:`~repro.errors.UnknownNameError` of every name lookup
+(:func:`~repro.errors.resolve_name`); an empty path or ``mem:`` key and a
 malformed ``vol:`` spec raise :class:`~repro.errors.StoreError`.
 """
 
 from __future__ import annotations
 
-import difflib
 import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.errors import StoreError, UnknownNameError
+from repro.errors import StoreError, resolve_name
 
 __all__ = [
     "TargetSpec",
@@ -50,7 +50,7 @@ __all__ = [
 #: Schemes the target grammar understands.
 KNOWN_SCHEMES = ("dir", "file", "mem", "http", "https", "vol")
 
-#: scheme -> storage-backend registry name (remote schemes have no backend).
+#: scheme -> storage-backend name (remote schemes have no backend).
 _SCHEME_STORES = {
     "dir": "directory",
     "file": "container",
@@ -58,7 +58,7 @@ _SCHEME_STORES = {
     "vol": "volumes",
 }
 
-#: storage-backend registry name -> canonical scheme.
+#: storage-backend name -> canonical scheme.
 _STORE_SCHEMES = {store: scheme for scheme, store in _SCHEME_STORES.items()}
 
 _SCHEME_RE = re.compile(r"^([A-Za-z][A-Za-z0-9+.-]*):")
@@ -148,8 +148,9 @@ class TargetSpec:
     #: Canonical scheme: one of :data:`KNOWN_SCHEMES`, or ``"path"`` for a
     #: scheme-less filesystem target.
     scheme: str
-    #: Storage-backend registry name (``directory``/``container``/``memory``/
-    #: ``volumes``); ``None`` only for remote (``http(s)``) targets.
+    #: Storage-backend name (``directory``/``container``/``memory``/
+    #: ``volumes``), a key of :data:`repro.store.BACKENDS`; ``None`` only for
+    #: remote (``http(s)``) targets.
     store: str | None
     #: The backend-native target (a filesystem path, a ``mem:`` key, a
     #: canonical ``vol:`` URI, or a full URL for remote targets).
@@ -167,12 +168,6 @@ class TargetSpec:
         if self.store in ("directory", "container"):
             return f"{_STORE_SCHEMES[self.store]}:{self.target}"
         return self.target
-
-
-def _unknown_scheme(scheme: str) -> UnknownNameError:
-    choices = list(KNOWN_SCHEMES)
-    close = difflib.get_close_matches(scheme.lower(), choices, n=1, cutoff=0.5)
-    return UnknownNameError("target scheme", scheme, choices, close[0] if close else None)
 
 
 def _sniff_path(path: str) -> str:
@@ -273,15 +268,13 @@ def parse_target(raw: "str | Path | TargetSpec") -> TargetSpec:
     match = None if isinstance(raw, Path) else _SCHEME_RE.match(text)
     if match is None:
         return TargetSpec(scheme="path", store=_sniff_path(text), target=text)
-    scheme = match.group(1).lower()
+    scheme = resolve_name("target scheme", match.group(1), KNOWN_SCHEMES)
     rest = text[match.end():]
     if scheme in ("http", "https"):
         return TargetSpec(scheme=scheme, store=None, target=text)
     if scheme == "vol":
         volumes = _parse_volume_spec(rest)
         return TargetSpec(scheme="vol", store="volumes", target=volumes.uri(), volumes=volumes)
-    if scheme not in _SCHEME_STORES:
-        raise _unknown_scheme(match.group(1))
     if not rest:
         raise StoreError(
             f"target {text!r} names no {'key' if scheme == 'mem' else 'path'}"

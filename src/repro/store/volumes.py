@@ -64,6 +64,9 @@ from repro.store.backends import (
     FRAME_KINDS,
     ArchiveSink,
     ArchiveSource,
+    ContainerBackend,
+    DirectoryBackend,
+    MemoryBackend,
     StorageBackend,
     _frame_record_of,
     frame_record_name,
@@ -267,14 +270,19 @@ def _volume_spec(target: "str | Path") -> VolumeSetSpec:
     return spec.volumes
 
 
-def _member_backends(spec: VolumeSetSpec) -> list[tuple[str, str, "StorageBackend"]]:
-    """``(raw member, backend target, backend)`` per member, in shard order."""
-    from repro import registry  # lazy: registry imports repro.store
+#: The backend of each member: a member is a local ``dir:``/``file:``/``mem:``
+#: archive (:func:`~repro.store.target.parse_member`).
+_MEMBER_BACKENDS: dict[str, StorageBackend] = {
+    backend.name: backend for backend in (DirectoryBackend(), ContainerBackend(), MemoryBackend())
+}
 
+
+def _member_backends(spec: VolumeSetSpec) -> list[tuple[str, str, StorageBackend]]:
+    """``(raw member, backend target, backend)`` per member, in shard order."""
     resolved = []
     for member in spec.members:
         store, member_target = parse_member(member)
-        resolved.append((member, member_target, registry.get_store(store)))
+        resolved.append((member, member_target, _MEMBER_BACKENDS[store]))
     return resolved
 
 

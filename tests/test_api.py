@@ -1,7 +1,7 @@
-"""Tests for the unified :mod:`repro.api` facade and :mod:`repro.registry`.
+"""Tests for the unified :mod:`repro.api` facade and the name tables behind it.
 
 Covers the ArchiveConfig JSON contract (round-trip + rejection of unknown
-names/keys), the registry register/duplicate/unregister/did-you-mean paths,
+names/keys), run-time media registration and the did-you-mean lookups,
 session-based streaming I/O, the one-call end-to-end flow across media
 channels and codecs selected purely by name, that sessions join their
 worker threads, and a ``python -m repro`` CLI smoke test via subprocess.
@@ -22,10 +22,18 @@ from repro import (
     ArchiveConfig,
     open_archive,
     open_restore,
-    registry,
     run_end_to_end,
 )
+from repro.core.profiles import (
+    MEDIA_ALIASES,
+    PROFILES,
+    TEST_PROFILE,
+    get_profile,
+    media_name,
+    register_profile,
+)
 from repro.dbcoder import DBCoder, Profile, pack_container
+from repro.dbcoder.dbcoder import codec_name
 from repro.errors import (
     ArchiveError,
     ConfigError,
@@ -127,54 +135,48 @@ class TestArchiveConfig:
     def test_distortion_override_reaches_the_channel(self):
         config = ArchiveConfig(media="test", distortion="pristine")
         assert config.channel().distortion.name == "pristine"
-        # The base registry entry is untouched.
-        assert registry.get_media("test").channel().distortion.name != "pristine"
+        # The base media table entry is untouched.
+        assert get_profile("test").channel().distortion.name != "pristine"
 
 
 # --------------------------------------------------------------------------- #
-# Registries
+# Name tables
 # --------------------------------------------------------------------------- #
 class TestRegistry:
-    def test_register_get_unregister(self):
-        reg = registry.Registry("widget")
-        reg.register("alpha", 1)
-        assert reg.get("ALPHA") == 1 and "alpha" in reg
-        reg.alias("a", "alpha")
-        assert reg.get("a") == 1
-        reg.unregister("alpha")
-        assert "alpha" not in reg and "a" not in reg
-
     def test_duplicate_registration_rejected(self):
-        reg = registry.Registry("widget")
-        reg.register("alpha", 1)
-        with pytest.raises(RegistryError, match="already registered"):
-            reg.register("alpha", 2)
-        assert reg.register("alpha", 2, overwrite=True) == 2
+        profile = dataclasses.replace(TEST_PROFILE, name="widget-medium")
+        register_profile(profile)
+        try:
+            assert get_profile("WIDGET-MEDIUM") is profile
+            assert ArchiveConfig(media="Widget-Medium").media == "widget-medium"
+            with pytest.raises(RegistryError, match="already registered"):
+                register_profile(profile)
+        finally:
+            del PROFILES["widget-medium"]
+        # A built-in profile name or alias is taken too.
+        for taken in ("paper", "test-small"):
+            with pytest.raises(RegistryError, match="already registered"):
+                register_profile(dataclasses.replace(TEST_PROFILE, name=taken))
+        assert "paper" in MEDIA_ALIASES and PROFILES["test-small"] is TEST_PROFILE
 
     def test_unknown_name_error_carries_suggestion(self):
         with pytest.raises(UnknownNameError) as excinfo:
-            registry.get_codec("portble")
+            codec_name("portble")
         error = excinfo.value
         assert error.suggestion == "portable"
         assert "did you mean 'portable'?" in str(error)
         assert isinstance(error, ReproError) and isinstance(error, KeyError)
 
-    def test_unregister_unknown_raises(self):
-        reg = registry.Registry("widget")
-        with pytest.raises(UnknownNameError):
-            reg.unregister("ghost")
-
     def test_codecs_are_the_three_dbcoder_profiles(self):
-        assert registry.codecs.names() == ["dense", "portable", "store"]
+        with pytest.raises(UnknownNameError) as excinfo:
+            codec_name("lzma")
+        assert excinfo.value.choices == ["dense", "portable", "store"]
         for profile in Profile:
             # Manifests record the profile's name ("PORTABLE").
-            codec = registry.get_codec(profile.name)
+            config = ArchiveConfig(codec=profile.name)
+            assert config.codec == codec_name(profile.name) == profile.name.lower()
+            codec = config.resolve_codec()
             assert isinstance(codec, DBCoder) and codec.profile is profile
-            assert registry.get_codec(profile) is codec
-            assert registry.get_codec(codec) is codec
-        for retired in ("Codec", "register_codec", "load_plugins", "PLUGINS_ENV_VAR",
-                        "CUSTOM_CODEC_PROFILE_ID"):
-            assert not hasattr(registry, retired)
 
 
 class TestUserCodecArchives:
@@ -189,7 +191,7 @@ class TestUserCodecArchives:
             writer.write(payload)
         archive = writer.archive
         container = pack_container(255, payload, bytes(byte ^ 0x55 for byte in payload))
-        frames = MOCoder(registry.get_media("test").spec).encode_to_images(container)
+        frames = MOCoder(get_profile("test").spec).encode_to_images(container)
         assert len(frames) == len(archive.data_emblem_images)
         manifest = dataclasses.replace(
             archive.manifest, dbcoder_profile="xor55",
@@ -337,7 +339,7 @@ class TestRunEndToEnd:
         assert result.ok
         assert result.payload == payload
         assert result.frames_recorded >= result.archive.manifest.data_emblem_count
-        assert result.config.media == registry.media.resolve_name(media)
+        assert result.config.media == media_name(media)
 
     def test_end_to_end_records_channel_name(self):
         result = run_end_to_end(ArchiveConfig(media="dna", scan_seed=2), b"abc" * 50)

@@ -27,7 +27,6 @@ from repro.errors import (
     UnknownNameError,
 )
 from repro.mocoder import EmblemKind, MOCoder
-from repro.store import load_archive
 
 
 @pytest.fixture(scope="module")
@@ -155,7 +154,8 @@ class TestArchivePersistence:
 
     def test_save_and_load_directory(self, tiny_database, tiny_archive, tmp_path):
         target = self._write_directory(tiny_database, tmp_path / "archive")
-        loaded = load_archive(target)
+        with open_restore(target) as reader:
+            loaded = reader.archive
         assert loaded.manifest == tiny_archive.manifest
         assert len(loaded.data_emblem_images) == len(tiny_archive.data_emblem_images)
         result = open_restore(loaded).read()
@@ -170,4 +170,4 @@ class TestArchivePersistence:
     def test_loading_a_non_archive_directory_fails(self, tmp_path):
         from repro.errors import ArchiveError
         with pytest.raises(ArchiveError):
-            load_archive(f"dir:{tmp_path}")
+            open_restore(f"dir:{tmp_path}")

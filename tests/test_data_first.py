@@ -33,10 +33,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import registry
 from repro.api import ArchiveConfig, open_archive, open_restore
 from repro.core.archive import MicrOlonysArchive
 from repro.core.profiles import TEST_PROFILE
+from repro.dbcoder import DBCoder
 from repro.errors import MissingEmblemError
 from repro.media import distortions
 from repro.mocoder import EmblemKind, MOCoder
@@ -146,7 +146,7 @@ class TestDataFirstEqualsEveryFrame:
 
         def every_frame() -> bytes:
             container, _ = MOCoder(SPEC).decode(scans)
-            return registry.get_codec("store").decode(container)
+            return DBCoder().decode(container)
 
         def data_first() -> bytes:
             with open_restore(archive) as reader:
@@ -165,7 +165,7 @@ class TestDataFirstEqualsEveryFrame:
             result = reader.read_from_scans(scans)
         assert result.data_report.emblems_seen == len(scans)
         container, _ = MOCoder(SPEC).decode(scans)
-        assert result.payload == registry.get_codec("store").decode(container)
+        assert result.payload == DBCoder().decode(container)
 
     def test_a_foreign_frame_gets_every_frame_decoded(self) -> None:
         """A frame of a longer stream scanned among the data frames names an
@@ -178,7 +178,7 @@ class TestDataFirstEqualsEveryFrame:
         container, _ = MOCoder(SPEC).decode(scans)
         with open_restore(archive) as reader:
             result = reader.read_from_scans(scans)
-        assert result.payload == registry.get_codec("store").decode(container)
+        assert result.payload == DBCoder().decode(container)
         assert result.data_report.emblems_seen == len(scans)
         assert result.data_report.groups_reconstructed == 1
 
@@ -213,7 +213,7 @@ class TestDataFirstEqualsEveryFrame:
         container, _ = MOCoder(SPEC).decode(scans)
         with open_restore(archive) as reader:
             result = reader.read_from_scans(scans)
-        assert result.payload == registry.get_codec("store").decode(container)
+        assert result.payload == DBCoder().decode(container)
         assert result.data_report.emblems_seen == len(scans)
         assert result.data_report.groups_reconstructed == 1
 

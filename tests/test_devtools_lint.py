@@ -315,13 +315,28 @@ class TestExecutorPickleRule:
 
 
 # --------------------------------------------------------------------------- #
-# REP401 — registry resolution (runs against the live registry)
+# REP401 — name-table resolution (runs against the live tables)
 # --------------------------------------------------------------------------- #
 class TestRegistryRule:
     def test_live_registries_resolve(self):
         rule = RegistryRule()
         assert list(rule.check_project()) == []
         assert rule.notices() == []
+
+    def test_dangling_alias_and_unreachable_name_reported(self, monkeypatch):
+        from repro.core import profiles
+
+        monkeypatch.setitem(profiles.MEDIA_ALIASES, "vinyl", "vinyl-33rpm")
+        monkeypatch.setitem(profiles.PROFILES, "Shouty", profiles.TEST_PROFILE)
+        findings = list(RegistryRule().check_project())
+        assert [(finding.rule, finding.path) for finding in findings] == [
+            ("REP401", "repro.core.profiles.MEDIA_ALIASES"),
+            ("REP401", "repro.core.profiles.PROFILES"),
+        ]
+        assert findings[0].message == "alias 'vinyl' points at unregistered name 'vinyl-33rpm'"
+        assert findings[1].message.startswith(
+            "name 'Shouty' does not resolve: unknown media channel 'Shouty'"
+        )
 
 
 # --------------------------------------------------------------------------- #

@@ -1,23 +1,18 @@
 """Package layering: a declared order, and every subpackage imports on its own.
 
 :data:`LAYERS` lists the packages and top-level modules of ``repro`` lowest
-first.  A module-level ``repro.*`` import may only reach its own entry or an
-earlier one, so the import graph between layers stays acyclic.  Imports
-inside a function body run on first call, not at import time, and stay
-allowed in any direction; the library uses them on purpose where a lower
-layer names a higher one at run time:
+first.  A ``repro.*`` import may only reach its own entry or an earlier one,
+at module level and inside a function body alike, so the import graph
+between layers stays acyclic.  One function-level import points up, on
+purpose (:data:`UPWARD_IMPORTS`): ``api`` reaches :mod:`repro.server` in the
+CLI's ``serve`` command, so plain CLI runs never load the service stack.
 
-* ``core``, ``pipeline`` and ``store`` reach :mod:`repro.registry`
-  (``from repro import registry`` inside the function that resolves a
-  name): ``core.profiles.get_profile`` and ``store`` resolve media and
-  backends, and ``pipeline`` resolves an executor (``get_executor``), an
-  archive's codec (``ArchivePipeline.__init__``) and a channel's media and
-  distortion (``ChannelSpec.build_channel``, when a spec is made), all on
-  the calling thread.  Segment jobs carry their codec and channel, so no
-  executor worker looks a name up, and none of
-  :data:`SEGMENT_JOB_FUNCTIONS` imports the registry;
-* ``api`` reaches :mod:`repro.server` in the CLI's ``serve`` command, so
-  plain CLI runs never load the service stack.
+Each name table lives in the module that defines its values (media in
+``core``, codecs in ``dbcoder``, distortions in ``media``, executors in
+``pipeline``, backends in ``store``), so every name resolves without an
+upward import.  Segment jobs carry their codec and channel, so no executor
+worker looks a name up: none of :data:`SEGMENT_JOB_FUNCTIONS` touches a
+name table.
 
 An import cycle between package layers only shows when the *first* import in
 a process enters it from the wrong side, so each subpackage is also imported
@@ -76,13 +71,37 @@ def test_core_imports_no_higher_layer():
 LAYERS = (
     "errors", "util", "dynarisc", "verisc", "bootstrap", "dbms", "media",
     "mocoder", "nested", "dbcoder", "baselines", "core", "pipeline", "store",
-    "registry", "api", "server", "devtools",
+    "api", "server", "devtools",
 )
+
+#: The function-level imports allowed to point up the layers:
+#: ``(file under src/repro, function, imported module)``.
+UPWARD_IMPORTS = {
+    ("api/cli.py", "_cmd_serve", "repro.server"),
+    ("api/cli.py", "_cmd_serve", "repro.server.cache"),
+}
 
 
 def _layer(module: str) -> str:
     """The :data:`LAYERS` entry a dotted ``repro.*`` module name belongs to."""
     return module.split(".")[1]
+
+
+def _imported_modules(node: ast.stmt):
+    """The ``repro.*`` modules one import statement names (none for any
+    other statement)."""
+    if isinstance(node, ast.ImportFrom) and node.module:
+        if node.module == "repro":
+            yield from (f"repro.{alias.name}" for alias in node.names)
+        elif node.module.startswith("repro."):
+            yield node.module
+    elif isinstance(node, ast.Import):
+        yield from (alias.name for alias in node.names if alias.name.startswith("repro."))
+
+
+def _layer_paths(layer: str) -> "list[Path]":
+    package = PACKAGE / layer
+    return sorted(package.rglob("*.py")) if package.is_dir() else [PACKAGE / f"{layer}.py"]
 
 
 def _import_time_modules(body: "list[ast.stmt]"):
@@ -94,15 +113,7 @@ def _import_time_modules(body: "list[ast.stmt]"):
         if isinstance(node, ast.If) and ast.unparse(node.test).endswith("TYPE_CHECKING"):
             yield from _import_time_modules(node.orelse)
             continue
-        if isinstance(node, ast.ImportFrom) and node.module:
-            if node.module == "repro":
-                yield from (f"repro.{alias.name}" for alias in node.names)
-            elif node.module.startswith("repro."):
-                yield node.module
-        elif isinstance(node, ast.Import):
-            yield from (
-                alias.name for alias in node.names if alias.name.startswith("repro.")
-            )
+        yield from _imported_modules(node)
         for field in ("body", "orelse", "finalbody", "handlers"):
             yield from _import_time_modules(getattr(node, field, []))
 
@@ -117,9 +128,7 @@ def test_layers_cover_the_package():
 @pytest.mark.parametrize("layer", LAYERS)
 def test_module_level_imports_point_down_the_layers(layer):
     rank = LAYERS.index(layer)
-    package = PACKAGE / layer
-    paths = sorted(package.rglob("*.py")) if package.is_dir() else [PACKAGE / f"{layer}.py"]
-    for path in paths:
+    for path in _layer_paths(layer):
         for module in _import_time_modules(ast.parse(path.read_text()).body):
             target = _layer(module)
             assert LAYERS.index(target) <= rank, (
@@ -128,28 +137,58 @@ def test_module_level_imports_point_down_the_layers(layer):
             )
 
 
+def test_function_level_imports_point_down_the_layers():
+    """An import inside a function body obeys :data:`LAYERS` too, but for
+    :data:`UPWARD_IMPORTS`: a lower layer that named a higher one at run
+    time would hide a cycle from the module-level check."""
+    upward = set()
+    for rank, layer in enumerate(LAYERS):
+        for path in _layer_paths(layer):
+            for function in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                for node in ast.walk(function):
+                    if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                        continue
+                    for module in _imported_modules(node):
+                        if LAYERS.index(_layer(module)) <= rank:
+                            continue
+                        site = (path.relative_to(PACKAGE).as_posix(), function.name, module)
+                        assert site in UPWARD_IMPORTS, (
+                            f"{path.relative_to(SRC)}:{node.lineno} imports {module} in "
+                            f"{function.name}, but {_layer(module)!r} sits above "
+                            f"{layer!r} in the layering"
+                        )
+                        upward.add(site)
+    assert upward == UPWARD_IMPORTS
+
+
 #: The functions the pipeline runs inside executor workers, per segment.
 SEGMENT_JOB_FUNCTIONS = ("_encode_segment_job", "_decode_job", "_finish_segment")
 
+#: The name tables and the lookups that read them.
+NAME_LOOKUPS = {
+    "PROFILES", "MEDIA_ALIASES", "EXECUTORS", "DISTORTIONS", "BACKENDS",
+    "get_profile", "media_name", "codec_name", "executor_name", "distortion_name",
+    "resolve_name", "get_executor",
+}
+
 
 def test_segment_jobs_import_no_registry():
-    """A worker decodes with the codec its job carries; it never looks a
-    name up in :mod:`repro.registry`, whatever the start method."""
+    """A worker decodes with the codec its job carries: it imports nothing
+    and reads no name table, whatever the start method."""
     tree = ast.parse((PACKAGE / "pipeline" / "pipeline.py").read_text())
     functions = {
         node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
     }
     for name in SEGMENT_JOB_FUNCTIONS:
         for node in ast.walk(functions[name]):
-            if isinstance(node, ast.ImportFrom):
-                imported = [f"{node.module}.{alias.name}" for alias in node.names]
-            elif isinstance(node, ast.Import):
-                imported = [alias.name for alias in node.names]
-            else:
-                continue
-            for module in imported:
-                assert not module.startswith("repro.registry"), (
-                    f"{name} imports {module} at line {node.lineno}"
+            assert not isinstance(node, (ast.Import, ast.ImportFrom)), (
+                f"{name} imports at line {node.lineno}"
+            )
+            if isinstance(node, ast.Name):
+                assert node.id not in NAME_LOOKUPS, (
+                    f"{name} reads {node.id} at line {node.lineno}"
                 )
 
 

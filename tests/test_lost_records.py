@@ -25,6 +25,7 @@ import pytest
 
 from repro.api import open_restore
 from repro.errors import MissingEmblemError
+from repro.mocoder.emblem import AbsentFrame
 from repro.store import frame_record_name, scan_container
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -128,6 +129,29 @@ class TestDirectoryTarget:
         _assert_reported(shallow, "system", 0)
         with open_restore(f"dir:{target}", decode_mode="dynarisc") as reader:
             assert reader.read().payload == payload
+
+    def test_archive_artefact_holds_a_lost_record_as_absent(
+        self, tmp_path, payload, write_archive
+    ):
+        """``reader.archive`` fetches through the same erasure path as every
+        read, and its frame lists restore through the outer code."""
+        target = tmp_path / "portable"
+        write_archive(f"dir:{target}", payload)
+        (target / "data_emblem_0003.pgm").unlink()
+        with open_restore(f"dir:{target}") as reader:
+            archive = reader.archive
+            frames = archive.data_emblem_images
+            assert len(frames) == archive.manifest.data_emblem_count
+            assert isinstance(frames[3], AbsentFrame)
+            assert "data_emblem_0003.pgm" in frames[3].reason
+            assert sum(isinstance(frame, AbsentFrame) for frame in frames) == 1
+            result = reader.read_from_scans(
+                frames, archive.system_emblem_images, archive.bootstrap_text
+            )
+        assert result.payload == payload
+        [(index, reason)] = result.data_report.failed_frames
+        assert index == 3 and "data_emblem_0003.pgm" in reason
+        assert result.data_report.groups_reconstructed == 1
 
     def test_lost_record_through_the_channel(self, directory, payload):
         (directory / "data_emblem_0003.pgm").unlink()

@@ -8,6 +8,11 @@ and the estimate_emblems fix.
 
 import dataclasses
 import io
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +24,7 @@ from repro import (
     open_restore,
 )
 from repro.core.archive import ArchiveManifest, SegmentRecord
-from repro.core.profiles import MediaProfile
+from repro.core.profiles import PROFILES, MediaProfile, register_profile
 from repro.dbcoder import Profile
 from repro.dbcoder.formats import HEADER_SIZE
 from repro.errors import RestorationError, UnknownNameError
@@ -33,8 +38,9 @@ from repro.pipeline import (
     ThreadPoolSegmentExecutor,
     ProcessPoolSegmentExecutor,
 )
-from repro.store import load_archive
 from repro.util.crc import crc32_of
+
+SRC_ROOT = Path(__file__).resolve().parent.parent / "src"
 
 #: Large emblems (57 kB payload) so megabyte-scale tests stay fast.
 BIG_SPEC_PROFILE = MediaProfile(
@@ -51,10 +57,8 @@ BIG_SPEC_PROFILE = MediaProfile(
 
 # Register the bench profile so manifest-driven open_restore resolves it —
 # the same path a user takes to plug a custom medium into the facade.
-from repro import registry  # noqa: E402
-
-if BIG_SPEC_PROFILE.name not in registry.media:
-    registry.media.register(BIG_SPEC_PROFILE.name, BIG_SPEC_PROFILE)
+if BIG_SPEC_PROFILE.name not in PROFILES:
+    register_profile(BIG_SPEC_PROFILE)
 
 
 def random_payload(size: int, seed: int) -> bytes:
@@ -176,6 +180,35 @@ class TestExecutors:
             get_executor("quantum")
         with pytest.raises(ValueError):
             get_executor("thread:zero")
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform"
+    )
+    def test_pools_size_from_the_cpus_this_process_may_use(self):
+        """A process pinned to one CPU runs ``auto`` serially and sizes a
+        bare pool to one worker, however many CPUs the machine shows."""
+        script = textwrap.dedent("""
+            import os
+
+            from repro.pipeline import SerialExecutor, get_executor
+
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+            assert isinstance(get_executor("auto"), SerialExecutor)
+            for name in ("thread", "process"):
+                executor = get_executor(name)
+                assert executor.workers == 1, (name, executor.workers)
+                executor.close()
+            print("PINNED-OK")
+        """)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC_ROOT)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "PINNED-OK" in proc.stdout
 
 
 def _square(x):
@@ -329,7 +362,8 @@ class TestSegmentMetadata:
         artefact, payload = archive
         target = f"dir:{tmp_path / 'segmented'}"
         write_archive(target, payload, segment_size=3_000)
-        loaded = load_archive(target)
+        with open_restore(target) as reader:
+            loaded = reader.archive
         assert loaded.manifest == artefact.manifest
         assert open_restore(loaded).read().payload == payload
 

@@ -24,15 +24,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import open_restore, registry
+from repro import open_restore
+from repro.api.reader import ArchiveReader
 from repro.core.archive import ArchiveManifest
 from repro.errors import ArchiveError, RestorationError, StoreError, UnknownNameError
 from repro.mocoder.mocoder import stream_layout
 from repro.store import (
+    BACKENDS,
     MANIFEST_FORMAT_VERSION,
     ArchiveSource,
     MemoryBackend,
-    load_archive,
     open_sink,
     open_source,
     parse_target,
@@ -228,8 +229,9 @@ class TestBackends:
         names = {p.name for p in (tmp_path / "arch").iterdir()}
         assert {"manifest.json", "bootstrap.txt", "config.json"} <= names
         assert any(name.startswith("data_emblem_") for name in names)
-        # The whole-archive loader reads the classic layout back.
-        archive = load_archive(f"dir:{tmp_path / 'arch'}")
+        # The whole-archive accessor reads the classic layout back.
+        with open_restore(f"dir:{tmp_path / 'arch'}") as reader:
+            archive = reader.archive
         assert open_restore(archive).read().payload == payload
 
     def test_memory_backend(self, make_payload, write_archive):
@@ -338,16 +340,21 @@ class TestBackends:
             open_source(f"file:{path}")
 
     def test_stores_registry(self):
-        assert registry.stores.names() == ["container", "directory", "memory", "volumes"]
-        # The target URI's scheme is the only short spelling of a backend.
-        assert registry.stores.aliases() == {}
-        with pytest.raises(UnknownNameError, match="did you mean"):
-            registry.get_store("contaner")
+        assert sorted(BACKENDS) == ["container", "directory", "memory", "volumes"]
+        assert all(backend.name == name for name, backend in BACKENDS.items())
+        # The target URI's scheme is the only spelling of a backend, and a
+        # misspelt one fails in the parser.
+        assert {parse_target(f"{scheme}:x").store for scheme in ("dir", "file", "mem")} | {
+            parse_target("vol:a,b").store
+        } == set(BACKENDS)
+        with pytest.raises(UnknownNameError, match="did you mean 'file'"):
+            parse_target("fiel:x.ule")
 
     def test_load_archive_from_any_target(self, tmp_path, make_payload, write_archive):
         payload = make_payload(3_000, seed=8)
         write_archive(f"file:{tmp_path / 'c.ule'}", payload)
-        archive = load_archive(tmp_path / "c.ule")
+        with open_restore(tmp_path / "c.ule") as reader:
+            archive = reader.archive
         assert archive.manifest.archive_bytes == len(payload)
         assert len(archive.data_emblem_images) == archive.manifest.data_emblem_count
         assert len(archive.system_emblem_images) == archive.manifest.system_emblem_count
@@ -568,13 +575,29 @@ class RecordingSource(ArchiveSource):
 
 
 def _no_whole_archive_pass(*args, **kwargs):
-    raise AssertionError("a read materialised the whole archive through load_archive")
+    raise AssertionError("a read materialised the whole archive through reader.archive")
 
 
 # --------------------------------------------------------------------------- #
 # One frame provider and one segment loop for every read
 # --------------------------------------------------------------------------- #
 class TestOneSegmentLoop:
+    def test_the_archive_artefact_fetches_each_stream_once(
+        self, tmp_path, make_payload, write_archive
+    ):
+        payload = make_payload(8_192, seed=16)
+        target = f"file:{tmp_path / 'arch.ule'}"
+        write_archive(target, payload)
+        source = RecordingSource(open_source(target))
+        with open_restore(source) as reader:
+            archive = reader.archive
+            manifest = reader.manifest
+        assert source.fetches == [
+            ("data", 0, manifest.data_emblem_count),
+            ("system", 0, manifest.system_emblem_count),
+        ]
+        assert open_restore(archive).read().payload == payload
+
     @pytest.mark.parametrize("read", ["read", "read_via_channel"])
     def test_full_reads_fetch_segment_by_segment(self, tmp_path, make_payload,
                                                  write_archive, monkeypatch, read):
@@ -584,8 +607,7 @@ class TestOneSegmentLoop:
         payload = make_payload(8_192, seed=16)
         target = f"file:{tmp_path / 'arch.ule'}"
         write_archive(target, payload)
-        monkeypatch.setattr("repro.api.reader.load_archive", _no_whole_archive_pass)
-        monkeypatch.setattr("repro.store.load_archive", _no_whole_archive_pass)
+        monkeypatch.setattr(ArchiveReader, "archive", property(_no_whole_archive_pass))
         source = RecordingSource(open_source(target))
         with open_restore(source) as reader:
             result = getattr(reader, read)()
@@ -763,14 +785,12 @@ class TestStartMethods:
             import multiprocessing
             import sys
 
-            from repro import ArchiveConfig, open_archive, open_restore, registry
-            from repro.core.profiles import TEST_PROFILE
+            from repro import ArchiveConfig, open_archive, open_restore
+            from repro.core.profiles import TEST_PROFILE, register_profile
 
             if __name__ == "__main__":
                 multiprocessing.set_start_method({method!r}, force=True)
-                registry.media.register(
-                    "run-time-medium", dataclasses.replace(TEST_PROFILE, name="run-time-medium")
-                )
+                register_profile(dataclasses.replace(TEST_PROFILE, name="run-time-medium"))
                 payload = b"start method payload " * 400 + bytes(range(256)) * 8
                 target = "dir:" + sys.argv[1]
                 config = ArchiveConfig(media="run-time-medium", codec="portable",

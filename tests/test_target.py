@@ -6,7 +6,7 @@ target, and the only place a backend or a volume geometry is chosen.  These
 tests pin the grammar itself: each scheme parses to the right backend,
 filesystem paths (strings, Paths and bare ``vol:`` members alike) sniff by
 one silent rule, hostile input is rejected with ``StoreError`` before
-anything touches the disk, unknown schemes raise the registry-style
+anything touches the disk, unknown schemes raise the name-table
 did-you-mean error, the retired ``store=``-style keywords point at the URI
 spelling, and the ``vol:`` sub-grammar validates its geometry eagerly.
 """
@@ -174,10 +174,10 @@ class TestStoreOverride:
                 opener(spec)
 
     def test_volumes_store_needs_a_vol_uri(self, tmp_path):
-        from repro import registry
+        from repro.store import BACKENDS
 
         with pytest.raises(StoreError, match="needs a vol: target URI"):
-            registry.get_store("volumes").create(str(tmp_path / "set"))
+            BACKENDS["volumes"].create(str(tmp_path / "set"))
 
 
 # --------------------------------------------------------------------------- #

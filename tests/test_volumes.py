@@ -364,7 +364,7 @@ def test_losses_beyond_parity_fail_with_named_members(geometry, seed):
 
 
 # --------------------------------------------------------------------------- #
-# Mixed member backends and the registry surface
+# Mixed member backends and the public surface
 # --------------------------------------------------------------------------- #
 class TestSurface:
     def test_mixed_member_backends_roundtrip(self, tmp_path, make_payload):
