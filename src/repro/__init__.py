@@ -79,8 +79,6 @@ _EXPORTS: dict[str, str] = {
     "PROFILES": "repro.core",
     "get_profile": "repro.core",
     # repro.pipeline
-    "ArchivePipeline": "repro.pipeline",
-    "RestorePipeline": "repro.pipeline",
     "DEFAULT_SEGMENT_SIZE": "repro.pipeline",
     "get_executor": "repro.pipeline",
     # coders
@@ -172,9 +170,4 @@ if TYPE_CHECKING:  # static importers see the eager imports
         UnknownNameError,
     )
     from repro.mocoder import EmblemKind, EmblemSpec, MOCoder  # noqa: F401
-    from repro.pipeline import (  # noqa: F401
-        DEFAULT_SEGMENT_SIZE,
-        ArchivePipeline,
-        RestorePipeline,
-        get_executor,
-    )
+    from repro.pipeline import DEFAULT_SEGMENT_SIZE, get_executor  # noqa: F401

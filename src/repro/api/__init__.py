@@ -6,8 +6,8 @@ This package is the canonical way in and out of the system:
   pluggable choice (media channel, codec, executor, distortion, segment
   size, decode mode) by a name its own module's table resolves;
 * :func:`open_archive` / :func:`open_restore` — session-based streaming I/O
-  over the pipeline (context managers, chunked ``write``, progress
-  callbacks), persisting to / reading from the :mod:`repro.store` backend a
+  over the pipeline (context managers, chunked ``write``, a per-segment
+  ``on_batch`` callback), persisting to / reading from the :mod:`repro.store` backend a
   target URI names (``target="file:backup.ule"``, ``"dir:..."``,
   ``"mem:..."``, ``"vol:..."`` or a filesystem path — the one place a
   backend or volume geometry is chosen); :func:`open_archive` is the only

@@ -255,8 +255,9 @@ class ArchiveConfig:
 
     def channel(self) -> MediaChannel:
         """A fresh media channel for step 7 (record/scan), with any
-        distortion override applied."""
-        return ChannelSpec(self.media, self.distortion).build_channel()
+        distortion override applied: the one a :class:`ChannelSpec` of these
+        names builds."""
+        return ChannelSpec(self.media, self.distortion).channel
 
     # ------------------------------------------------------------------ #
     def estimate_emblems(self, payload_bytes: int) -> int:

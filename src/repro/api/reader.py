@@ -4,8 +4,10 @@
 to restore an archive.  It runs the six restoration steps of Figure 2b over
 the archive artefact, a simulated channel, externally produced scans or a
 store target, decodes every data stream through
-:class:`~repro.pipeline.RestorePipeline`, and checks archives on their
-target (:meth:`ArchiveReader.verify`).
+:func:`~repro.pipeline.pipeline.decode_segments` and the system stream
+through :func:`~repro.pipeline.pipeline.decode_system`, on one executor the
+session owns, and checks archives on their target
+(:meth:`ArchiveReader.verify`).
 """
 
 from __future__ import annotations
@@ -40,8 +42,9 @@ from repro.pipeline.executors import SegmentExecutor, get_executor
 from repro.pipeline.pipeline import (
     ChannelSpec,
     DecodedSegment,
-    RestorePipeline,
     _verify_segment_payload,
+    decode_segments,
+    decode_system,
     merge_reports,
 )
 from repro.store import (
@@ -272,9 +275,9 @@ class ArchiveReader:
        library ships the reference one);
     3. instantiate the archived DynaRisc emulator and the MOCoder decoder;
     4. decode the *system emblems* to obtain the DBCoder decoder;
-    5. decode the *data emblems* through the
-       :class:`~repro.pipeline.RestorePipeline`, then run the DBCoder decoder
-       on the result to obtain the SQL text archive;
+    5. decode the *data emblems* segment by segment
+       (:func:`~repro.pipeline.pipeline.decode_segments`), then run the
+       DBCoder decoder on the result to obtain the SQL text archive;
     6. load the archive into a present-day DBMS (:func:`repro.dbms.db_load`).
 
     ``config.decode_mode`` selects how faithfully step 5 runs, for every
@@ -376,18 +379,11 @@ class ArchiveReader:
             )
         return self._archive
 
-    def _pipeline(
-        self, manifest: ArchiveManifest, channel: ChannelSpec | None = None
-    ) -> RestorePipeline:
-        """A restore pipeline over the session's executor (built once) for
-        ``manifest``'s streams: their outer code is a fact of the archive,
-        which no session setting overrides."""
+    def _session_executor(self) -> SegmentExecutor:
+        """The session's executor, built on first use and shared by every read."""
         if self._executor is None:
             self._executor = get_executor(self.config.executor)
-        return RestorePipeline(
-            self._profile, executor=self._executor, channel=channel,
-            outer_code=manifest.outer_code,
-        )
+        return self._executor
 
     def _frames(
         self, record: SegmentRecord, start: int, count: int | None
@@ -446,7 +442,9 @@ class ArchiveReader:
         count = self._system_count
         if not count:
             return None
-        decoder, report = self._pipeline(self.manifest).decode_system(count, self._system_frames)
+        decoder, report = decode_system(
+            count, self._system_frames, self._profile.spec, self.manifest.outer_code
+        )
         self.failed_frames["system"].extend(report.failed_frames)
         return decoder
 
@@ -462,8 +460,9 @@ class ArchiveReader:
         recorded, scanned (per-frame seeded) and decoded as one job through
         the configured executor, so step 7 parallelises and overlaps with
         decoding instead of staging a whole-archive record/scan pass.  The
-        config names the medium and distortion, so every executor worker
-        rebuilds the same channel from a :class:`~repro.pipeline.ChannelSpec`.
+        config names the medium and distortion; the
+        :class:`~repro.pipeline.ChannelSpec` made from them builds the channel
+        once and carries it into every executor worker.
         """
         if seed is None:
             seed = self.config.scan_seed
@@ -557,8 +556,8 @@ class ArchiveReader:
         system_report = None
         decoder_code: bytes | None = None
         if system_count:
-            decoder_code, system_report = self._pipeline(manifest, channel).decode_system(
-                system_count, system_frames
+            decoder_code, system_report = decode_system(
+                system_count, system_frames, self._profile.spec, manifest.outer_code, channel
             )
             notes.append(
                 f"system emblems decoded: {system_report.emblems_decoded} of "
@@ -629,14 +628,16 @@ class ArchiveReader:
         channel: ChannelSpec | None = None,
     ) -> Iterator[tuple[DecodedSegment, bytes, int]]:
         """Step 5, the one segment loop every read runs: ``frames_for``
-        supplies each segment's frames, :meth:`RestorePipeline.iter_decode`
-        decodes them, and the emulated modes run the archived
+        supplies each segment's frames, :func:`decode_segments` decodes them
+        with the outer code the archive's ``manifest`` names (no session
+        setting overrides it), and the emulated modes run the archived
         ``decoder_code`` on each container (the reference decoders stand in
         when there is none).  Yields each segment, its verified payload and
         the emulator steps it took."""
         decoder = decoder_code if self.config.decode_mode != "python" else None
-        for decoded in self._pipeline(manifest, channel).iter_decode(
-            records, frames_for, decode_payload=decoder is None
+        for decoded in decode_segments(
+            records, frames_for, self._profile.spec, manifest.outer_code,
+            self._session_executor(), channel, decode_payload=decoder is None,
         ):
             if decoder is None:
                 assert decoded.payload is not None  # decode_payload=True
@@ -966,14 +967,14 @@ class ArchiveReader:
                     report.errors.append(f"{kind} frame {index}: {frame.reason}")
             return frames
 
-        pipeline = self._pipeline(active)
         for record in active.segments:
             try:
-                for decoded in pipeline.iter_decode(
+                for decoded in decode_segments(
                     [record],
                     lambda segment, start, count: audited(
                         "data", segment.emblem_start + start, self._frames(segment, start, count)
                     ),
+                    self._profile.spec, active.outer_code, self._session_executor(),
                     every_frame=True,
                 ):
                     report.warnings.extend(

@@ -2,19 +2,19 @@
 
 :func:`open_archive` returns an :class:`ArchiveWriter` — a context manager
 that accepts payload chunks of any size via :meth:`~ArchiveWriter.write` and
-encodes them *while they arrive*: a background thread drives the streaming
-pipeline over a bounded queue, so segments encode (optionally in parallel)
-concurrently with the caller producing data, and per-segment progress
-callbacks fire as emblem batches complete.  :func:`open_restore` returns the
-reading half, an :class:`~repro.api.reader.ArchiveReader` running the six
-restoration steps of Figure 2b, and :func:`run_end_to_end` runs all seven
-steps of Figure 2a — including step 7's channel ``record``/``scan`` — plus
-the restore in one call.
+encodes them *while they arrive*: a background thread feeds them over a
+bounded queue to :func:`~repro.pipeline.pipeline.encode_segments`, so
+segments encode (optionally in parallel, on the session's own executor)
+concurrently with the caller producing data, and an ``on_batch`` callback
+sees each segment's emblem batch as it completes.  :func:`open_restore`
+returns the reading half, an :class:`~repro.api.reader.ArchiveReader`
+running the six restoration steps of Figure 2b, and :func:`run_end_to_end`
+runs all seven steps of Figure 2a — including step 7's channel
+``record``/``scan`` — plus the restore in one call.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import queue
 import threading
 from types import TracebackType
@@ -30,11 +30,8 @@ from repro.core.profiles import media_name
 from repro.dbcoder.dbcoder import codec_name
 from repro.errors import ArchiveError, ConfigError, RestorationError
 from repro.mocoder.emblem import Frame
-from repro.pipeline.pipeline import (
-    ArchivePipeline,
-    EncodedSegment,
-    build_system_artifacts,
-)
+from repro.pipeline.executors import get_executor
+from repro.pipeline.pipeline import EncodedSegment, build_system_artifacts, encode_segments
 from repro.store import (
     BOOTSTRAP_NAME,
     ArchiveSource,
@@ -70,10 +67,13 @@ class ArchiveWriter:
 
     Chunks are re-segmented by the pipeline's segmenter, so ``write`` calls
     need not align with segment boundaries.  Encoding runs on a background
-    thread while the caller keeps writing; at most a bounded window of
-    chunks and in-flight segments exist at once.  ``progress`` (if given) is
-    called with each completed :class:`~repro.core.archive.SegmentRecord`,
-    from the encoder thread.
+    thread, through an executor the session builds from its config and
+    closes when the last segment is encoded, while the caller keeps
+    writing; at most a bounded window of chunks and in-flight segments
+    exist at once.  ``on_batch`` (if given) is called with each completed
+    :class:`~repro.pipeline.EncodedSegment` — its
+    :class:`~repro.core.archive.SegmentRecord` and emblem images — from the
+    encoder thread.
 
     With a ``target`` the session also *persists* the archive through a
     :mod:`repro.store` backend: emblem frames stream onto the target as each
@@ -96,14 +96,12 @@ class ArchiveWriter:
         self,
         config: ArchiveConfig,
         *,
-        progress: Callable[[SegmentRecord], None] | None = None,
         on_batch: Callable[[EncodedSegment], None] | None = None,
         collect: bool | None = None,
         target: "str | Path | TargetSpec | None" = None,
         append_base: ArchiveManifest | None = None,
     ):
         self.config = config
-        self.progress = progress
         self.on_batch = on_batch
         self.target = target
         #: The parsed target every store operation of this session routes
@@ -128,22 +126,9 @@ class ArchiveWriter:
             self._sink = open_append_sink(self._spec)
         else:
             self._sink = open_sink(self._spec) if self._spec is not None else None
-        #: Rebasing offsets: an append session resumes the frame, segment and
-        #: byte numbering of the superseded manifest, so the new manifest's
-        #: cumulative segment list stays monotone across generations.
-        self._base_frames = append_base.data_emblem_count if append_base else 0
-        self._base_segments = len(append_base.segments) if append_base else 0
-        self._base_bytes = append_base.archive_bytes if append_base else 0
-        self._frames_written = self._base_frames
         self.archive: MicrOlonysArchive | None = None
         self._profile = config.media_profile()
-        self._pipeline = ArchivePipeline(
-            profile=self._profile,
-            codec=config.resolve_codec(),
-            outer_code=config.outer_code,
-            segment_size=config.segment_size,
-            executor=config.executor,
-        )
+        self._codec = config.resolve_codec()
         self._queue: "queue.Queue[bytes | object]" = queue.Queue(maxsize=8)
         self._records: list[SegmentRecord] = []
         self._images: list[Frame] = []
@@ -156,7 +141,7 @@ class ArchiveWriter:
         # with the base manifest's CRC makes the appended manifest's
         # archive_crc32 exactly the CRC of the concatenated payload.
         self._crc = append_base.archive_crc32 if append_base else 0
-        self._length = self._base_bytes
+        self._length = append_base.archive_bytes if append_base else 0
         self._closed = False
         self._thread = threading.Thread(
             target=self._encode_loop, name="repro-archive-writer", daemon=True
@@ -171,34 +156,32 @@ class ArchiveWriter:
                 return
             yield chunk
 
-    def _rebase(self, record: SegmentRecord) -> SegmentRecord:
-        """Renumber a pipeline-local record into the archive-wide sequence."""
-        if self._base is None:
-            return record
-        return dataclasses.replace(
-            record,
-            index=record.index + self._base_segments,
-            offset=record.offset + self._base_bytes,
-            emblem_start=record.emblem_start + self._base_frames,
-        )
-
     def _encode_loop(self) -> None:
+        base = self._base
+        # An append resumes the segment, byte and frame numbering of the
+        # superseded manifest, so the new manifest's cumulative segment list
+        # stays monotone across generations.
+        numbering = (
+            (len(base.segments), base.archive_bytes, base.data_emblem_count)
+            if base is not None else (0, 0, 0)
+        )
         try:
-            for batch in self._pipeline.iter_encode(self._chunks()):
-                batch.record = self._rebase(batch.record)
-                self._records.append(batch.record)
-                if self._sink is not None:
-                    # One batched call per segment: the container sink turns
-                    # this into a single coalesced write instead of one
-                    # stream write per frame.
-                    self._sink.put_frames("data", self._frames_written, batch.images)
-                    self._frames_written += len(batch.images)
-                if self.collect:
-                    self._images.extend(batch.images)
-                if self.on_batch is not None:
-                    self.on_batch(batch)
-                if self.progress is not None:
-                    self.progress(batch.record)
+            with get_executor(self.config.executor) as executor:
+                for batch in encode_segments(
+                    self._chunks(), self._profile.spec, self._codec, self.config.outer_code,
+                    self.config.segment_size, executor, base=numbering,
+                ):
+                    record = batch.record
+                    self._records.append(record)
+                    if self._sink is not None:
+                        # One batched call per segment: the container sink
+                        # turns this into a single coalesced write instead of
+                        # one stream write per frame.
+                        self._sink.put_frames("data", record.emblem_start, batch.images)
+                    if self.collect:
+                        self._images.extend(batch.images)
+                    if self.on_batch is not None:
+                        self.on_batch(batch)
         except BaseException as exc:  # surfaced on the caller's thread
             with self._state_lock:
                 self._error = exc
@@ -270,7 +253,7 @@ class ArchiveWriter:
         segments = (base.segments if base else ()) + tuple(self._records)
         manifest = ArchiveManifest(
             profile_name=self._profile.name,
-            dbcoder_profile=self._pipeline.codec.profile.name,
+            dbcoder_profile=self._codec.profile.name,
             archive_bytes=self._length,
             archive_crc32=self._crc,
             data_emblem_count=sum(record.emblem_count for record in segments),
@@ -410,7 +393,6 @@ def _resolve_append(
 def open_archive(
     config: ArchiveConfig | None = None,
     *,
-    progress: Callable[[SegmentRecord], None] | None = None,
     on_batch: Callable[[EncodedSegment], None] | None = None,
     collect: bool | None = None,
     target: "str | Path | TargetSpec | None" = None,
@@ -421,13 +403,13 @@ def open_archive(
 
     ``config`` defaults to ``ArchiveConfig()``; keyword ``overrides`` are
     applied on top (``open_archive(media="paper", codec="dense")``).
-    ``progress`` receives each completed
-    :class:`~repro.core.archive.SegmentRecord`; ``on_batch`` additionally
-    receives the emblem images (an :class:`~repro.pipeline.EncodedSegment`),
-    so a recorder-facing consumer can persist frames as they are emitted.
-    Both callbacks run on the encoder thread.  ``collect=False`` drops each
-    batch's images after the callbacks — peak memory then stays bounded by
-    the executor window regardless of payload size.
+    ``on_batch`` receives each completed segment as an
+    :class:`~repro.pipeline.EncodedSegment`: its
+    :class:`~repro.core.archive.SegmentRecord` and emblem images, so a
+    recorder-facing consumer can persist frames as they are emitted.  It
+    runs on the encoder thread.  ``collect=False`` drops each batch's images
+    after the callback — peak memory then stays bounded by the executor
+    window regardless of payload size.
 
     ``target`` persists the archive through the :mod:`repro.store` backend
     its spelling names (:mod:`repro.store.target`: ``dir:``, ``file:``,
@@ -457,13 +439,10 @@ def open_archive(
         spec = parse_target(target)
         config, base = _resolve_append(spec, config, overrides)
         return ArchiveWriter(
-            config, progress=progress, on_batch=on_batch, collect=collect,
-            target=spec, append_base=base,
+            config, on_batch=on_batch, collect=collect, target=spec, append_base=base
         )
     config = _resolve_config(config, overrides)
-    return ArchiveWriter(
-        config, progress=progress, on_batch=on_batch, collect=collect, target=target
-    )
+    return ArchiveWriter(config, on_batch=on_batch, collect=collect, target=target)
 
 
 def open_restore(
@@ -547,8 +526,6 @@ class EndToEndResult:
 def run_end_to_end(
     config: ArchiveConfig | None = None,
     payload: bytes = b"",
-    *,
-    progress: Callable[[SegmentRecord], None] | None = None,
     **overrides: object,
 ) -> EndToEndResult:
     """All seven steps of Figure 2a plus restoration, in one call.
@@ -563,7 +540,7 @@ def run_end_to_end(
     restored payload.
     """
     config = _resolve_config(config, overrides)
-    with open_archive(config, progress=progress) as writer:
+    with open_archive(config) as writer:
         writer.write(payload)
     archive = writer.archive
 

@@ -55,11 +55,6 @@ class BarcodeSpec:
         """Payload bytes per barcode (after the 4-byte CRC and 2-byte length)."""
         return self.data_module_count // 8 - 6
 
-    @property
-    def total_pixels(self) -> int:
-        """Raster side length in pixels."""
-        return (self.modules + 2 * self.quiet_modules) * self.module_pixels
-
 
 class SimpleBarcode:
     """Encoder/decoder for the QR-style baseline."""

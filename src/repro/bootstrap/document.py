@@ -170,11 +170,6 @@ class BootstrapDocument:
 
     # ------------------------------------------------------------------ #
     @property
-    def pseudocode_lines(self) -> int:
-        """Number of lines of the algorithm description."""
-        return len(self.pseudocode.splitlines())
-
-    @property
     def letter_count(self) -> int:
         """Total number of letters across all sections."""
         return sum(2 * len(section.payload) for section in self.sections)

@@ -94,11 +94,6 @@ class Table:
             raise SchemaError(f"table {self.name}: duplicate column names")
 
     # ------------------------------------------------------------------ #
-    @property
-    def column_names(self) -> list[str]:
-        """Column names, in declaration order."""
-        return [column.name for column in self.columns]
-
     def column_index(self, name: str) -> int:
         """Position of a column by name."""
         for index, column in enumerate(self.columns):
@@ -123,11 +118,6 @@ class Table:
         for column, value in zip(self.columns, values):
             column.validate(value)
         self.rows.append(values)
-
-    def insert_many(self, rows: "Iterable[Iterable[int | str | None]]") -> None:
-        """Insert many rows."""
-        for row in rows:
-            self.insert(row)
 
     # ------------------------------------------------------------------ #
     def scan(self) -> "Iterator[tuple[int | str | None, ...]]":

@@ -64,10 +64,6 @@ class DBCoderError(ReproError):
     """Base class for database-layout encoding/decoding errors."""
 
 
-class CompressionError(DBCoderError):
-    """Raised when a payload cannot be compressed."""
-
-
 class DecompressionError(DBCoderError):
     """Raised when a compressed stream is corrupt or truncated."""
 
@@ -91,10 +87,6 @@ class EmblemDetectionError(MOCoderError):
     """The emblem geometry could not be located in a scanned image."""
 
 
-class ClockRecoveryError(MOCoderError):
-    """The differential-Manchester cell stream lost synchronisation."""
-
-
 class ECCError(MOCoderError):
     """Base class for error-correction failures."""
 
@@ -116,10 +108,6 @@ class MediaError(ReproError):
 
 class MediaCapacityError(MediaError):
     """The payload does not fit on the configured medium."""
-
-
-class ScanError(MediaError):
-    """A scanned frame could not be produced or parsed."""
 
 
 # --------------------------------------------------------------------------- #

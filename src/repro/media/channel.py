@@ -147,15 +147,3 @@ class MediaChannel:
     def roundtrip(self, images: list[GrayImage], seed: int | None = None) -> list[GrayImage]:
         """Record and immediately scan back (the common test/benchmark path)."""
         return self.scan(self.record(images), seed=seed).images
-
-    # ------------------------------------------------------------------ #
-    # Capacity model
-    # ------------------------------------------------------------------ #
-    @property
-    def frame_pixels(self) -> int:
-        """Number of pixels in one recorded frame."""
-        return self.frame_shape[0] * self.frame_shape[1]
-
-    def frames_for(self, emblem_count: int) -> int:
-        """Frames consumed by ``emblem_count`` emblems (one emblem per frame)."""
-        return emblem_count

@@ -43,13 +43,3 @@ class PaperChannel(MediaChannel):
             write_bitonal=False,
             distortion=distortion if distortion is not None else OFFICE_SCAN,
         )
-
-    def pages_for(self, emblem_count: int) -> int:
-        """Pages consumed (one emblem per page, as in the paper's experiment)."""
-        return emblem_count
-
-    def density_kb_per_page(self, archive_bytes: int, emblem_count: int) -> float:
-        """Archive kilobytes stored per printed page."""
-        if emblem_count == 0:
-            return 0.0
-        return archive_bytes / 1000.0 / emblem_count

@@ -15,9 +15,6 @@ from repro.util.nptypes import SymbolArray
 #: The primitive polynomial defining GF(256).
 PRIMITIVE_POLYNOMIAL = 0x11D
 
-#: Field size.
-FIELD_SIZE = 256
-
 
 def _build_tables() -> tuple[SymbolArray, SymbolArray]:
     exp = np.zeros(512, dtype=np.int32)
@@ -120,17 +117,3 @@ def poly_eval(p: list[int], x: int) -> int:
     return result
 
 
-def poly_scale(p: list[int], factor: int) -> list[int]:
-    """Multiply every coefficient of ``p`` by ``factor``."""
-    return [gf_mul(coefficient, factor) for coefficient in p]
-
-
-def poly_add(p: list[int], q: list[int]) -> list[int]:
-    """Add (XOR) two polynomials."""
-    length = max(len(p), len(q))
-    result = [0] * length
-    for index, coefficient in enumerate(p):
-        result[index + length - len(p)] = coefficient
-    for index, coefficient in enumerate(q):
-        result[index + length - len(q)] ^= coefficient
-    return result

@@ -6,6 +6,11 @@ batches incrementally so peak memory is bounded by the segment size rather
 than the payload size.  See :mod:`repro.pipeline.pipeline` for the flow and
 :class:`~repro.core.archive.SegmentRecord` for the manifest metadata that
 makes segments independently restorable.
+
+The flow's entry points are the sessions of :mod:`repro.api`:
+``open_archive`` encodes segment by segment (``on_batch=`` sees each emblem
+batch) and ``open_restore`` decodes.  This package exports the pieces those
+sessions and their callbacks handle, not a second way to archive or restore.
 """
 
 from repro.pipeline.executors import (
@@ -16,20 +21,16 @@ from repro.pipeline.executors import (
     get_executor,
 )
 from repro.pipeline.pipeline import (
-    ArchivePipeline,
     ChannelSpec,
     DecodedSegment,
     EncodedSegment,
-    RestorePipeline,
     build_system_artifacts,
     merge_reports,
 )
 from repro.pipeline.segmenter import DEFAULT_SEGMENT_SIZE, Segment, iter_segments, segment_count
 
 __all__ = [
-    "ArchivePipeline",
     "ChannelSpec",
-    "RestorePipeline",
     "EncodedSegment",
     "DecodedSegment",
     "build_system_artifacts",

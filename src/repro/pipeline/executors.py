@@ -18,10 +18,12 @@ segments, so downstream consumers see a deterministic stream and peak memory
 stays proportional to ``window``, not to the payload.
 
 :data:`EXECUTORS` is the executor name table (``serial``, ``thread``,
-``process`` and ``auto``); :func:`get_executor` resolves a ``"name:workers"``
-spec through it.  A pool without a worker count, and ``auto``'s choice, use
-the CPUs this process may run on (its affinity mask where the platform has
-one), not every CPU the machine shows.
+``process`` and ``auto``); :func:`get_executor` builds one from a
+``"name:workers"`` spec through it, and each archive or restore session
+builds its own from its config and closes it when done.  A pool without a
+worker count, and ``auto``'s choice, use the CPUs this process may run on
+(its affinity mask where the platform has one), not every CPU the machine
+shows.
 """
 
 from __future__ import annotations
@@ -52,9 +54,9 @@ class SegmentExecutor:
 
     name = "base"
 
-    #: How many jobs run at once.  The restore pipeline splits a large
-    #: segment's decode into up to this many jobs, so an executor that runs
-    #: one job at a time never pays for a split.
+    #: How many jobs run at once.  A restore splits a large segment's decode
+    #: into up to this many jobs, so an executor that runs one job at a time
+    #: never pays for a split.
     workers = 1
 
     def map_ordered(
@@ -204,18 +206,15 @@ def executor_name(name: str) -> str:
     return resolve_name("executor", name, sorted(EXECUTORS))
 
 
-def get_executor(spec: "str | SegmentExecutor | None") -> SegmentExecutor:
-    """Resolve an executor from a name, ``"name:workers"`` spec, or instance.
+def get_executor(spec: str) -> SegmentExecutor:
+    """A new executor from a name or ``"name:workers"`` spec.
 
-    ``"serial"`` (and ``None``) run inline; ``"thread"`` / ``"process"`` use
-    every CPU this process may run on; ``"thread:4"`` pins the worker count;
+    ``"serial"`` runs inline; ``"thread"`` / ``"process"`` use every CPU
+    this process may run on; ``"thread:4"`` pins the worker count;
     ``"auto"`` picks a process pool when that is more than one CPU and
     serial otherwise.  Unknown names raise
     :class:`~repro.errors.UnknownNameError` with a did-you-mean suggestion.
+    The caller owns the executor and closes it when done.
     """
-    if spec is None:
-        return SerialExecutor()
-    if isinstance(spec, SegmentExecutor):
-        return spec
     name, workers = parse_executor_spec(spec)
     return EXECUTORS[executor_name(name)](workers)

@@ -5,8 +5,8 @@ every emblem raster at once is fine for the paper's 1.2 MB SQL archive and
 hopeless for multi-gigabyte dumps.  This module splits the seven-step flow
 (Figure 2a) at the payload layer:
 
-* the :mod:`~repro.pipeline.segmenter` slices the payload into fixed-size
-  segments, reading file-like sources incrementally;
+* the :mod:`~repro.pipeline.segmenter` cuts the incoming payload chunks
+  into fixed-size segments;
 * each segment runs **DBCoder encode + MOCoder encode** independently — its
   own container, its own emblem stream, its own outer-code parity groups —
   through a pluggable :mod:`~repro.pipeline.executors` backend (serial,
@@ -22,8 +22,14 @@ others to be re-decoded.  Within a segment the restore reads data frames
 first: the rest of a segment (its parity frames) is fetched and decoded only
 when one of its data frames fails or is absent
 (:func:`~repro.mocoder.mocoder.stream_layout` says where each frame sits).
-:class:`RestorePipeline` is the only code that turns scans into payload
-bytes; :class:`repro.api.ArchiveReader` drives it.
+
+Three functions run the flow over an executor the caller owns:
+:func:`encode_segments` (payload chunks -> emblem batches),
+:func:`decode_segments` (a manifest's segment records -> payload bytes) and
+:func:`decode_system` (the system stream -> the archived decoder).  They are
+the only code that turns payload into emblems and scans back into payload;
+:class:`repro.api.ArchiveWriter` and :class:`repro.api.ArchiveReader` call
+them.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ if TYPE_CHECKING:
     from repro.media.channel import MediaChannel
 
 from repro.core.archive import SegmentRecord
-from repro.core.profiles import MediaProfile, TEST_PROFILE, get_profile
+from repro.core.profiles import MediaProfile, get_profile
 from repro.bootstrap.document import build_bootstrap
 from repro.dbcoder.dbcoder import DBCoder
 from repro.dynarisc.programs import get_program
@@ -57,21 +63,18 @@ from repro.mocoder.mocoder import (
     stream_layout,
 )
 from repro.nested import dynarisc_emulator_image
-from repro.pipeline.executors import SegmentExecutor, get_executor
-from repro.pipeline.segmenter import (
-    DEFAULT_SEGMENT_SIZE,
-    PayloadSource,
-    iter_segments,
-)
+from repro.pipeline.executors import SegmentExecutor
+from repro.pipeline.segmenter import iter_segments
 from repro.util.crc import crc32_of
 
 __all__ = [
-    "ArchivePipeline",
     "ChannelSpec",
-    "RestorePipeline",
     "EncodedSegment",
     "DecodedSegment",
     "build_system_artifacts",
+    "decode_segments",
+    "decode_system",
+    "encode_segments",
 ]
 
 
@@ -100,26 +103,22 @@ class ChannelSpec:
     distortion: str | None = None
     #: Base scan seed; per-frame streams derive from (seed, lane, frame index).
     seed: int | None = None
-    #: The channel every lane simulates, built from the names on construction.
-    _channel: "MediaChannel" = field(init=False, repr=False, compare=False)
+    #: The channel every lane simulates: the named medium's, with any
+    #: distortion override applied, built once on construction.
+    channel: "MediaChannel" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_channel", self.build_channel())
-
-    def build_channel(self) -> "MediaChannel":
-        """A fresh instance of the named channel, with any distortion
-        override applied."""
         channel = get_profile(self.media).channel()
         if self.distortion is not None:
             channel.distortion = DISTORTIONS[distortion_name(self.distortion)]
-        return channel
+        object.__setattr__(self, "channel", channel)
 
     def simulate(
         self, images: Sequence[Frame], frame_start: int, lane: int = 0
     ) -> list[Frame]:
         """Record ``images`` onto the simulated medium and scan them back;
         an :class:`~repro.mocoder.emblem.AbsentFrame` stays absent."""
-        channel = self._channel
+        channel = self.channel
         scans = list(images)
         present = [
             (at, image) for at, image in enumerate(images) if not isinstance(image, AbsentFrame)
@@ -140,7 +139,6 @@ class _EncodeJob:
     #: The segment's codec; it pickles as its profile into process-pool workers.
     codec: DBCoder
     outer_code: bool
-    kind: int
     index: int
     offset: int
     data: bytes
@@ -166,7 +164,7 @@ def _encode_segment_job(job: _EncodeJob) -> _EncodeResult:
     """Steps 2-3 for one segment: DBCoder container -> emblem rasters."""
     container = job.codec.encode(job.data)
     mocoder = MOCoder(job.spec, outer_code=job.outer_code)
-    stream = mocoder.encode(container, kind=EmblemKind(job.kind))
+    stream = mocoder.encode(container)
     return _EncodeResult(
         index=job.index,
         offset=job.offset,
@@ -440,225 +438,168 @@ def _system_artifacts(
 # --------------------------------------------------------------------------- #
 # Archival
 # --------------------------------------------------------------------------- #
-class ArchivePipeline:
-    """Streaming, chunked archival: payload source -> emblem batches.
+def encode_segments(
+    chunks: Iterable[bytes],
+    spec: EmblemSpec,
+    codec: DBCoder,
+    outer_code: bool,
+    segment_size: int | None,
+    executor: SegmentExecutor,
+    base: tuple[int, int, int] = (0, 0, 0),
+) -> Iterator[EncodedSegment]:
+    """Encode payload ``chunks`` segment by segment, yielding emblem batches.
 
-    Parameters
-    ----------
-    profile:
-        Media profile selecting the emblem geometry.
-    codec:
-        The :class:`~repro.dbcoder.DBCoder` applied to every segment
-        (default: the ``PORTABLE`` profile).
-    outer_code:
-        Whether each segment's emblem stream gets 17+3 parity groups.
-    segment_size:
-        Payload bytes per segment; ``None`` keeps the whole payload in one
-        segment (the one-shot behaviour).
-    executor:
-        Executor name (``"serial"``, ``"thread[:N]"``, ``"process[:N]"``,
-        ``"auto"``) or a :class:`~repro.pipeline.executors.SegmentExecutor`
-        instance.
+    ``chunks`` are cut into segments of ``segment_size`` bytes (``None``:
+    the whole payload is one segment), and each segment runs through
+    ``codec`` and a MOCoder for ``spec`` (with 17+3 parity groups when
+    ``outer_code``) as one ``executor`` job.  Records are numbered from
+    ``base``, the (segment index, payload offset, frame index) of the
+    segment the payload starts at: an append resumes where its base
+    manifest ends.
+
+    Batches arrive in payload order; only ``executor.window`` segments are
+    in flight at once, so a consumer that writes each batch to the medium
+    and drops it holds O(segment) memory for any payload size.
     """
-
-    def __init__(
-        self,
-        profile: MediaProfile = TEST_PROFILE,
-        codec: DBCoder | None = None,
-        outer_code: bool = True,
-        segment_size: int | None = DEFAULT_SEGMENT_SIZE,
-        executor: str | SegmentExecutor = "serial",
-    ):
-        self.profile = profile
-        self.codec = codec if codec is not None else DBCoder()
-        self.outer_code = outer_code
-        self.segment_size = segment_size
-        self.executor = executor
-        self._owns_executor = not isinstance(executor, SegmentExecutor)
-
-    # ------------------------------------------------------------------ #
-    def iter_encode(
-        self,
-        source: PayloadSource,
-        kind: EmblemKind = EmblemKind.DATA,
-    ) -> Iterator[EncodedSegment]:
-        """Encode ``source`` segment by segment, yielding emblem batches.
-
-        Batches arrive in payload order; only ``executor.window`` segments
-        are in flight at once, so a consumer that writes each batch to the
-        medium and drops it holds O(segment) memory for any payload size.
-        """
-        executor = get_executor(self.executor)
-
-        def jobs() -> Iterator[_EncodeJob]:
-            for segment in iter_segments(source, self.segment_size):
-                yield _EncodeJob(
-                    spec=self.profile.spec,
-                    codec=self.codec,
-                    outer_code=self.outer_code,
-                    kind=int(kind),
-                    index=segment.index,
-                    offset=segment.offset,
-                    data=segment.data,
-                )
-
-        emblem_start = 0
-        try:
-            for result in executor.map_ordered(_encode_segment_job, jobs()):
-                record = SegmentRecord(
-                    index=result.index,
-                    offset=result.offset,
-                    length=result.length,
-                    crc32=result.crc32,
-                    emblem_start=emblem_start,
-                    emblem_count=len(result.images),
-                    container_bytes=result.container_bytes,
-                    sha256=result.sha256,
-                )
-                emblem_start += record.emblem_count
-                # list() of the (count, H, W) batch yields per-frame views
-                # sharing the batch buffer — no per-frame copies.
-                yield EncodedSegment(record=record, images=list(result.images))
-        finally:
-            if self._owns_executor:
-                executor.close()
+    first_index, first_offset, emblem_start = base
+    jobs = (
+        _EncodeJob(
+            spec=spec,
+            codec=codec,
+            outer_code=outer_code,
+            index=first_index + segment.index,
+            offset=first_offset + segment.offset,
+            data=segment.data,
+        )
+        for segment in iter_segments(chunks, segment_size)
+    )
+    for result in executor.map_ordered(_encode_segment_job, jobs):
+        record = SegmentRecord(
+            index=result.index,
+            offset=result.offset,
+            length=result.length,
+            crc32=result.crc32,
+            emblem_start=emblem_start,
+            emblem_count=len(result.images),
+            container_bytes=result.container_bytes,
+            sha256=result.sha256,
+        )
+        emblem_start += record.emblem_count
+        # list() of the (count, H, W) batch yields per-frame views sharing
+        # the batch buffer — no per-frame copies.
+        yield EncodedSegment(record=record, images=list(result.images))
 
 
 # --------------------------------------------------------------------------- #
 # Restoration
 # --------------------------------------------------------------------------- #
-class RestorePipeline:
-    """Per-segment restoration: scanned emblem rasters -> payload bytes.
+def decode_segments(
+    records: Iterable[SegmentRecord],
+    frames_for: Callable[[SegmentRecord, int, "int | None"], Sequence[Frame]],
+    spec: EmblemSpec,
+    outer_code: bool,
+    executor: SegmentExecutor,
+    channel: ChannelSpec | None = None,
+    decode_payload: bool = True,
+    every_frame: bool = False,
+) -> Iterator[DecodedSegment]:
+    """Decode ``records`` in order, fetching each segment's frames on demand.
 
-    Parameters
-    ----------
-    profile:
-        Media profile whose emblem spec the scans were produced with.
-    executor:
-        Executor spec or instance mapping the per-segment decode jobs.  A
-        segment of at least ``2 * MIN_DECODE_CHUNK`` data frames splits them
-        into up to ``executor.workers`` chunks decoded as independent jobs
-        (the group reassembly runs on the consuming thread), so one huge
-        segment does not bound restore latency; ``serial`` runs one job at a
-        time and never splits.
-    channel:
-        Optional :class:`ChannelSpec`.  When set, every decode job *records*
-        its emblem rasters onto the named medium and *scans* them back
-        (per-frame seeded) before decoding — streaming channel simulation,
-        batch by batch through the executor.
-    outer_code:
-        Whether the archive's streams carry 3 parity frames per group of 17
-        data frames (its manifest's ``outer_code``).
+    ``frames_for(record, start, count)`` returns a run of the segment's
+    frames from position ``start`` (``count=None``: through its last
+    frame).  It is called lazily, inside the executor's bounded submission
+    window, so a storage-backed caller only ever pulls frames of the
+    segments being decoded — and of those, on a clean medium, one run from
+    the first frame through the last data frame.  When one of its data
+    frames fails or is absent, or a decoded header disagrees with the
+    segment's layout (scans out of order, foreign), the rest of the segment
+    is fetched and decoded on the consuming thread, which restores what
+    decoding every frame upfront would.  ``every_frame`` decodes every
+    frame from the start: the verify audit.
+
+    The scans were produced with ``spec``; ``outer_code`` says whether the
+    archive's streams carry 3 parity frames per group of 17 data frames
+    (its manifest's ``outer_code``).  A segment of at least
+    ``2 * MIN_DECODE_CHUNK`` data frames splits them into up to
+    ``executor.workers`` chunks decoded as independent jobs (the group
+    reassembly runs on the consuming thread), so one huge segment does not
+    bound restore latency; a one-worker executor never splits.  With a
+    ``channel``, every decode job *records* its emblem rasters onto the
+    named medium and *scans* them back (per-frame seeded) before decoding.
+
+    Each segment is verified against its record's CRC-32 and SHA-256;
+    ``decode_payload=False`` stops at the DBCoder container (the emulated
+    modes run the database-layout decoder themselves); else each container
+    decodes by the profile its own header names.  ``map_ordered`` preserves
+    submission order, so all chunks of one segment arrive consecutively and
+    the segment finishes as soon as its last chunk lands, while later jobs
+    keep decoding in the executor.
     """
+    mocoder = MOCoder(spec, outer_code=outer_code)
+    codec = DBCoder() if decode_payload else None
+    reads: deque[_StreamRead] = deque()
 
-    def __init__(
-        self,
-        profile: MediaProfile = TEST_PROFILE,
-        executor: str | SegmentExecutor = "serial",
-        channel: ChannelSpec | None = None,
-        outer_code: bool = True,
-    ):
-        self.profile = profile
-        self.executor = executor
-        self.channel = channel
-        self.outer_code = outer_code
-        self._owns_executor = not isinstance(self.executor, SegmentExecutor)
-
-    def iter_decode(
-        self,
-        records: Iterable[SegmentRecord],
-        frames_for: "Callable[[SegmentRecord, int, int | None], Sequence[Frame]]",
-        decode_payload: bool = True,
-        *,
-        every_frame: bool = False,
-    ) -> Iterator[DecodedSegment]:
-        """Decode ``records`` in order, fetching each segment's frames on demand.
-
-        ``frames_for(record, start, count)`` returns a run of the segment's
-        frames from position ``start`` (``count=None``: through its last
-        frame).  It is called lazily, inside the executor's bounded
-        submission window, so a storage-backed caller only ever pulls frames
-        of the segments being decoded — and of those, on a clean medium,
-        one run from the first frame through the last data frame.  When one
-        of its data frames fails or is absent, or a decoded header disagrees
-        with the segment's layout (scans out of order, foreign), the rest of
-        the segment is fetched and decoded on the consuming thread, which
-        restores what decoding every frame upfront would.  ``every_frame``
-        decodes every frame from the start: the verify audit.
-
-        Each segment is verified against its record's CRC-32 and SHA-256;
-        ``decode_payload=False`` stops at the DBCoder container (the
-        emulated modes run the database-layout decoder themselves); else
-        each container decodes by the profile its own header names.
-        ``map_ordered`` preserves submission order, so all chunks of one
-        segment arrive consecutively and the segment finishes as soon as its
-        last chunk lands, while later jobs keep decoding in the executor.
-        """
-        spec = self.profile.spec
-        mocoder = MOCoder(spec, outer_code=self.outer_code)
-        codec = DBCoder() if decode_payload else None
-        executor = get_executor(self.executor)
-        reads: deque[_StreamRead] = deque()
-
-        def jobs() -> Iterator[_DecodeJob]:
-            for record in records:
-                read = _StreamRead(
-                    mocoder, record.emblem_count, functools.partial(frames_for, record),
-                    first_index=record.emblem_start, every_frame=every_frame,
-                    channel=self.channel,
+    def jobs() -> Iterator[_DecodeJob]:
+        for record in records:
+            read = _StreamRead(
+                mocoder, record.emblem_count, functools.partial(frames_for, record),
+                first_index=record.emblem_start, every_frame=every_frame, channel=channel,
+            )
+            reads.append(read)
+            frames = [
+                (start + offset, frame)
+                for start, run in read.first_runs()
+                for offset, frame in enumerate(run)
+            ]
+            # Floored chunks: a small segment is one vectorised decode call,
+            # so fanning it out would only add executor round-trips.
+            bounds = chunk_bounds(len(frames), executor.workers, min_chunk=MIN_DECODE_CHUNK)
+            for start, end in bounds:
+                yield _DecodeJob(
+                    spec=spec,
+                    outer_code=outer_code,
+                    record=record,
+                    codec=codec,
+                    layout=read.layout,
+                    chunk_count=len(bounds),
+                    runs=_contiguous_runs(frames[start:end]),
+                    channel=channel,
                 )
-                reads.append(read)
-                frames = [
-                    (start + offset, frame)
-                    for start, run in read.first_runs()
-                    for offset, frame in enumerate(run)
-                ]
-                # Floored chunks: a small segment is one vectorised decode
-                # call, so fanning it out would only add executor round-trips.
-                bounds = chunk_bounds(len(frames), executor.workers, min_chunk=MIN_DECODE_CHUNK)
-                for start, end in bounds:
-                    yield _DecodeJob(
-                        spec=spec,
-                        outer_code=self.outer_code,
-                        record=record,
-                        codec=codec,
-                        layout=read.layout,
-                        chunk_count=len(bounds),
-                        runs=_contiguous_runs(frames[start:end]),
-                        channel=self.channel,
-                    )
 
-        chunks: list[_DecodedChunk] = []
-        try:
-            for result in executor.map_ordered(_decode_job, jobs()):
-                if isinstance(result, DecodedSegment):
-                    reads.popleft()
-                    yield result
-                    continue
-                chunks.append(result)
-                if len(chunks) == result.chunk_count:
-                    runs = [run for chunk in chunks for run in chunk.runs]
-                    report = merge_reports(chunk.report for chunk in chunks)
-                    emblems = reads.popleft().follow_up(runs, report)
-                    yield _finish_segment(mocoder, result.record, emblems, report, codec)
-                    chunks = []
-        finally:
-            if self._owns_executor:
-                executor.close()
+    chunks: list[_DecodedChunk] = []
+    for result in executor.map_ordered(_decode_job, jobs()):
+        if isinstance(result, DecodedSegment):
+            reads.popleft()
+            yield result
+            continue
+        chunks.append(result)
+        if len(chunks) == result.chunk_count:
+            runs = [run for chunk in chunks for run in chunk.runs]
+            report = merge_reports(chunk.report for chunk in chunks)
+            emblems = reads.popleft().follow_up(runs, report)
+            yield _finish_segment(mocoder, result.record, emblems, report, codec)
+            chunks = []
 
-    def decode_system(self, frame_count: int, fetch: FrameRun) -> tuple[bytes, DecodeReport]:
-        """Decode the system stream (the archived decoder) on this thread.
 
-        It reads like a segment: ``fetch(start, count)`` runs as
-        ``frames_for`` does in :meth:`iter_decode`, data frames first and the
-        rest only when they fall short; the channel scans it on lane 1 of
-        the per-frame seed space.
-        """
-        mocoder = MOCoder(self.profile.spec, outer_code=self.outer_code)
-        read = _StreamRead(mocoder, frame_count, fetch, channel=self.channel, lane=1)
-        report = DecodeReport()
-        runs = [read.decode(start, frames, report) for start, frames in read.first_runs()]
-        return mocoder.assemble(read.follow_up(runs, report), report)
+def decode_system(
+    frame_count: int,
+    fetch: FrameRun,
+    spec: EmblemSpec,
+    outer_code: bool,
+    channel: ChannelSpec | None = None,
+) -> tuple[bytes, DecodeReport]:
+    """Decode the system stream (the archived decoder) on this thread.
+
+    It reads like a segment: ``fetch(start, count)`` runs as ``frames_for``
+    does in :func:`decode_segments`, data frames first and the rest only
+    when they fall short; the channel scans it on lane 1 of the per-frame
+    seed space.
+    """
+    mocoder = MOCoder(spec, outer_code=outer_code)
+    read = _StreamRead(mocoder, frame_count, fetch, channel=channel, lane=1)
+    report = DecodeReport()
+    runs = [read.decode(start, frames, report) for start, frames in read.first_runs()]
+    return mocoder.assemble(read.follow_up(runs, report), report)
 
 
 # --------------------------------------------------------------------------- #
@@ -679,7 +620,7 @@ def chunk_bounds(count: int, parts: int, min_chunk: int = 1) -> list[tuple[int, 
     Runs differ in length by at most one and never come back empty, so the
     split is deterministic and every item lands in exactly one run.
     ``min_chunk`` caps ``parts`` so no run is shorter than it (a single run
-    is always allowed): the restore pipeline passes :data:`MIN_DECODE_CHUNK`
+    is always allowed): :func:`decode_segments` passes :data:`MIN_DECODE_CHUNK`
     so small segments stay one job instead of paying executor overhead per
     near-empty chunk.
     """

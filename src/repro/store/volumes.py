@@ -547,10 +547,6 @@ class _VolumeSetSource(ArchiveSource):
         return geometry
 
     @property
-    def geometry(self) -> _SetGeometry:
-        return self._geometry
-
-    @property
     def missing_volumes(self) -> dict[int, str]:
         """Unavailable members: volume index -> reason."""
         return dict(self._missing)

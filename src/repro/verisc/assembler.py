@@ -284,12 +284,6 @@ class MacroAssembler:
         """R = R - value; borrow reflects underflow."""
         self.sub(self.const(value))
 
-    def inc(self, operand: Operand) -> None:
-        """mem[operand] += 1."""
-        self.ld(operand)
-        self.add_imm(1)
-        self.st(operand)
-
     def dec(self, operand: Operand) -> None:
         """mem[operand] -= 1."""
         self.ld(operand)

@@ -138,6 +138,24 @@ class TestArchiveConfig:
         # The base media table entry is untouched.
         assert get_profile("test").channel().distortion.name != "pristine"
 
+    def test_channel_builds_one_channel(self):
+        built = []
+
+        def factory():
+            built.append(TEST_PROFILE.channel())
+            return built[-1]
+
+        register_profile(dataclasses.replace(
+            TEST_PROFILE, name="counting-medium", channel_factory=factory
+        ))
+        try:
+            config = ArchiveConfig(media="counting-medium", distortion="pristine")
+            built.clear()  # validating the distortion probes the channel once
+            channel = config.channel()
+            assert built == [channel] and channel.distortion.name == "pristine"
+        finally:
+            del PROFILES["counting-medium"]
+
 
 # --------------------------------------------------------------------------- #
 # Name tables
@@ -243,7 +261,8 @@ class TestSessions:
         payload = random_payload(8_192, seed=8)
         records = []
         with open_archive(
-            ArchiveConfig(media="test", segment_size=2048), progress=records.append
+            ArchiveConfig(media="test", segment_size=2048),
+            on_batch=lambda batch: records.append(batch.record),
         ) as writer:
             writer.write(payload)
         assert [record.index for record in records] == [0, 1, 2, 3]

@@ -56,8 +56,8 @@ from repro.mocoder.outer_code import OuterCode, _gf_matrix_multiply
 from repro.mocoder.reed_solomon import get_code
 from repro.core.archive import SegmentRecord
 from repro.core.profiles import get_profile
-from repro.pipeline import RestorePipeline, pipeline as pipeline_module
-from repro.pipeline.pipeline import MIN_DECODE_CHUNK, chunk_bounds
+from repro.pipeline import get_executor, pipeline as pipeline_module
+from repro.pipeline.pipeline import MIN_DECODE_CHUNK, chunk_bounds, decode_segments
 from repro.util.crc import crc32_of
 
 SPEC = get_profile("test").spec
@@ -422,8 +422,10 @@ class TestChunkFloor:
             fetches.append((start, count))
             return images[start:] if count is None else images[start:start + count]
 
-        pipeline = RestorePipeline(get_profile("test"), executor="thread:2")
-        [decoded] = pipeline.iter_decode([record], frames_for, decode_payload=False)
+        with get_executor("thread:2") as executor:
+            [decoded] = decode_segments(
+                [record], frames_for, SPEC, True, executor, decode_payload=False
+            )
         assert fetches == [(0, 5)]
         assert decoded.payload is None
         assert decoded.container == serial_payload

@@ -14,8 +14,6 @@ import sys
 import textwrap
 from pathlib import Path
 
-import pytest
-
 from repro.devtools.lint import (
     ExecutorPickleRule,
     GuardedByRule,

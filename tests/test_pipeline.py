@@ -100,32 +100,18 @@ def archives_identical(a, b) -> bool:
 # --------------------------------------------------------------------------- #
 class TestSegmenter:
     def test_bytes_source_chunking(self):
-        segments = list(iter_segments(b"abcdefghij", 4))
+        segments = list(iter_segments([b"abcdefghij"], 4))
         assert [s.data for s in segments] == [b"abcd", b"efgh", b"ij"]
         assert [s.offset for s in segments] == [0, 4, 8]
         assert [s.index for s in segments] == [0, 1, 2]
-        assert all(s.crc32 == crc32_of(s.data) for s in segments)
 
     def test_none_segment_size_is_one_shot(self):
-        segments = list(iter_segments(b"abcdef", None))
+        segments = list(iter_segments([b"abc", b"def"], None))
         assert len(segments) == 1 and segments[0].data == b"abcdef"
 
     def test_empty_payload_yields_one_empty_segment(self):
-        segments = list(iter_segments(b"", 1024))
+        segments = list(iter_segments([], 1024))
         assert len(segments) == 1 and segments[0].data == b""
-
-    def test_file_source_is_read_incrementally(self):
-        reads = []
-
-        class Tracking(io.BytesIO):
-            def read(self, n=-1):
-                reads.append(n)
-                return super().read(n)
-
-        data = bytes(range(256)) * 40
-        segments = list(iter_segments(Tracking(data), 1000))
-        assert b"".join(s.data for s in segments) == data
-        assert max(reads) <= 1000
 
     def test_chunk_iterable_source_rechunks(self):
         chunks = [b"aa", b"bbbb", b"c" * 10, b"", b"dd"]
@@ -141,7 +127,7 @@ class TestSegmenter:
 
     def test_invalid_segment_size(self):
         with pytest.raises(ValueError):
-            list(iter_segments(b"abc", 0))
+            list(iter_segments([b"abc"], 0))
         with pytest.raises(ValueError):
             segment_count(10, -1)
 
@@ -167,13 +153,10 @@ class TestExecutors:
             list(executor.map_ordered(_explode_on_seven, range(10)))
 
     def test_get_executor_specs(self):
-        assert isinstance(get_executor(None), SerialExecutor)
         assert isinstance(get_executor("serial"), SerialExecutor)
         thread = get_executor("thread:5")
         assert isinstance(thread, ThreadPoolSegmentExecutor) and thread.workers == 5
         assert isinstance(get_executor("process:2"), ProcessPoolSegmentExecutor)
-        instance = SerialExecutor()
-        assert get_executor(instance) is instance
         with pytest.raises(UnknownNameError, match="did you mean"):
             get_executor("thredd")
         with pytest.raises(UnknownNameError):

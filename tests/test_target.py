@@ -14,7 +14,6 @@ spelling, and the ``vol:`` sub-grammar validates its geometry eagerly.
 from __future__ import annotations
 
 import warnings
-from pathlib import Path
 
 import pytest
 

@@ -21,7 +21,6 @@ the acceptance scenario exactly.
 
 from __future__ import annotations
 
-import itertools
 import shutil
 import tempfile
 from pathlib import Path
